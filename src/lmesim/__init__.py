@@ -21,11 +21,10 @@ from .dynamics import (
     default_step,
     integrate,
     rk4_step,
-    steady_state_by_integration,
+    steady_state,
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     IntegrationError,
     PositivityError,
     QuadratureError,
@@ -42,7 +41,7 @@ from .gaussian import (
     steady_covariance,
     steady_heat_currents,
 )
-from .linalg import embed_qubit_op, herm_eig, kron, lyapunov_solve, matrix_log_hermitian
+from .linalg import embed_qubit_op, herm_eig, lyapunov_solve, matrix_log_hermitian
 from .model import (
     QubitParams,
     SystemConfig,
@@ -50,7 +49,6 @@ from .model import (
     dissipation_rates,
     dissipator,
     drive,
-    dynamic_phase_diff,
     gibbs_product_state,
     hamiltonian,
     instantaneous_gap,

@@ -16,20 +16,8 @@ import configparser
 import sys
 from dataclasses import replace
 
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    IntegrationError,
-    PositivityError,
-    QuadratureError,
-    StabilityError,
-)
+from .errors import NUMERICAL_ERRORS, ConfigError
 from .scenarios import KINDS, emit_csv, load_config, run_scenario
-
-_NUMERICAL_ERRORS = (
-    IntegrationError, ConvergenceError, StabilityError,
-    PositivityError, QuadratureError,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +82,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 1
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

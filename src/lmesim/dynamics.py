@@ -1,11 +1,13 @@
-"""Fixed-step RK4 propagation of the two-qubit master equation.
+"""Propagation of the two-qubit master equation.
 
-The integrator is a classical fourth-order Runge-Kutta scheme with a fixed
-step.  After every step the state is re-Hermitized; the trace is
-renormalized (and the event logged) whenever it drifts beyond 1e-12.
-Undriven configurations are propagated through a precomputed 16x16
-generator matrix acting on the row-major vectorized state, which is much
-faster than re-assembling the dissipator every stage.
+Undriven configurations have a constant 16x16 generator L acting on the
+row-major vectorized state, so each recorded frame is computed exactly as
+expm(L·Δt) applied to the previous one; the step only lays out the frame
+grid.  Driven configurations are stepped with classical fourth-order
+Runge-Kutta at a fixed step.  Every new state is re-Hermitized and its
+trace renormalized (and the event logged) whenever it drifts beyond 1e-12.
+The steady state of an undriven configuration is the trace-one null vector
+of L.
 
 Recorded frames carry the smallest eigenvalue of the state and a flag that
 marks whether any jump rate went negative since the previous frame (the
@@ -15,13 +17,15 @@ strong drive; that is diagnostic information, not an error).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 
-from .errors import ConvergenceError, IntegrationError, UnsupportedConfigError
+from .errors import IntegrationError, StabilityError, UnsupportedConfigError
 from .linalg import hermitian_part
 from .model import (
     SystemConfig,
@@ -42,17 +46,16 @@ STEP_SAFETY = 1e-3
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepping and tolerance knobs for the fixed-step propagator.
+    """Step, frame spacing and positivity tolerance of a propagation run.
 
-    ``step=None`` selects the default step from the stiffest scale of the
-    configuration; ``record_stride=None`` records roughly every 5e-3 time
-    units.  ``t_max`` bounds steady-state searches.
+    ``step`` is the RK4 step of driven runs; undriven runs are propagated
+    exactly and use it only to lay out the frame grid.  ``step=None``
+    selects the default step from the stiffest scale of the configuration;
+    ``record_stride=None`` records roughly every 5e-3 time units.
     """
 
     step: float | None = None
     record_stride: int | None = None
-    t_max: float | None = None
-    steady_tol: float = 1e-10
     positivity_tol: float = 1e-8
 
     def __post_init__(self):
@@ -61,10 +64,6 @@ class IntegratorConfig:
             problems.append(f"step must be positive, got {self.step}")
         if self.record_stride is not None and self.record_stride < 1:
             problems.append(f"record_stride must be >= 1, got {self.record_stride}")
-        if self.t_max is not None and not self.t_max > 0:
-            problems.append(f"t_max must be positive, got {self.t_max}")
-        if not self.steady_tol > 0:
-            problems.append(f"steady_tol must be positive, got {self.steady_tol}")
         if not self.positivity_tol > 0:
             problems.append(f"positivity_tol must be positive, got {self.positivity_tol}")
         if problems:
@@ -118,10 +117,6 @@ def _max_rate(cfg: SystemConfig) -> float:
     return out
 
 
-def _min_rate_static(cfg: SystemConfig) -> float:
-    return min(g for i in (1, 2) for g in dissipation_rates(i, 0.0, cfg)[1:])
-
-
 def rk4_step(rho: np.ndarray, t: float, h: float, rhs,
              positivity_tol: float | None = None) -> np.ndarray:
     """One RK4 step of drho/dt = rhs(rho, t); re-Hermitizes the result.
@@ -129,12 +124,8 @@ def rk4_step(rho: np.ndarray, t: float, h: float, rhs,
     With ``positivity_tol`` set, raises IntegrationError if the stepped
     state has an eigenvalue below -positivity_tol.
     """
-    k1 = rhs(rho, t)
-    return _rk4_finish(rho, t, h, rhs, k1, positivity_tol)
-
-
-def _rk4_finish(rho, t, h, rhs, k1, positivity_tol=None):
     half = 0.5 * h
+    k1 = rhs(rho, t)
     k2 = rhs(rho + half * k1, t + half)
     k3 = rhs(rho + half * k2, t + half)
     k4 = rhs(rho + h * k3, t + h)
@@ -168,14 +159,35 @@ def _plan_steps(t0: float, t1: float, h: float):
     return n_full, tail
 
 
+def _frame_plan(t0: float, t1: float, h: float, stride: int):
+    """Layout of a run from t0 to t1: ``n_full`` steps of size h and, when
+    they fall short of t1, one ``tail`` step onto it; frames are recorded
+    every ``stride`` steps and at t1.
+
+    Returns (n_full, tail, frames); each frame is (first step, end step,
+    frame time, span of its steps).
+    """
+    n_full, tail = _plan_steps(t0, t1, h)
+    n = n_full + (1 if tail else 0)
+    ends = [*range(stride, n, stride), n] if n else []
+    frames = [
+        (first, end, t1 if end == n else t0 + end * h,
+         (min(end, n_full) - first) * h + (tail if end > n_full else 0.0))
+        for first, end in zip([0, *ends], ends)
+    ]
+    return n_full, tail, frames
+
+
 def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
               integrator: IntegratorConfig | None = None) -> Trajectory:
     """Propagate rho0 over t_span = (t0, t1) (or a bare final time).
 
-    Frames are validated as they are recorded: the trace must stay within
-    1e-10 of one, and for undriven configurations the smallest eigenvalue
-    must stay above -positivity_tol (driven runs only record it, since the
-    time-dependent generator is not guaranteed completely positive).
+    Undriven frames are exact (one matrix exponential per distinct frame
+    spacing); driven frames come from fixed-step RK4.  Frames are validated
+    as they are recorded: the trace must stay within 1e-10 of one, and for
+    undriven configurations the smallest eigenvalue must stay above
+    -positivity_tol (driven runs only record it, since the time-dependent
+    generator is not guaranteed completely positive).
     """
     icfg = integrator or IntegratorConfig()
     validate_density(rho0)
@@ -194,33 +206,31 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     driven = cfg.is_driven
     if not driven:
         liou = liouvillian_matrix(cfg)
+        propagator = functools.cache(lambda span: expm(liou * span))
 
     rho = rho0.astype(complex)
     times = [t0]
-    states = [rho.copy()]
+    states = [rho]
     min_eigs = [float(np.linalg.eigvalsh(rho)[0])]
     rate_flags = [False]
     _check_frame(rho, t0, min_eigs[0], icfg, driven)
 
-    n_full, tail = _plan_steps(t0, t1, h)
-    steps = [h] * n_full + ([tail] if tail else [])
-    t = t0
-    pending_neg = False
-    for k, hk in enumerate(steps):
+    n_full, tail, frames = _frame_plan(t0, t1, h, stride)
+    for first, end, t, span in frames:
+        neg_seen = False
         if driven:
-            rho, neg = _driven_step(rho, t, hk, cfg)
-            pending_neg = pending_neg or neg
+            for k in range(first, end):
+                hk = h if k < n_full else tail
+                rho, neg = _driven_step(rho, t0 + k * h, hk, cfg)
+                neg_seen = neg_seen or neg
         else:
-            rho = _static_step(rho, t, hk, liou)
-        t = t1 if k == len(steps) - 1 else t0 + (k + 1) * h
-        if (k + 1) % stride == 0 or k == len(steps) - 1:
-            low = float(np.linalg.eigvalsh(rho)[0])
-            _check_frame(rho, t, low, icfg, driven)
-            times.append(t)
-            states.append(rho.copy())
-            min_eigs.append(low)
-            rate_flags.append(pending_neg)
-            pending_neg = False
+            rho = _normalize((propagator(span) @ rho.reshape(16)).reshape(4, 4), t)
+        low = float(np.linalg.eigvalsh(rho)[0])
+        _check_frame(rho, t, low, icfg, driven)
+        times.append(t)
+        states.append(rho)
+        min_eigs.append(low)
+        rate_flags.append(neg_seen)
 
     if driven:
         final_rhs = _apply_generator(rho, *_td_parts(t1, cfg), cfg.zeta2)  # type: ignore[misc]
@@ -248,16 +258,6 @@ def _check_frame(rho, t, low, icfg: IntegratorConfig, driven: bool):
         )
 
 
-def _static_step(rho, t, h, liou):
-    v = rho.reshape(16)
-
-    def rhs(r, _):
-        return (liou @ r.reshape(16)).reshape(4, 4)
-
-    k1 = (liou @ v).reshape(4, 4)
-    return _rk4_finish(rho, t, h, rhs, k1)
-
-
 def _driven_step(rho, t, h, cfg: SystemConfig):
     """One RK4 step of the time-dependent equation, sharing the midpoint
     generator between the two middle stages.  Returns (state, neg_rate_seen)."""
@@ -279,50 +279,34 @@ def _driven_step(rho, t, h, cfg: SystemConfig):
     return out, neg
 
 
-def steady_state_by_integration(rho0: np.ndarray, cfg: SystemConfig,
-                                integrator: IntegratorConfig | None = None) -> np.ndarray:
-    """Propagate an undriven configuration until max|drho/dt| < steady_tol.
+def steady_state(cfg: SystemConfig) -> np.ndarray:
+    """Steady state of an undriven configuration: the trace-one null vector
+    of the static generator.
 
-    Raises ConvergenceError if the residual has not dropped below the
-    tolerance by t_max (default 100 / (ζ² min rate)).
+    Raises StabilityError when the fixed point is not unique (with ζ² = 0
+    every state that commutes with H is stationary) or when the solution
+    does not annihilate the generator to rounding.
     """
     if cfg.is_driven:
         raise UnsupportedConfigError(
             "steady-state search requires an undriven configuration"
         )
-    icfg = integrator or IntegratorConfig()
-    validate_density(rho0)
-    h = icfg.step if icfg.step is not None else default_step(cfg)
-    t_max = icfg.t_max
-    if t_max is None:
-        t_max = 100.0 / (cfg.zeta2 * _min_rate_static(cfg))
     liou = liouvillian_matrix(cfg)
-
-    def rhs(r, _):
-        return (liou @ r.reshape(16)).reshape(4, 4)
-
-    rho = rho0.astype(complex)
-    t = 0.0
-    check_low_every = max(1, int(round(0.1 / h)))
-    k = 0
-    while True:
-        k1 = (liou @ rho.reshape(16)).reshape(4, 4)
-        residual = float(np.max(np.abs(k1)))
-        if residual < icfg.steady_tol:
-            return rho
-        if t >= t_max:
-            raise ConvergenceError(
-                f"steady-state residual {residual:.3e} above "
-                f"{icfg.steady_tol:.1e} at t={t:.3f}",
-                residual=residual,
-            )
-        rho = _rk4_finish(rho, t, h, rhs, k1)
-        t += h
-        k += 1
-        if k % check_low_every == 0:
-            low = float(np.linalg.eigvalsh(rho)[0])
-            if low < -icfg.positivity_tol:
-                raise IntegrationError(
-                    f"state eigenvalue {low:.3e} below "
-                    f"-{icfg.positivity_tol:.1e}", time=t,
-                )
+    rank = int(np.linalg.matrix_rank(liou))
+    if rank < 15:
+        raise StabilityError(
+            f"steady state is not unique: the generator has a "
+            f"{16 - rank}-dimensional null space"
+        )
+    # trace preservation makes the rows of the diagonal entries sum to zero,
+    # so the first is dependent on the others; Tr ρ = 1 takes its place
+    bordered = liou.copy()
+    bordered[0] = np.eye(4).reshape(16)
+    rhs = np.zeros(16, dtype=complex)
+    rhs[0] = 1.0
+    rho = hermitian_part(np.linalg.solve(bordered, rhs).reshape(4, 4))
+    residual = float(np.max(np.abs(liou @ rho.reshape(16))))
+    if residual > 1e-12 * max(1.0, float(np.max(np.abs(liou)))):
+        raise StabilityError(f"steady-state residual {residual:.3e} exceeds tolerance")
+    validate_density(rho)
+    return rho

@@ -21,14 +21,6 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-class ConvergenceError(RuntimeError):
-    """Iteration stopped before reaching the requested tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class IntegrationError(RuntimeError):
     """Trajectory integration failed a state-validity check."""
 
@@ -45,3 +37,7 @@ class ConfigError(ValueError):
             violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+#: failures of the numerics on valid input; anything else is a bug
+NUMERICAL_ERRORS = (IntegrationError, StabilityError, PositivityError, QuadratureError)

@@ -11,17 +11,22 @@ the excited-state population):
 
 This is exact for the undriven generator (the nonlinear terms cancel in
 the equations of motion), so it doubles as an independent oracle for the
-density-matrix integrator.  The steady state solves the Lyapunov equation
+density-matrix route.  The equation is linear and inhomogeneous, so the
+trajectory is exact: the augmented state [vec C; 1] evolves under a
+constant 5x5 generator.  The steady state solves the Lyapunov equation
 W C + C W† + D = 0, and the steady heat currents are linear in C.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .baths import decay_rate
+from .dynamics import _frame_plan
 from .errors import StabilityError, UnsupportedConfigError
 from .linalg import hermitian_part, lyapunov_solve
 from .model import SM, SP, SystemConfig
@@ -82,11 +87,13 @@ def covariance_from_density(rho: np.ndarray) -> np.ndarray:
 
 def integrate_covariance(cov0: np.ndarray, dd: DriftDiffusion, t_span,
                          step: float, record_stride: int = 1):
-    """Fixed-step RK4 on the covariance equation.
+    """Covariance trajectory, exact at every recorded frame.
 
-    Mirrors the density-matrix integrator's stepping (same step layout and
-    final partial step) so recorded times line up frame for frame.
-    Returns (times, covariances).
+    Records frames on the density-matrix integrator's grid (same step
+    layout and final partial step) so times line up frame for frame.  Each
+    frame applies expm(M·Δt) to [vec C; 1] with
+    M = [[W⊗I + I⊗W̄, vec D], [0, 0]] (row-major vec), which needs no
+    stability of W.  Returns (times, covariances).
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -99,22 +106,21 @@ def integrate_covariance(cov0: np.ndarray, dd: DriftDiffusion, t_span,
     if t1 < t0:
         raise ValueError(f"t_span must be increasing, got ({t0}, {t1})")
 
-    from .dynamics import _plan_steps  # shared step layout
+    eye = np.eye(2)
+    gen = np.zeros((5, 5), dtype=complex)
+    gen[:4, :4] = np.kron(dd.drift, eye) + np.kron(eye, dd.drift.conj())
+    gen[:4, 4] = dd.diffusion.reshape(4)
+    propagator = functools.cache(lambda span: expm(gen * span))
 
-    n_full, tail = _plan_steps(t0, t1, step)
-    steps = [step] * n_full + ([tail] if tail else [])
     cov = cov0.astype(complex)
     times = [t0]
-    covs = [cov.copy()]
-    for k, hk in enumerate(steps):
-        k1 = covariance_rhs(cov, dd)
-        k2 = covariance_rhs(cov + 0.5 * hk * k1, dd)
-        k3 = covariance_rhs(cov + 0.5 * hk * k2, dd)
-        k4 = covariance_rhs(cov + hk * k3, dd)
-        cov = hermitian_part(cov + (hk / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-        if (k + 1) % record_stride == 0 or k == len(steps) - 1:
-            times.append(t1 if k == len(steps) - 1 else t0 + (k + 1) * step)
-            covs.append(cov.copy())
+    covs = [cov]
+    _, _, frames = _frame_plan(t0, t1, step, record_stride)
+    for _, _, t, span in frames:
+        vec = propagator(span) @ np.append(cov.reshape(4), 1.0)
+        cov = hermitian_part(vec[:4].reshape(2, 2))
+        times.append(t)
+        covs.append(cov)
     return np.array(times), np.array(covs)
 
 

@@ -46,11 +46,6 @@ def herm_eig(matrix: np.ndarray, tol: float = 1e-10) -> HermitianEig:
     return HermitianEig(w, v)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, row-major convention."""
-    return np.kron(a, b)
-
-
 def embed_qubit_op(op: np.ndarray, which: int) -> np.ndarray:
     """Lift a 2x2 operator to the two-qubit space (qubit 1 is the left factor)."""
     op = np.asarray(op, dtype=complex)

@@ -36,7 +36,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .baths import BathParams, decay_rate, memory_correction_rate
 from .errors import PositivityError
@@ -56,6 +55,14 @@ HOP = SP[0] @ SM[1] + SM[0] @ SP[1]
 IDENTITY4 = np.eye(4, dtype=complex)
 
 
+def _non_negative_violations(name: str, value: float) -> list:
+    if not math.isfinite(value):
+        return [f"{name} must be finite, got {value}"]
+    if value < 0:
+        return [f"{name} must be non-negative, got {value}"]
+    return []
+
+
 @dataclass(frozen=True)
 class QubitParams:
     """Splitting ε and transverse drive f(t) = a sin(ωt) for one qubit."""
@@ -68,10 +75,8 @@ class QubitParams:
         problems = []
         if not self.epsilon > 0:
             problems.append(f"epsilon must be positive, got {self.epsilon}")
-        if self.drive_amplitude < 0:
-            problems.append(f"drive_amplitude must be non-negative, got {self.drive_amplitude}")
-        if self.drive_frequency < 0:
-            problems.append(f"drive_frequency must be non-negative, got {self.drive_frequency}")
+        for name in ("drive_amplitude", "drive_frequency"):
+            problems += _non_negative_violations(name, getattr(self, name))
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -89,10 +94,8 @@ class SystemConfig:
 
     def __post_init__(self):
         problems = []
-        if self.zeta2 < 0:
-            problems.append(f"zeta2 must be non-negative, got {self.zeta2}")
-        if self.coupling < 0:
-            problems.append(f"coupling must be non-negative, got {self.coupling}")
+        for name in ("zeta2", "coupling"):
+            problems += _non_negative_violations(name, getattr(self, name))
         if problems:
             raise ValueError("; ".join(problems))
         min_gap = 2.0 * min(self.qubit1.epsilon, self.qubit2.epsilon)
@@ -160,17 +163,6 @@ def _mixing_angle_dot(eps: float, f: float, fdot: float) -> float:
 def instantaneous_gap(i: int, t: float, cfg: SystemConfig) -> float:
     """Half-gap E_i(t) = (ε_i² + f_i²)^½; levels sit at ±E_i."""
     return math.hypot(cfg.qubit(i).epsilon, drive(i, t, cfg))
-
-
-def dynamic_phase_diff(i: int, t: float, cfg: SystemConfig) -> float:
-    """Accumulated phase difference -2 ∫_0^t E_i(t') dt'.  Diagnostic only."""
-    if t == 0.0:
-        return 0.0
-    val, _ = quad(
-        lambda u: instantaneous_gap(i, u, cfg), 0.0, t,
-        epsabs=1e-12, epsrel=1e-10, limit=200,
-    )
-    return -2.0 * val
 
 
 def bare_hamiltonian(t: float, cfg: SystemConfig) -> np.ndarray:

@@ -15,8 +15,12 @@ Seven scenario kinds cover the package's standard numerical experiments:
 
 Sweep points run in separate processes when ``threads`` allows; results are
 gathered in grid order, so the emitted CSV is byte-identical regardless of
-the worker count.  A failed sweep point becomes a row with NaN values and
-an ``error:<Type>`` status instead of aborting the sweep.
+the worker count.  A sweep point whose numerics fail (an error from
+``errors.NUMERICAL_ERRORS``) becomes a row with NaN values and an
+``error:<Type>`` status instead of aborting the sweep; any other exception
+is a bug and propagates.  Steady states come from exact solves: the
+Lyapunov equation for the covariance and the generator's null vector for
+the density matrix.
 """
 
 from __future__ import annotations
@@ -30,10 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baths import BathParams
-from .dynamics import IntegratorConfig, integrate, steady_state_by_integration
-from .errors import ConfigError
+from .dynamics import IntegratorConfig, integrate, steady_state
+from .errors import NUMERICAL_ERRORS, ConfigError
 from .gaussian import (
-    covariance_from_density,
     drift_diffusion,
     relaxation_time,
     steady_covariance,
@@ -48,8 +51,6 @@ KINDS = (
 )
 SCALING_AXES = ("zeta2", "lambda2")
 DEFAULT_HORIZONS = {"evolve": 12.0, "driven": 10.0}
-#: drift eigenvalue gap under which the Lyapunov path yields to integration
-DEGENERATE_DRIFT_GAP = 1e-10
 
 EVOLVE_HEADER = (
     "t", "J1", "J2", "Js1", "JI1", "Js2", "JI2", "S", "Sigma_dot",
@@ -167,7 +168,7 @@ class _Reader:
 
 
 def _grid(reader: _Reader, prefix: str, lo_default, hi_default, n_default,
-          spacing: str = "linear"):
+          spacing: str = "linear", positive: bool = False):
     lo = reader.floatval("scenario", f"{prefix}_min", default=lo_default)
     hi = reader.floatval("scenario", f"{prefix}_max", default=hi_default)
     n = reader.intval("scenario", f"{prefix}_count", default=n_default)
@@ -181,12 +182,13 @@ def _grid(reader: _Reader, prefix: str, lo_default, hi_default, n_default,
             f"scenario.{prefix}_max must be >= scenario.{prefix}_min"
         )
         return ()
+    if (positive or spacing == "log") and lo <= 0:
+        why = " for a log grid" if spacing == "log" else ""
+        reader.problems.append(
+            f"scenario.{prefix}_min must be positive{why}, got {lo}"
+        )
+        return ()
     if spacing == "log":
-        if lo <= 0:
-            reader.problems.append(
-                f"scenario.{prefix}_min must be positive for a log grid, got {lo}"
-            )
-            return ()
         return tuple(float(x) for x in np.geomspace(lo, hi, n))
     return tuple(float(x) for x in np.linspace(lo, hi, n))
 
@@ -257,8 +259,8 @@ def load_config(path) -> ScenarioConfig:
                 f" got {scaling_axis!r}"
             )
             scaling_axis = "zeta2"
-        t_ratio = _grid(reader, "t_ratio", 1.0, 3.0, 41)
-        eps_ratio = _grid(reader, "eps_ratio", 0.5, 3.0, 41)
+        t_ratio = _grid(reader, "t_ratio", 1.0, 3.0, 41, positive=True)
+        eps_ratio = _grid(reader, "eps_ratio", 0.5, 3.0, 41, positive=True)
         detuning = _grid(reader, "delta", 0.0, 10.0, 101)
         scaling = _grid(reader, "scaling", 1e-4, 1.0, 13, spacing="log")
         relax = _grid(reader, "relax_zeta2", 0.1, 1.0, 7, spacing="log")
@@ -269,8 +271,7 @@ def load_config(path) -> ScenarioConfig:
         scaling = tuple(float(x) for x in np.geomspace(1e-4, 1.0, 13))
         relax = tuple(float(x) for x in np.geomspace(0.1, 1.0, 7))
 
-    step = record_stride = t_max = None
-    steady_tol = 1e-10
+    step = record_stride = None
     positivity_tol = 1e-8
     if parser.has_section("integrator"):
         step = reader.positive("integrator", "step")
@@ -280,8 +281,6 @@ def load_config(path) -> ScenarioConfig:
                 f"integrator.record_stride must be >= 1, got {record_stride}"
             )
             record_stride = None
-        t_max = reader.positive("integrator", "t_max")
-        steady_tol = reader.positive("integrator", "steady_tol", default=1e-10)
         positivity_tol = reader.positive(
             "integrator", "positivity_tol", default=1e-8
         )
@@ -305,8 +304,6 @@ def load_config(path) -> ScenarioConfig:
             )
         except ValueError as exc:
             problems.append(str(exc))
-    if system is not None:
-        problems.extend(kind_violations(kind, system))
     if problems:
         raise ConfigError(problems)
 
@@ -314,8 +311,8 @@ def load_config(path) -> ScenarioConfig:
         kind=kind,
         system=system,
         integrator=IntegratorConfig(
-            step=step, record_stride=record_stride, t_max=t_max,
-            steady_tol=steady_tol, positivity_tol=positivity_tol,
+            step=step, record_stride=record_stride,
+            positivity_tol=positivity_tol,
         ),
         horizon=horizon,
         out=out,
@@ -332,18 +329,9 @@ def load_config(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # steady-state helpers (shared by sweeps)
 
-def _robust_steady_cov(system: SystemConfig) -> np.ndarray:
-    """Lyapunov steady covariance, integrating instead if W is near-degenerate."""
-    dd = drift_diffusion(system)
-    ws = np.linalg.eigvals(dd.drift)
-    if abs(ws[0] - ws[1]) < DEGENERATE_DRIFT_GAP:
-        rho = steady_state_by_integration(maximum_entropy_state(), system)
-        return covariance_from_density(rho)
-    return steady_covariance(dd)
-
-
 def _steady_sigma(system: SystemConfig) -> float:
-    j1, j2 = steady_heat_currents(_robust_steady_cov(system), system)
+    cov = steady_covariance(drift_diffusion(system))
+    j1, j2 = steady_heat_currents(cov, system)
     return -(system.bath1.beta * j1 + system.bath2.beta * j2)
 
 
@@ -359,7 +347,7 @@ def _boundary_point(args):
             qubit1=replace(base.qubit1, epsilon=eps_ratio * base.qubit2.epsilon),
         )
         return (t_ratio, eps_ratio, _steady_sigma(system), "ok")
-    except Exception as exc:
+    except NUMERICAL_ERRORS as exc:
         return (t_ratio, eps_ratio, math.nan, f"error:{type(exc).__name__}")
 
 
@@ -370,9 +358,10 @@ def _detuning_point(args):
             base,
             qubit1=replace(base.qubit1, epsilon=base.qubit2.epsilon + delta),
         )
-        j1, _ = steady_heat_currents(_robust_steady_cov(system), system)
+        cov = steady_covariance(drift_diffusion(system))
+        j1, _ = steady_heat_currents(cov, system)
         return (delta, j1, "ok")
-    except Exception as exc:
+    except NUMERICAL_ERRORS as exc:
         return (delta, math.nan, f"error:{type(exc).__name__}")
 
 
@@ -383,9 +372,10 @@ def _scaling_point(args):
             system = replace(base, zeta2=value)
         else:
             system = replace(base, coupling=math.sqrt(value))
-        j1, _ = steady_heat_currents(_robust_steady_cov(system), system)
+        cov = steady_covariance(drift_diffusion(system))
+        j1, _ = steady_heat_currents(cov, system)
         return (value, abs(j1), "ok")
-    except Exception as exc:
+    except NUMERICAL_ERRORS as exc:
         return (value, math.nan, f"error:{type(exc).__name__}")
 
 
@@ -400,7 +390,7 @@ def _relaxation_point(args):
         if not res.found:
             return (zeta2, math.nan, tau_r, math.nan, f"error:{res.reason}")
         return (zeta2, res.tau0, tau_r, res.tau0 / tau_r, "ok")
-    except Exception as exc:
+    except NUMERICAL_ERRORS as exc:
         return (zeta2, math.nan, math.nan, math.nan, f"error:{type(exc).__name__}")
 
 
@@ -445,10 +435,8 @@ def _trajectory_table(cfg: ScenarioConfig, driven: bool) -> CsvTable:
 
 def _steady_table(cfg: ScenarioConfig) -> CsvTable:
     system = cfg.system
-    cov = _robust_steady_cov(system)
-    rho = steady_state_by_integration(
-        maximum_entropy_state(), system, cfg.integrator
-    )
+    cov = steady_covariance(drift_diffusion(system))
+    rho = steady_state(system)
     j1, j2 = steady_heat_currents(cov, system)
     sigma = -(system.bath1.beta * j1 + system.bath2.beta * j2)
     header = []

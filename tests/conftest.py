@@ -7,6 +7,7 @@ unit tests reuse the same runs.  The terminal-summary hook prints one
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from lmesim import (
     BathParams,
@@ -15,7 +16,7 @@ from lmesim import (
     SystemConfig,
     integrate,
     maximum_entropy_state,
-    steady_state_by_integration,
+    steady_state,
 )
 
 
@@ -59,9 +60,7 @@ def base_trajectory(base_system):
 
 @pytest.fixture(scope="session")
 def base_steady(base_system):
-    # tight residual so current-balance checks are not limited by the stop rule
-    icfg = IntegratorConfig(steady_tol=1e-12)
-    return steady_state_by_integration(maximum_entropy_state(), base_system, icfg)
+    return steady_state(base_system)
 
 
 @pytest.fixture(scope="session")
@@ -93,6 +92,11 @@ def pytest_configure(config):
         "markers",
         "criterion(num, title): tags a test as one of the acceptance criteria",
     )
+    # hypothesis caches constants scraped from the source files under its
+    # home directory (./.hypothesis by default) right after collection; keep
+    # them in pytest's own cache instead of the working tree
+    if hasattr(config, "cache"):
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -8,7 +8,6 @@ from lmesim.linalg import (
     embed_qubit_op,
     herm_eig,
     hermitian_part,
-    kron,
     lyapunov_solve,
     matrix_log_hermitian,
 )
@@ -44,12 +43,6 @@ def test_herm_eig_rejects_bad_input():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         herm_eig(skew)
-
-
-def test_kron_matches_numpy(rng):
-    a = rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3))
-    assert np.array_equal(kron(a, b), np.kron(a, b))
 
 
 def test_embed_qubit_op_tensor_slots():

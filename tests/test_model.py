@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 from conftest import make_system, random_density
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 from lmesim import (
@@ -19,7 +18,6 @@ from lmesim import (
     dissipation_rates,
     dissipator,
     drive,
-    dynamic_phase_diff,
     gibbs_product_state,
     hamiltonian,
     instantaneous_gap,
@@ -83,6 +81,16 @@ def test_system_config_validation():
         make_system(coupling=-1.0)
 
 
+@pytest.mark.parametrize("field", ["drive_amplitude", "drive_frequency", "coupling", "zeta2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_parameters_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        if field.startswith("drive"):
+            QubitParams(epsilon=1.0, **{field: value})
+        else:
+            make_system(**{field: value})
+
+
 def test_system_config_warns_on_strained_weak_coupling():
     with pytest.warns(UserWarning, match="weak-coupling"):
         make_system(coupling=8.0)
@@ -137,16 +145,6 @@ def test_mixing_angle_and_gap():
     assert instantaneous_gap(1, t, cfg) == pytest.approx(5.0)
     assert mixing_angle(2, t, cfg) == 0.0
     assert instantaneous_gap(2, t, cfg) == cfg.qubit2.epsilon
-
-
-def test_dynamic_phase_diff():
-    cfg = make_system()
-    # undriven: the gap is constant, so the phase is -2 eps t
-    assert dynamic_phase_diff(1, 2.5, cfg) == pytest.approx(-2.0 * 10.0 * 2.5, rel=1e-10)
-    assert dynamic_phase_diff(1, 0.0, cfg) == 0.0
-    driven = make_system(amp=(2.0, 0.0), freq=(0.2, 0.0))
-    ref, _ = quad(lambda u: math.hypot(10.0, 2.0 * math.sin(0.2 * u)), 0.0, 4.0)
-    assert dynamic_phase_diff(1, 4.0, driven) == pytest.approx(-2.0 * ref, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from lmesim import (
     load_config,
     run_scenario,
 )
+from lmesim import scenarios
 from lmesim.cli import main
 from lmesim.scenarios import DRIVEN_HEADER, EVOLVE_HEADER, kind_violations
 
@@ -92,7 +93,6 @@ def test_load_config_minimal_defaults(tmp_path):
     assert cfg.system.bath2.k_B == 1.0
     assert not cfg.system.is_driven
     assert cfg.integrator.step is None
-    assert cfg.integrator.steady_tol == 1e-10
     # default grids
     assert len(cfg.t_ratio_grid) == 41
     assert cfg.t_ratio_grid[0] == 1.0 and cfg.t_ratio_grid[-1] == 3.0
@@ -122,8 +122,6 @@ scaling_count = 5
 [integrator]
 step = 2e-4
 record_stride = 10
-t_max = 50.0
-steady_tol = 1e-11
 """
     cfg = load_config(write_config(tmp_path, extra))
     assert cfg.kind == "sweep_scaling"
@@ -136,8 +134,6 @@ steady_tol = 1e-11
     assert cfg.scaling_grid[2] == pytest.approx(0.1)
     assert cfg.integrator.step == 2e-4
     assert cfg.integrator.record_stride == 10
-    assert cfg.integrator.t_max == 50.0
-    assert cfg.integrator.steady_tol == 1e-11
 
 
 def test_load_config_driven(tmp_path):
@@ -214,8 +210,9 @@ scaling_min = 0.0
 
 
 def test_load_config_rejects_kind_drive_mismatch(tmp_path):
+    cfg = load_config(write_config(tmp_path, "\n[scenario]\nkind = driven\n"))
     with pytest.raises(ConfigError) as err:
-        load_config(write_config(tmp_path, "\n[scenario]\nkind = driven\n"))
+        run_scenario(cfg)
     assert any("requires nonzero drive" in m for m in err.value.violations)
 
     extra = """
@@ -224,8 +221,21 @@ amplitude1 = 2.0
 frequency1 = 0.2
 """
     with pytest.raises(ConfigError) as err:
-        load_config(write_config(tmp_path, extra))
+        run_scenario(load_config(write_config(tmp_path, extra)))
     assert any("undriven configuration" in m for m in err.value.violations)
+
+
+def test_load_config_rejects_non_positive_ratio_grids(tmp_path):
+    extra = """
+[scenario]
+t_ratio_min = 0.0
+eps_ratio_min = -1.0
+"""
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, extra))
+    msgs = err.value.violations
+    assert any("scenario.t_ratio_min must be positive, got 0.0" in m for m in msgs)
+    assert any("scenario.eps_ratio_min must be positive, got -1.0" in m for m in msgs)
 
 
 def test_load_config_rejects_detuning_that_breaks_positivity(tmp_path):
@@ -317,6 +327,32 @@ def test_run_scenario_boundary_grid_order_and_status(base_system):
     # sign flips across the eps-ratio = T-ratio boundary within the row
     by_t = {r[0]: [q for q in table.rows if q[0] == r[0]] for r in table.rows}
     assert by_t[2.0][0][2] > 0.0 > by_t[2.0][2][2]
+
+
+def test_sweep_records_numerical_failures_as_status(base_system):
+    # zeta^2 = 0 leaves the drift without damping: not Hurwitz at any point
+    cfg = ScenarioConfig(
+        kind="sweep_boundary", system=replace(base_system, zeta2=0.0),
+        integrator=IntegratorConfig(), threads=1,
+        t_ratio_grid=(1.0, 2.0), eps_ratio_grid=(0.5,),
+    )
+    rows = run_scenario(cfg).rows
+    assert [r[3] for r in rows] == ["error:StabilityError"] * 2
+    assert all(math.isnan(r[2]) for r in rows)
+
+
+def test_sweep_lets_programming_errors_propagate(base_system, monkeypatch):
+    def broken(*_args):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(scenarios, "steady_heat_currents", broken)
+    cfg = ScenarioConfig(
+        kind="sweep_boundary", system=base_system,
+        integrator=IntegratorConfig(), threads=1,
+        t_ratio_grid=(1.0,), eps_ratio_grid=(0.5,),
+    )
+    with pytest.raises(TypeError, match="bug"):
+        run_scenario(cfg)
 
 
 def test_run_scenario_detuning_sign_change(base_system):
@@ -477,6 +513,26 @@ def test_cli_step_override_changes_the_frame_grid(tmp_path, capsys):
     assert "(6 rows)" in capsys.readouterr().out
 
 
+def test_cli_driven_config_needs_no_kind_line(tmp_path, capsys):
+    # the subcommand alone decides the kind; the file's default is evolve
+    extra = """
+[scenario]
+horizon = 0.01
+
+[integrator]
+step = 1e-3
+
+[drive]
+amplitude1 = 2.0
+frequency1 = 0.2
+"""
+    out = tmp_path / "d.csv"
+    rc = main(["driven", "--config", write_config(tmp_path, extra),
+               "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert out.read_text().splitlines()[0].split(",") == list(DRIVEN_HEADER)
+
+
 def test_cli_sweep_subcommand_is_hyphenated(tmp_path, capsys):
     out = tmp_path / "b.csv"
     rc = main(["sweep-boundary", "--config",
@@ -514,8 +570,8 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):
-    extra = "\n[integrator]\nt_max = 0.05\n"
-    rc = main(["steady", "--config", write_config(tmp_path, extra)])
+    body = BASE.replace("zeta2 = 0.5", "zeta2 = 0.0")
+    rc = main(["steady", "--config", write_config(tmp_path, base=body)])
     assert rc == 2
     assert "numerical failure:" in capsys.readouterr().err
 
