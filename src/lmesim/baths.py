@@ -44,15 +44,11 @@ class BathParams:
     k_B: float = 1.0
 
     def __post_init__(self):
-        problems = []
-        if not self.temperature > 0:
-            problems.append(f"temperature must be positive, got {self.temperature}")
-        if not self.kappa > 0:
-            problems.append(f"kappa must be positive, got {self.kappa}")
-        if not self.cutoff > 0:
-            problems.append(f"cutoff must be positive, got {self.cutoff}")
-        if not self.k_B > 0:
-            problems.append(f"k_B must be positive, got {self.k_B}")
+        problems = [
+            f"{name} must be positive and finite, got {value}"
+            for name in ("temperature", "kappa", "cutoff", "k_B")
+            if not 0 < (value := getattr(self, name)) < math.inf
+        ]
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -70,10 +70,11 @@ def main(argv=None) -> int:
             return 1
         overrides["threads"] = args.threads
     if args.step is not None:
-        if not args.step > 0:
-            print("config error: --step must be positive", file=sys.stderr)
+        try:
+            overrides["integrator"] = replace(cfg.integrator, step=args.step)
+        except ValueError as exc:
+            print(f"config error: --step: {exc}", file=sys.stderr)
             return 1
-        overrides["integrator"] = replace(cfg.integrator, step=args.step)
     cfg = replace(cfg, **overrides)
 
     try:

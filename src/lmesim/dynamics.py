@@ -4,10 +4,11 @@ Undriven configurations have a constant 16x16 generator L acting on the
 row-major vectorized state, so each recorded frame is computed exactly as
 expm(L·Δt) applied to the previous one; the step only lays out the frame
 grid.  Driven configurations are stepped with classical fourth-order
-Runge-Kutta at a fixed step.  Every new state is re-Hermitized and its
-trace renormalized (and the event logged) whenever it drifts beyond 1e-12.
-The steady state of an undriven configuration is the trace-one null vector
-of L.
+Runge-Kutta at a fixed step on the vectorized state: each step assembles the
+generator at t, t + h/2 and t + h and applies it as 16x16 matrix-vector
+products.  Every new state is re-Hermitized and its trace renormalized (and
+the event logged) whenever it drifts beyond 1e-12.  The steady state of an
+undriven configuration is the trace-one null vector of L.
 
 Recorded frames carry the smallest eigenvalue of the state and a flag that
 marks whether any jump rate went negative since the previous frame (the
@@ -29,10 +30,10 @@ from .errors import IntegrationError, StabilityError, UnsupportedConfigError
 from .linalg import hermitian_part
 from .model import (
     SystemConfig,
-    _apply_generator,
-    _td_parts,
     dissipation_rates,
+    generator,
     liouvillian_matrix,
+    tdlme_rhs,
     validate_density,
 )
 
@@ -60,12 +61,13 @@ class IntegratorConfig:
 
     def __post_init__(self):
         problems = []
-        if self.step is not None and not self.step > 0:
-            problems.append(f"step must be positive, got {self.step}")
+        if self.step is not None and not 0 < self.step < math.inf:
+            problems.append(f"step must be positive and finite, got {self.step}")
         if self.record_stride is not None and self.record_stride < 1:
             problems.append(f"record_stride must be >= 1, got {self.record_stride}")
-        if not self.positivity_tol > 0:
-            problems.append(f"positivity_tol must be positive, got {self.positivity_tol}")
+        if not 0 < self.positivity_tol < math.inf:
+            problems.append(
+                f"positivity_tol must be positive and finite, got {self.positivity_tol}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -211,9 +213,8 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     rho = rho0.astype(complex)
     times = [t0]
     states = [rho]
-    min_eigs = [float(np.linalg.eigvalsh(rho)[0])]
+    min_eigs = [_check_frame(rho, t0, icfg, driven)]
     rate_flags = [False]
-    _check_frame(rho, t0, min_eigs[0], icfg, driven)
 
     n_full, tail, frames = _frame_plan(t0, t1, h, stride)
     for first, end, t, span in frames:
@@ -225,17 +226,11 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
                 neg_seen = neg_seen or neg
         else:
             rho = _normalize((propagator(span) @ rho.reshape(16)).reshape(4, 4), t)
-        low = float(np.linalg.eigvalsh(rho)[0])
-        _check_frame(rho, t, low, icfg, driven)
         times.append(t)
         states.append(rho)
-        min_eigs.append(low)
+        min_eigs.append(_check_frame(rho, t, icfg, driven))
         rate_flags.append(neg_seen)
 
-    if driven:
-        final_rhs = _apply_generator(rho, *_td_parts(t1, cfg), cfg.zeta2)  # type: ignore[misc]
-    else:
-        final_rhs = (liou @ rho.reshape(16)).reshape(4, 4)
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
@@ -243,40 +238,40 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
         rate_negative=np.array(rate_flags, dtype=bool),
         step=h,
         record_stride=stride,
-        final_rhs_norm=float(np.max(np.abs(final_rhs))),
+        final_rhs_norm=float(np.max(np.abs(tdlme_rhs(rho, t1, cfg)))),
     )
 
 
-def _check_frame(rho, t, low, icfg: IntegratorConfig, driven: bool):
+def _check_frame(rho, t, icfg: IntegratorConfig, driven: bool) -> float:
+    """Raise on trace drift (a NaN trace counts as drift) or, undriven, on a
+    negative eigenvalue; return the smallest eigenvalue."""
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > FRAME_TRACE_TOL:
+    if not abs(tr - 1.0) <= FRAME_TRACE_TOL:
         raise IntegrationError(f"trace drifted to {tr!r}", time=t)
+    low = float(np.linalg.eigvalsh(rho)[0])
     if not driven and low < -icfg.positivity_tol:
         raise IntegrationError(
             f"state eigenvalue {low:.3e} below -{icfg.positivity_tol:.1e}",
             time=t,
         )
+    return low
 
 
 def _driven_step(rho, t, h, cfg: SystemConfig):
-    """One RK4 step of the time-dependent equation, sharing the midpoint
-    generator between the two middle stages.  Returns (state, neg_rate_seen)."""
-    z = cfg.zeta2
+    """One RK4 step of the time-dependent equation on the vectorized state,
+    sharing the midpoint generator between the two middle stages.  Returns
+    (state, neg_rate_seen)."""
     half = 0.5 * h
-    h_lo, terms_lo = _td_parts(t, cfg)
-    h_mid, terms_mid = _td_parts(t + half, cfg)
-    h_hi, terms_hi = _td_parts(t + h, cfg)
-    k1 = _apply_generator(rho, h_lo, terms_lo, z)
-    k2 = _apply_generator(rho + half * k1, h_mid, terms_mid, z)
-    k3 = _apply_generator(rho + half * k2, h_mid, terms_mid, z)
-    k4 = _apply_generator(rho + h * k3, h_hi, terms_hi, z)
-    out = _normalize(rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), t + h)
-    neg = any(
-        min(term.gz, term.gm, term.gp) < 0.0
-        for terms in (terms_lo, terms_mid, terms_hi)
-        for term in terms
-    )
-    return out, neg
+    l_lo, neg_lo = generator(t, cfg)
+    l_mid, neg_mid = generator(t + half, cfg)
+    l_hi, neg_hi = generator(t + h, cfg)
+    v = rho.reshape(16)
+    k1 = l_lo @ v
+    k2 = l_mid @ (v + half * k1)
+    k3 = l_mid @ (v + half * k2)
+    k4 = l_hi @ (v + h * k3)
+    out = v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return _normalize(out.reshape(4, 4), t + h), neg_lo or neg_mid or neg_hi
 
 
 def steady_state(cfg: SystemConfig) -> np.ndarray:

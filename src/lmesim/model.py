@@ -24,6 +24,16 @@ The generator applied to ρ is
             + γ_i^- (ŝ_- ρ ŝ_+ - ½{ŝ_+ ŝ_-, ρ})
             + γ_i^+ (ŝ_+ ρ ŝ_- - ½{ŝ_- ŝ_+, ρ}) }.
 
+Every rotated jump operator is linear in (1, cos θ, sin θ), so each channel's
+dissipator is a fixed combination of five superoperators weighted by the
+harmonics 1, cos θ, sin θ, cos 2θ, sin 2θ.  The 16x16 generator (row-major
+vec) is thus one real-weighted sum of 33 fixed superoperators, built once per
+configuration: -i[·, ·] of ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of
+σ_2^x, and 15 dissipator pieces per bath.  ``generator_coefficients`` gives
+the weights at time t and ``generator`` contracts them with the basis; the
+static and time-dependent right-hand sides, the Liouvillian matrix and the
+per-bath dissipator all go through that one contraction.
+
 Basis ordering: |↑↑⟩, |↑↓⟩, |↓↑⟩, |↓↓⟩.
 """
 
@@ -33,7 +43,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +82,8 @@ class QubitParams:
 
     def __post_init__(self):
         problems = []
-        if not self.epsilon > 0:
-            problems.append(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            problems.append(f"epsilon must be positive and finite, got {self.epsilon}")
         for name in ("drive_amplitude", "drive_frequency"):
             problems += _non_negative_violations(name, getattr(self, name))
         if problems:
@@ -185,36 +194,28 @@ def hamiltonian(t: float, cfg: SystemConfig) -> np.ndarray:
     return bare_hamiltonian(t, cfg) + interaction_hamiltonian(cfg)
 
 
-def _sigma_hat(theta: float):
-    """Qubit jump operators in the frame rotated by the mixing angle."""
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    e = np.array([c, s], dtype=complex)
-    g = np.array([-s, c], dtype=complex)
-    sz = np.outer(e, e.conj()) - np.outer(g, g.conj())
-    sp = np.outer(e, g.conj())
-    return sz, sp, sp.conj().T
+# The rotated jump operators are linear in u(θ) = (1, cos θ, sin θ):
+#   ŝ_z = cos θ σ_z + sin θ σ_x,   ŝ_∓ = ½(σ_∓ - σ_±) + ½ cos θ σ_x - ½ sin θ σ_z.
+# Rows are the channels in rate order (ŝ_z, ŝ_-, ŝ_+), columns the factors of u.
+_JUMP_PIECES = np.array([
+    [np.zeros((2, 2)), PAULI_Z, PAULI_X],
+    [0.5 * (SIGMA_MINUS - SIGMA_PLUS), 0.5 * PAULI_X, -0.5 * PAULI_Z],
+    [0.5 * (SIGMA_PLUS - SIGMA_MINUS), 0.5 * PAULI_X, -0.5 * PAULI_Z],
+])
+
+# u_j u_k over the harmonics h(θ) = (1, cos θ, sin θ, cos 2θ, sin 2θ)
+_PRODUCT_HARMONICS = np.array([
+    [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0]],
+    [[0.0, 1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0, 0.5]],
+    [[0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, -0.5, 0.0]],
+])
 
 
 def instantaneous_jump_ops(i: int, t: float, cfg: SystemConfig):
     """Embedded (ŝ_z, ŝ_+, ŝ_-) for qubit i in its instantaneous eigenbasis."""
-    sz, sp, sm = _sigma_hat(mixing_angle(i, t, cfg))
-    return (
-        embed_qubit_op(sz, i),
-        embed_qubit_op(sp, i),
-        embed_qubit_op(sm, i),
-    )
-
-
-class _BathTerm(NamedTuple):
-    sz: np.ndarray
-    sp: np.ndarray
-    sm: np.ndarray
-    proj_ee: np.ndarray   # ŝ_+ ŝ_-
-    proj_gg: np.ndarray   # ŝ_- ŝ_+
-    gz: float
-    gm: float
-    gp: float
+    theta = mixing_angle(i, t, cfg)
+    sz, sm, sp = np.tensordot(_JUMP_PIECES, [1.0, math.cos(theta), math.sin(theta)], (1, 0))
+    return embed_qubit_op(sz, i), embed_qubit_op(sp, i), embed_qubit_op(sm, i)
 
 
 def _rate_triplet(eps: float, b: BathParams, f: float, fdot: float):
@@ -235,16 +236,6 @@ def _rate_triplet(eps: float, b: BathParams, f: float, fdot: float):
     return theta, gz, gm, gp
 
 
-def _bath_terms(i: int, cfg: SystemConfig, f: float, fdot: float) -> _BathTerm:
-    q = cfg.qubit(i)
-    theta, gz, gm, gp = _rate_triplet(q.epsilon, cfg.bath(i), f, fdot)
-    sz, sp, sm = _sigma_hat(theta)
-    sz4 = embed_qubit_op(sz, i)
-    sp4 = embed_qubit_op(sp, i)
-    sm4 = embed_qubit_op(sm, i)
-    return _BathTerm(sz4, sp4, sm4, sp4 @ sm4, sm4 @ sp4, gz, gm, gp)
-
-
 def dissipation_rates(i: int, t: float, cfg: SystemConfig):
     """Instantaneous rates (γ_z, γ_-, γ_+) for bath i.
 
@@ -257,89 +248,95 @@ def dissipation_rates(i: int, t: float, cfg: SystemConfig):
     return gz, gm, gp
 
 
-def _apply_dissipator(rho: np.ndarray, term: _BathTerm) -> np.ndarray:
-    out = np.zeros_like(rho)
-    if term.gz != 0.0:
-        out += term.gz * (term.sz @ rho @ term.sz - rho)
-    out += term.gm * (
-        term.sm @ rho @ term.sp - 0.5 * (term.proj_ee @ rho + rho @ term.proj_ee)
-    )
-    out += term.gp * (
-        term.sp @ rho @ term.sm - 0.5 * (term.proj_gg @ rho + rho @ term.proj_gg)
-    )
-    return out
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the trailing square matrices, broadcast over the
+    leading axes.  Row-major vec: vec(A ρ B) = (A ⊗ Bᵀ) vec(ρ)."""
+    n = a.shape[-1] * b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], n, n)
 
 
-def _apply_generator(rho, h_mat, terms, zeta2):
-    out = -1j * (h_mat @ rho - rho @ h_mat)
-    for term in terms:
-        out += zeta2 * _apply_dissipator(rho, term)
-    return out
+@lru_cache(maxsize=1)
+def _dissipator_basis() -> np.ndarray:
+    """Unit-rate dissipator pieces of both baths as float pairs, (2, 15, 512).
+
+    With ŝ = Σ_j u_j a_j, D[ŝ]ρ = Σ_jk u_j u_k (a_j ρ a_k† - ½{a_k† a_j, ρ}),
+    and u_j u_k expands over the harmonics; row 5c + n of bath i is the
+    harmonic-n part of D[ŝ_c(θ_i)] for channel c in rate order.
+    """
+    eye2 = np.eye(2)
+    ops = np.array([_kron(_JUMP_PIECES, eye2), _kron(eye2, _JUMP_PIECES)])
+    a, b = ops[:, :, :, None], ops[:, :, None, :]     # a_j, a_k per (bath, channel)
+    prod = np.swapaxes(b.conj(), -1, -2) @ a
+    pairs = _kron(a, b.conj()) - 0.5 * (
+        _kron(prod, IDENTITY4) + _kron(IDENTITY4, np.swapaxes(prod, -1, -2)))
+    out = _PRODUCT_HARMONICS.reshape(9, 5).T @ pairs.reshape(2, 3, 9, 256)
+    return out.reshape(2, 15, 256).view(float)
 
 
 @lru_cache(maxsize=128)
-def _static_parts(cfg: SystemConfig):
-    h0 = hamiltonian(0.0, cfg)
-    # drive fields forced to zero: the static master equation ignores them
-    terms = (_bath_terms(1, cfg, 0.0, 0.0), _bath_terms(2, cfg, 0.0, 0.0))
-    return h0, terms
+def _basis(cfg: SystemConfig) -> np.ndarray:
+    """The 33 fixed superoperators that ``generator`` weights: -i[·, ·] of
+    ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of σ_2^x, then the 15
+    dissipator rows of bath 1 and of bath 2.  Stored as float pairs, shape
+    (33, 512), so that the real weights contract with one real product."""
+    h0 = cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1] + interaction_hamiltonian(cfg)
+    hams = np.array([h0, *SX])
+    comm = -1j * (_kron(hams, IDENTITY4) - _kron(IDENTITY4, np.swapaxes(hams, -1, -2)))
+    return np.vstack([comm.reshape(3, 256).view(float), *_dissipator_basis()])
 
 
-def _td_parts(t: float, cfg: SystemConfig):
-    terms = (
-        _bath_terms(1, cfg, drive(1, t, cfg), _drive_dot(1, t, cfg)),
-        _bath_terms(2, cfg, drive(2, t, cfg), _drive_dot(2, t, cfg)),
-    )
-    return hamiltonian(t, cfg), terms
+def _bath_weights(i: int, cfg: SystemConfig, f: float, fdot: float):
+    """Weights γ_c h_n(θ_i) of bath i's 15 dissipator rows, and whether any
+    of its rates is negative."""
+    theta, gz, gm, gp = _rate_triplet(cfg.qubit(i).epsilon, cfg.bath(i), f, fdot)
+    harmonics = (1.0, math.cos(theta), math.sin(theta),
+                 math.cos(2.0 * theta), math.sin(2.0 * theta))
+    return [g * h for g in (gz, gm, gp) for h in harmonics], min(gz, gm, gp) < 0.0
+
+
+def generator_coefficients(t: float, cfg: SystemConfig, static: bool = False):
+    """Real weights of the 33 basis superoperators at time t, and whether any
+    rate is negative there: (1, f_1, f_2, ζ² × bath-1 weights, ζ² × bath-2
+    weights).  ``static`` forces both drive fields to zero."""
+    (f1, d1), (f2, d2) = [
+        (0.0, 0.0) if static else (drive(i, t, cfg), _drive_dot(i, t, cfg))
+        for i in (1, 2)
+    ]
+    w1, neg1 = _bath_weights(1, cfg, f1, d1)
+    w2, neg2 = _bath_weights(2, cfg, f2, d2)
+    coeffs = [1.0, f1, f2, *(cfg.zeta2 * w for w in w1 + w2)]
+    return np.array(coeffs), neg1 or neg2
+
+
+def generator(t: float, cfg: SystemConfig, static: bool = False):
+    """16x16 generator at time t (row-major vec), and whether any rate is
+    negative there.  ``static`` forces both drive fields to zero."""
+    coeffs, neg = generator_coefficients(t, cfg, static)
+    return (coeffs @ _basis(cfg)).view(complex).reshape(16, 16), neg
 
 
 def tdlme_rhs(rho: np.ndarray, t: float, cfg: SystemConfig) -> np.ndarray:
     """Right-hand side of the time-dependent master equation at time t."""
-    h_mat, terms = _td_parts(t, cfg)
-    return _apply_generator(rho, h_mat, terms, cfg.zeta2)
+    return (generator(t, cfg)[0] @ rho.reshape(16)).reshape(4, 4)
 
 
 def lme_rhs(rho: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Static master equation right-hand side; drive amplitudes are ignored."""
-    h0, terms = _static_parts(cfg)
-    return _apply_generator(rho, h0, terms, cfg.zeta2)
+    return (liouvillian_matrix(cfg) @ rho.reshape(16)).reshape(4, 4)
 
 
 def dissipator(i: int, rho: np.ndarray, t: float, cfg: SystemConfig) -> np.ndarray:
     """Single-bath dissipator 𝓛_i[ρ] at time t, without the ζ² factor."""
-    term = _bath_terms(i, cfg, drive(i, t, cfg), _drive_dot(i, t, cfg))
-    return _apply_dissipator(rho, term)
-
-
-def _superop_sandwich(op: np.ndarray) -> np.ndarray:
-    # row-major vec: vec(A ρ A†) = (A ⊗ conj(A)) vec(ρ)
-    return np.kron(op, op.conj())
-
-
-def _superop_left_right(op: np.ndarray) -> np.ndarray:
-    eye = np.eye(op.shape[0], dtype=complex)
-    return np.kron(op, eye) + np.kron(eye, op.T)
+    w, _ = _bath_weights(i, cfg, drive(i, t, cfg), _drive_dot(i, t, cfg))
+    superop = (np.array(w) @ _dissipator_basis()[i - 1]).view(complex)
+    return (superop.reshape(16, 16) @ rho.reshape(16)).reshape(4, 4)
 
 
 @lru_cache(maxsize=128)
 def liouvillian_matrix(cfg: SystemConfig) -> np.ndarray:
     """16x16 generator matrix of the static master equation (row-major vec)."""
-    h0, terms = _static_parts(cfg)
-    eye16 = np.eye(16, dtype=complex)
-    eye4 = np.eye(4, dtype=complex)
-    liou = -1j * (np.kron(h0, eye4) - np.kron(eye4, h0.T))
-    for term in terms:
-        diss = np.zeros((16, 16), dtype=complex)
-        if term.gz != 0.0:
-            diss += term.gz * (_superop_sandwich(term.sz) - eye16)
-        diss += term.gm * (
-            np.kron(term.sm, term.sp.T) - 0.5 * _superop_left_right(term.proj_ee)
-        )
-        diss += term.gp * (
-            np.kron(term.sp, term.sm.T) - 0.5 * _superop_left_right(term.proj_gg)
-        )
-        liou += cfg.zeta2 * diss
-    return liou
+    return generator(0.0, cfg, static=True)[0]
 
 
 def gibbs_product_state(cfg: SystemConfig) -> np.ndarray:

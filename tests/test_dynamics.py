@@ -1,5 +1,7 @@
 """Propagation: stepping plan, accuracy against RK4, recording, steady state."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import make_system
@@ -20,7 +22,7 @@ from lmesim import (
     rk4_step,
     steady_state,
 )
-from lmesim.dynamics import _driven_step, _plan_steps
+from lmesim.dynamics import _check_frame, _driven_step, _plan_steps
 
 
 def test_integrator_config_validation_collects_problems():
@@ -28,6 +30,22 @@ def test_integrator_config_validation_collects_problems():
         IntegratorConfig(step=-1.0, record_stride=0, positivity_tol=0.0)
     msg = str(err.value)
     assert "step" in msg and "record_stride" in msg and "positivity_tol" in msg
+
+
+@pytest.mark.parametrize("field", ["step", "positivity_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_integrator_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        IntegratorConfig(**{field: value})
+
+
+def test_check_frame_treats_nan_trace_as_drift():
+    # a NaN comparison is False, so only a negated check catches the drift,
+    # and it must fire before the eigenvalue solve sees the NaNs
+    rho = np.full((4, 4), np.nan, dtype=complex)
+    for driven in (False, True):
+        with pytest.raises(IntegrationError, match="trace drifted to nan"):
+            _check_frame(rho, 0.5, IntegratorConfig(), driven)
 
 
 def test_default_step_uses_fastest_scale(base_system):

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import make_system, random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lmesim import (
@@ -89,6 +91,16 @@ def test_parameters_reject_non_finite_values(field, value):
             QubitParams(epsilon=1.0, **{field: value})
         else:
             make_system(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["epsilon", "temperature", "kappa", "cutoff", "k_B"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_positive_parameters_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        if field == "epsilon":
+            QubitParams(epsilon=value)
+        else:
+            BathParams(**{"temperature": 1.0, "kappa": 1.0, "cutoff": 1.0, field: value})
 
 
 def test_system_config_warns_on_strained_weak_coupling():
@@ -259,6 +271,76 @@ def test_generator_preserves_trace_and_hermiticity(base_system, rng):
         for rhs in (lme_rhs(rho, base_system), tdlme_rhs(rho, 1.3, driven)):
             assert abs(np.trace(rhs)) < 1e-12
             assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
+
+
+def _dense_reference(rho, t, cfg):
+    """Per-bath dissipators and the full right-hand side, built directly from
+    the module docstring with 2x2 rotated jump operators and np.kron."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])
+    eye = np.eye(2)
+
+    def lift(op, i):
+        return np.kron(op, eye) if i == 1 else np.kron(eye, op)
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    def anti(a, b):
+        return a @ b + b @ a
+
+    h = lift(sp, 1) @ lift(sp.T, 2)
+    h = cfg.coupling * (h + h.T)
+    diss = []
+    for i in (1, 2):
+        q = cfg.qubit(i)
+        f = q.drive_amplitude * math.sin(q.drive_frequency * t)
+        h = h + lift(q.epsilon * sz + f * sx, i)
+        theta = math.atan(f / q.epsilon)
+        e = np.array([math.cos(theta / 2), math.sin(theta / 2)])
+        g = np.array([-math.sin(theta / 2), math.cos(theta / 2)])
+        s_z = lift(np.outer(e, e) - np.outer(g, g), i)
+        s_p = lift(np.outer(e, g), i)
+        s_m = s_p.T
+        gz, gm, gp = dissipation_rates(i, t, cfg)
+        diss.append(
+            gz * (s_z @ rho @ s_z - rho)
+            + gm * (s_m @ rho @ s_p - 0.5 * anti(s_p @ s_m, rho))
+            + gp * (s_p @ rho @ s_m - 0.5 * anti(s_m @ s_p, rho))
+        )
+    return diss, -1j * comm(h, rho) + cfg.zeta2 * (diss[0] + diss[1])
+
+
+driven_systems = st.builds(
+    make_system,
+    eps1=st.floats(2.0, 15.0),
+    eps2=st.floats(2.0, 15.0),
+    t1=st.floats(5.0, 30.0),         # above the cutoff: no cold-bath warning
+    t2=st.floats(5.0, 30.0),
+    coupling=st.floats(0.0, 1.0),
+    zeta2=st.floats(0.05, 1.0),
+    kappa=st.floats(1.0, 20.0),
+    cutoff=st.floats(0.5, 5.0),
+    amp=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    freq=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(cfg=driven_systems, t=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
+def test_basis_assembly_matches_dense_reference(cfg, t, seed):
+    rho = random_density(np.random.default_rng(seed))
+    diss, rhs = _dense_reference(rho, t, cfg)
+    for got, want in [(tdlme_rhs(rho, t, cfg), rhs),
+                      (dissipator(1, rho, t, cfg), diss[0]),
+                      (dissipator(2, rho, t, cfg), diss[1])]:
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    got = tdlme_rhs(rho, t, cfg)
+    assert abs(np.trace(got)) <= 1e-12 * scale
+    assert np.max(np.abs(got - got.conj().T)) <= 1e-12 * scale
 
 
 def test_static_and_time_dependent_generators_coincide_bitwise(base_system, rng):

@@ -569,6 +569,15 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys):
     assert "--step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["evolve", "driven"])
+def test_cli_rejects_non_finite_step(tmp_path, capsys, kind):
+    drive = "\n[drive]\namplitude1 = 2.0\nfrequency1 = 0.2\n" if kind == "driven" else ""
+    path = write_config(tmp_path, SHORT_EVOLVE + drive)
+    assert main([kind, "--config", path, "--step", "inf"]) == 1
+    assert "config error: --step: step must be positive and finite, got inf" \
+        in capsys.readouterr().err
+
+
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     body = BASE.replace("zeta2 = 0.5", "zeta2 = 0.0")
     rc = main(["steady", "--config", write_config(tmp_path, base=body)])
