@@ -3,7 +3,9 @@
     lmesim <scenario> --config run.ini [--out table.csv] [--threads N] [--step H]
 
 The subcommand picks the scenario kind (overriding any ``kind`` in the
-config file); ``--step`` overrides the integrator step.  Exit codes:
+config file); ``--step`` overrides the integrator step.  ``--threads`` is
+accepted for compatibility and ignored once it passes its ``>= 1`` check:
+every scenario runs in one process.  Exit codes:
 0 success, 1 configuration/validation problem, 2 numerical failure of a
 single-trajectory run (sweep-point failures are recorded in the CSV status
 column instead).
@@ -43,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output CSV path "
                          "(default: from config, else <scenario>.csv)")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="worker processes for sweeps (default: all cores)")
+                         help="ignored (must be >= 1); every scenario runs "
+                              "in one process")
         cmd.add_argument("--step", type=float, default=None,
                          help="integrator step override")
     return parser
@@ -64,11 +67,9 @@ def main(argv=None) -> int:
     overrides = {"kind": args.command.replace("-", "_")}
     if args.out is not None:
         overrides["out"] = args.out
-    if args.threads is not None:
-        if args.threads < 1:
-            print("config error: --threads must be >= 1", file=sys.stderr)
-            return 1
-        overrides["threads"] = args.threads
+    if args.threads is not None and args.threads < 1:
+        print("config error: --threads must be >= 1", file=sys.stderr)
+        return 1
     if args.step is not None:
         try:
             overrides["integrator"] = replace(cfg.integrator, step=args.step)

@@ -25,8 +25,16 @@ class HermitianEig(NamedTuple):
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """(M + M†)/2."""
-    return 0.5 * (matrix + matrix.conj().T)
+    """(M + M†)/2, for one matrix or a stack of them."""
+    return 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the trailing square matrices, broadcast over the
+    leading axes (the products np.kron forms, without its per-call cost)."""
+    n = a.shape[-1] * b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], n, n)
 
 
 def herm_eig(matrix: np.ndarray, tol: float = 1e-10) -> HermitianEig:
@@ -62,33 +70,63 @@ def embed_qubit_op(op: np.ndarray, which: int) -> np.ndarray:
 def lyapunov_solve(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """Solve W C + C W† + D = 0 for C.
 
-    The equation is vectorized column-major into
-    (I ⊗ W + conj(W) ⊗ I) vec(C) = -vec(D) and solved densely.  The drift
-    matrix must be Hurwitz: every eigenvalue real part strictly below
-    -1e-14, else StabilityError.  The solution residual is verified to
-    1e-12 in max norm.
+    One item of `lyapunov_solve_stack`; its failure message is raised as a
+    StabilityError.
     """
     w_mat = np.asarray(drift, dtype=complex)
     d_mat = np.asarray(diffusion, dtype=complex)
     if w_mat.ndim != 2 or w_mat.shape[0] != w_mat.shape[1]:
         raise ValueError(f"drift matrix must be square, got shape {w_mat.shape}")
+    (c_mat,), (failure,) = lyapunov_solve_stack(w_mat[None], d_mat[None])
+    if failure is not None:
+        raise StabilityError(failure)
+    return c_mat
+
+
+def lyapunov_solve_stack(drift: np.ndarray, diffusion: np.ndarray):
+    """Solve W_k C_k + C_k W_k† + D_k = 0 for every item k of an (m, n, n) stack.
+
+    Each equation is vectorized column-major into
+    (I ⊗ W + conj(W) ⊗ I) vec(C) = -vec(D) and solved densely.  The drift
+    matrix must be Hurwitz: every eigenvalue real part strictly below
+    -1e-14.  The solution residual is verified to 1e-12 in max norm.
+    Returns (solutions, failures): failures[k] is None, or the message of
+    the check item k failed, in which case its solution is NaN.
+    """
+    w_mat = np.asarray(drift, dtype=complex)
+    d_mat = np.asarray(diffusion, dtype=complex)
+    if w_mat.ndim != 3 or w_mat.shape[1] != w_mat.shape[2]:
+        raise ValueError(
+            f"drift must be a stack of square matrices, got shape {w_mat.shape}"
+        )
     if d_mat.shape != w_mat.shape:
         raise ValueError("drift and diffusion shapes differ")
-    n = w_mat.shape[0]
-    eigs = np.linalg.eigvals(w_mat)
-    worst = float(np.max(eigs.real))
-    if worst >= HURWITZ_TOL:
-        raise StabilityError(
-            f"drift matrix is not Hurwitz (max Re eigenvalue = {worst:.3e})"
-        )
+    n = w_mat.shape[1]
+    worst = np.max(np.linalg.eigvals(w_mat).real, axis=1)
+    ok = worst < HURWITZ_TOL
+    failures = [
+        None if good
+        else f"drift matrix is not Hurwitz (max Re eigenvalue = {x:.3e})"
+        for good, x in zip(ok, worst)
+    ]
+    w_ok = w_mat[ok]
+    d_ok = d_mat[ok]
     eye = np.eye(n, dtype=complex)
-    system = np.kron(eye, w_mat) + np.kron(w_mat.conj(), eye)
-    vec_c = np.linalg.solve(system, -d_mat.flatten(order="F"))
-    c_mat = vec_c.reshape((n, n), order="F")
-    residual = float(np.max(np.abs(w_mat @ c_mat + c_mat @ w_mat.conj().T + d_mat)))
-    if residual > 1e-12 * max(1.0, float(np.max(np.abs(d_mat)))):
-        raise StabilityError(f"Lyapunov residual {residual:.3e} exceeds tolerance")
-    return c_mat
+    system = kron(eye, w_ok) + kron(w_ok.conj(), eye)
+    rhs = -d_ok.swapaxes(1, 2).reshape(-1, n * n, 1)
+    vec_c = np.linalg.solve(system, rhs)
+    c_ok = vec_c.reshape(-1, n, n).swapaxes(1, 2)
+    residual = np.max(np.abs(
+        w_ok @ c_ok + c_ok @ w_ok.conj().swapaxes(1, 2) + d_ok
+    ), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(d_ok), axis=(1, 2)))
+    solutions = np.full(w_mat.shape, np.nan, dtype=complex)
+    solutions[ok] = c_ok
+    for k, res, size in zip(np.flatnonzero(ok), residual, scale):
+        if res > 1e-12 * size:
+            failures[k] = f"Lyapunov residual {res:.3e} exceeds tolerance"
+            solutions[k] = np.nan
+    return solutions, failures
 
 
 def matrix_log_hermitian(matrix: np.ndarray, positivity_tol: float = 1e-10) -> np.ndarray:

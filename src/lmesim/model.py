@@ -48,7 +48,7 @@ import numpy as np
 
 from .baths import BathParams, decay_rate, memory_correction_rate
 from .errors import PositivityError
-from .linalg import embed_qubit_op
+from .linalg import embed_qubit_op, kron
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -218,6 +218,12 @@ def instantaneous_jump_ops(i: int, t: float, cfg: SystemConfig):
     return embed_qubit_op(sz, i), embed_qubit_op(sp, i), embed_qubit_op(sm, i)
 
 
+@lru_cache(maxsize=128)
+def _zero_frequency_rates(b: BathParams):
+    """(γ(0), Re Γ¹(0)): the dephasing rates, fixed by the bath alone."""
+    return decay_rate(0.0, b), memory_correction_rate(0.0, b).real
+
+
 def _rate_triplet(eps: float, b: BathParams, f: float, fdot: float):
     theta = math.atan(f / eps)
     theta_dot = _mixing_angle_dot(eps, f, fdot)
@@ -227,8 +233,8 @@ def _rate_triplet(eps: float, b: BathParams, f: float, fdot: float):
     dsin = ct * theta_dot
     dcos = -st * theta_dot
 
-    gz = decay_rate(0.0, b) * st * st \
-        + 2.0 * memory_correction_rate(0.0, b).real * st * dsin
+    gamma0, memory0 = _zero_frequency_rates(b)
+    gz = gamma0 * st * st + 2.0 * memory0 * st * dsin
     gm = decay_rate(gap2, b) * ct * ct \
         + 2.0 * memory_correction_rate(gap2, b).real * ct * dcos
     gp = decay_rate(-gap2, b) * ct * ct \
@@ -248,14 +254,6 @@ def dissipation_rates(i: int, t: float, cfg: SystemConfig):
     return gz, gm, gp
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of the trailing square matrices, broadcast over the
-    leading axes.  Row-major vec: vec(A ρ B) = (A ⊗ Bᵀ) vec(ρ)."""
-    n = a.shape[-1] * b.shape[-1]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], n, n)
-
-
 @lru_cache(maxsize=1)
 def _dissipator_basis() -> np.ndarray:
     """Unit-rate dissipator pieces of both baths as float pairs, (2, 15, 512).
@@ -265,11 +263,11 @@ def _dissipator_basis() -> np.ndarray:
     harmonic-n part of D[ŝ_c(θ_i)] for channel c in rate order.
     """
     eye2 = np.eye(2)
-    ops = np.array([_kron(_JUMP_PIECES, eye2), _kron(eye2, _JUMP_PIECES)])
+    ops = np.array([kron(_JUMP_PIECES, eye2), kron(eye2, _JUMP_PIECES)])
     a, b = ops[:, :, :, None], ops[:, :, None, :]     # a_j, a_k per (bath, channel)
     prod = np.swapaxes(b.conj(), -1, -2) @ a
-    pairs = _kron(a, b.conj()) - 0.5 * (
-        _kron(prod, IDENTITY4) + _kron(IDENTITY4, np.swapaxes(prod, -1, -2)))
+    pairs = kron(a, b.conj()) - 0.5 * (
+        kron(prod, IDENTITY4) + kron(IDENTITY4, np.swapaxes(prod, -1, -2)))
     out = _PRODUCT_HARMONICS.reshape(9, 5).T @ pairs.reshape(2, 3, 9, 256)
     return out.reshape(2, 15, 256).view(float)
 
@@ -282,7 +280,7 @@ def _basis(cfg: SystemConfig) -> np.ndarray:
     (33, 512), so that the real weights contract with one real product."""
     h0 = cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1] + interaction_hamiltonian(cfg)
     hams = np.array([h0, *SX])
-    comm = -1j * (_kron(hams, IDENTITY4) - _kron(IDENTITY4, np.swapaxes(hams, -1, -2)))
+    comm = -1j * (kron(hams, IDENTITY4) - kron(IDENTITY4, np.swapaxes(hams, -1, -2)))
     return np.vstack([comm.reshape(3, 256).view(float), *_dissipator_basis()])
 
 

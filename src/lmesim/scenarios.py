@@ -13,22 +13,22 @@ Seven scenario kinds cover the package's standard numerical experiments:
 * ``sweep_scaling``  — |J₁| versus ζ² (or λ²) for power-law fits.
 * ``relaxation``     — τ₀, τ_r and their ratio versus ζ².
 
-Sweep points run in separate processes when ``threads`` allows; results are
-gathered in grid order, so the emitted CSV is byte-identical regardless of
-the worker count.  A sweep point whose numerics fail (an error from
-``errors.NUMERICAL_ERRORS``) becomes a row with NaN values and an
-``error:<Type>`` status instead of aborting the sweep; any other exception
-is a bug and propagates.  Steady states come from exact solves: the
-Lyapunov equation for the covariance and the generator's null vector for
-the density matrix.
+Every scenario runs in one process, point after point in grid order.  The
+three steady-state sweeps build each point's system, rates and heat
+currents one at a time but solve the points' Lyapunov equations as one
+stack (one T-ratio row at a time for the boundary grid).  A sweep point
+whose numerics fail (an error from ``errors.NUMERICAL_ERRORS``; for the
+steady sweeps a drift that fails the Lyapunov checks) becomes a row with
+NaN values and an ``error:<Type>`` status instead of aborting the sweep;
+any other exception is a bug and propagates.  Steady states come from
+exact solves: the Lyapunov equation for the covariance and the
+generator's null vector for the density matrix.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +42,7 @@ from .gaussian import (
     steady_covariance,
     steady_heat_currents,
 )
+from .linalg import hermitian_part, lyapunov_solve_stack
 from .model import QubitParams, SystemConfig, maximum_entropy_state
 from .thermo import effective_temperature_check, find_tau0, thermo_record
 
@@ -84,7 +85,6 @@ class ScenarioConfig:
     integrator: IntegratorConfig
     horizon: float | None = None
     out: str | None = None
-    threads: int | None = None
     t_ratio_grid: tuple = ()
     eps_ratio_grid: tuple = ()
     detuning_grid: tuple = ()
@@ -239,37 +239,22 @@ def load_config(path) -> ScenarioConfig:
                     f"drive.frequency{i + 1} must be non-negative, got {freq[i]}"
                 )
 
-    kind = "evolve"
-    horizon = None
-    out = None
-    threads = None
-    t_ratio = eps_ratio = detuning = scaling = relax = ()
-    scaling_axis = "zeta2"
-    if parser.has_section("scenario"):
-        kind = reader.strval("scenario", "kind", default="evolve")
-        horizon = reader.positive("scenario", "horizon")
-        out = reader.strval("scenario", "out")
-        threads = reader.intval("scenario", "threads")
-        if threads is not None and threads < 1:
-            problems.append(f"scenario.threads must be >= 1, got {threads}")
-        scaling_axis = reader.strval("scenario", "scaling_axis", default="zeta2")
-        if scaling_axis not in SCALING_AXES:
-            problems.append(
-                f"scenario.scaling_axis must be one of {', '.join(SCALING_AXES)};"
-                f" got {scaling_axis!r}"
-            )
-            scaling_axis = "zeta2"
-        t_ratio = _grid(reader, "t_ratio", 1.0, 3.0, 41, positive=True)
-        eps_ratio = _grid(reader, "eps_ratio", 0.5, 3.0, 41, positive=True)
-        detuning = _grid(reader, "delta", 0.0, 10.0, 101)
-        scaling = _grid(reader, "scaling", 1e-4, 1.0, 13, spacing="log")
-        relax = _grid(reader, "relax_zeta2", 0.1, 1.0, 7, spacing="log")
-    else:
-        t_ratio = tuple(float(x) for x in np.linspace(1.0, 3.0, 41))
-        eps_ratio = tuple(float(x) for x in np.linspace(0.5, 3.0, 41))
-        detuning = tuple(float(x) for x in np.linspace(0.0, 10.0, 101))
-        scaling = tuple(float(x) for x in np.geomspace(1e-4, 1.0, 13))
-        relax = tuple(float(x) for x in np.geomspace(0.1, 1.0, 7))
+    # a missing [scenario] section reads as all defaults
+    kind = reader.strval("scenario", "kind", default="evolve")
+    horizon = reader.positive("scenario", "horizon")
+    out = reader.strval("scenario", "out")
+    scaling_axis = reader.strval("scenario", "scaling_axis", default="zeta2")
+    if scaling_axis not in SCALING_AXES:
+        problems.append(
+            f"scenario.scaling_axis must be one of {', '.join(SCALING_AXES)};"
+            f" got {scaling_axis!r}"
+        )
+        scaling_axis = "zeta2"
+    t_ratio = _grid(reader, "t_ratio", 1.0, 3.0, 41, positive=True)
+    eps_ratio = _grid(reader, "eps_ratio", 0.5, 3.0, 41, positive=True)
+    detuning = _grid(reader, "delta", 0.0, 10.0, 101)
+    scaling = _grid(reader, "scaling", 1e-4, 1.0, 13, spacing="log")
+    relax = _grid(reader, "relax_zeta2", 0.1, 1.0, 7, spacing="log")
 
     step = record_stride = None
     positivity_tol = 1e-8
@@ -316,7 +301,6 @@ def load_config(path) -> ScenarioConfig:
         ),
         horizon=horizon,
         out=out,
-        threads=threads,
         t_ratio_grid=t_ratio,
         eps_ratio_grid=eps_ratio,
         detuning_grid=detuning,
@@ -327,82 +311,48 @@ def load_config(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# steady-state helpers (shared by sweeps)
+# sweep points
 
-def _steady_sigma(system: SystemConfig) -> float:
-    cov = steady_covariance(drift_diffusion(system))
-    j1, j2 = steady_heat_currents(cov, system)
+def _steady_sigma(system: SystemConfig, j1: float, j2: float) -> float:
     return -(system.bath1.beta * j1 + system.bath2.beta * j2)
 
 
-# ---------------------------------------------------------------------------
-# sweep workers (module level so process pools can pickle them)
+def _steady_rows(leads, systems, value) -> list:
+    """Rows ``(*lead, value(system, J1, J2), "ok")``, one per system.
 
-def _boundary_point(args):
-    t_ratio, eps_ratio, base = args
-    try:
-        system = replace(
-            base,
-            bath1=replace(base.bath1, temperature=t_ratio * base.bath2.temperature),
-            qubit1=replace(base.qubit1, epsilon=eps_ratio * base.qubit2.epsilon),
-        )
-        return (t_ratio, eps_ratio, _steady_sigma(system), "ok")
-    except NUMERICAL_ERRORS as exc:
-        return (t_ratio, eps_ratio, math.nan, f"error:{type(exc).__name__}")
-
-
-def _detuning_point(args):
-    delta, base = args
-    try:
-        system = replace(
-            base,
-            qubit1=replace(base.qubit1, epsilon=base.qubit2.epsilon + delta),
-        )
-        cov = steady_covariance(drift_diffusion(system))
-        j1, _ = steady_heat_currents(cov, system)
-        return (delta, j1, "ok")
-    except NUMERICAL_ERRORS as exc:
-        return (delta, math.nan, f"error:{type(exc).__name__}")
-
-
-def _scaling_point(args):
-    value, axis, base = args
-    try:
-        if axis == "zeta2":
-            system = replace(base, zeta2=value)
+    Rates and heat currents are computed system by system; the Lyapunov
+    equations of all the systems are solved as one stack.  A system whose
+    drift fails the solve's checks gets a NaN value and the status
+    ``error:StabilityError``, as `lyapunov_solve` would have raised.
+    """
+    dds = [drift_diffusion(system) for system in systems]
+    covs, failures = lyapunov_solve_stack(
+        np.array([dd.drift for dd in dds]).reshape(-1, 2, 2),
+        np.array([dd.diffusion for dd in dds]).reshape(-1, 2, 2),
+    )
+    rows = []
+    covs = hermitian_part(covs)
+    for lead, system, cov, failure in zip(leads, systems, covs, failures):
+        if failure is None:
+            j1, j2 = steady_heat_currents(cov, system)
+            rows.append((*lead, value(system, j1, j2), "ok"))
         else:
-            system = replace(base, coupling=math.sqrt(value))
-        cov = steady_covariance(drift_diffusion(system))
-        j1, _ = steady_heat_currents(cov, system)
-        return (value, abs(j1), "ok")
-    except NUMERICAL_ERRORS as exc:
-        return (value, math.nan, f"error:{type(exc).__name__}")
+            rows.append((*lead, math.nan, "error:StabilityError"))
+    return rows
 
 
-def _relaxation_point(args):
-    zeta2, base, horizon, icfg = args
+def _relaxation_point(zeta2: float, cfg: ScenarioConfig):
     try:
-        system = replace(base, zeta2=zeta2)
+        system = replace(cfg.system, zeta2=zeta2)
         tau_r = relaxation_time(drift_diffusion(system))
-        span = 8.0 * tau_r if horizon is None else horizon
-        traj = integrate(maximum_entropy_state(), span, system, icfg)
-        res = find_tau0(traj, system, icfg)
+        span = 8.0 * tau_r if cfg.horizon is None else cfg.horizon
+        traj = integrate(maximum_entropy_state(), span, system, cfg.integrator)
+        res = find_tau0(traj, system, cfg.integrator)
         if not res.found:
             return (zeta2, math.nan, tau_r, math.nan, f"error:{res.reason}")
         return (zeta2, res.tau0, tau_r, res.tau0 / tau_r, "ok")
     except NUMERICAL_ERRORS as exc:
         return (zeta2, math.nan, math.nan, math.nan, f"error:{type(exc).__name__}")
-
-
-def _run_points(worker, args, threads):
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(args) <= 1:
-        return [worker(a) for a in args]
-    workers = min(threads, len(args))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(args) // (4 * workers))
-        return list(pool.map(worker, args, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +388,7 @@ def _steady_table(cfg: ScenarioConfig) -> CsvTable:
     cov = steady_covariance(drift_diffusion(system))
     rho = steady_state(system)
     j1, j2 = steady_heat_currents(cov, system)
-    sigma = -(system.bath1.beta * j1 + system.bath2.beta * j2)
+    sigma = _steady_sigma(system, j1, j2)
     header = []
     row = []
     for i in (1, 2):
@@ -457,35 +407,46 @@ def _steady_table(cfg: ScenarioConfig) -> CsvTable:
 
 
 def _boundary_table(cfg: ScenarioConfig) -> CsvTable:
-    args = [
-        (tr, er, cfg.system)
-        for tr in cfg.t_ratio_grid
-        for er in cfg.eps_ratio_grid
-    ]
-    rows = _run_points(_boundary_point, args, cfg.threads)
+    base = cfg.system
+    rows = []
+    # one stack per T-ratio row keeps a large grid's memory flat
+    for tr in cfg.t_ratio_grid:
+        bath1 = replace(base.bath1, temperature=tr * base.bath2.temperature)
+        systems = [
+            replace(base, bath1=bath1,
+                    qubit1=replace(base.qubit1, epsilon=er * base.qubit2.epsilon))
+            for er in cfg.eps_ratio_grid
+        ]
+        leads = [(tr, er) for er in cfg.eps_ratio_grid]
+        rows += _steady_rows(leads, systems, _steady_sigma)
     return CsvTable(
         ("T1_over_T2", "eps1_over_eps2", "Sigma_dot_ss", "status"), rows
     )
 
 
 def _detuning_table(cfg: ScenarioConfig) -> CsvTable:
-    args = [(d, cfg.system) for d in cfg.detuning_grid]
-    rows = _run_points(_detuning_point, args, cfg.threads)
+    base = cfg.system
+    systems = [
+        replace(base, qubit1=replace(base.qubit1, epsilon=base.qubit2.epsilon + d))
+        for d in cfg.detuning_grid
+    ]
+    leads = [(d,) for d in cfg.detuning_grid]
+    rows = _steady_rows(leads, systems, lambda _, j1, __: j1)
     return CsvTable(("delta_eps", "J1_ss", "status"), rows)
 
 
 def _scaling_table(cfg: ScenarioConfig) -> CsvTable:
-    args = [(v, cfg.scaling_axis, cfg.system) for v in cfg.scaling_grid]
-    rows = _run_points(_scaling_point, args, cfg.threads)
+    if cfg.scaling_axis == "zeta2":
+        systems = [replace(cfg.system, zeta2=v) for v in cfg.scaling_grid]
+    else:
+        systems = [replace(cfg.system, coupling=math.sqrt(v)) for v in cfg.scaling_grid]
+    leads = [(v,) for v in cfg.scaling_grid]
+    rows = _steady_rows(leads, systems, lambda _, j1, __: abs(j1))
     return CsvTable((cfg.scaling_axis, "J1_ss_abs", "status"), rows)
 
 
 def _relaxation_table(cfg: ScenarioConfig) -> CsvTable:
-    args = [
-        (z, cfg.system, cfg.horizon, cfg.integrator)
-        for z in cfg.relaxation_grid
-    ]
-    rows = _run_points(_relaxation_point, args, cfg.threads)
+    rows = [_relaxation_point(z, cfg) for z in cfg.relaxation_grid]
     return CsvTable(("zeta2", "tau0", "tau_r", "ratio", "status"), rows)
 
 

@@ -169,23 +169,21 @@ def find_tau0(traj: Trajectory, cfg: SystemConfig,
               integrator: IntegratorConfig | None = None) -> CrossingResult:
     """Locate the first downward zero of Σ̇ along a trajectory.
 
-    The coarse bracket comes from the recorded frames; the root is then
-    bisected to 1e-6 in time, with each probe obtained by a fresh short
-    integration from the last stored frame before the bracket (no
-    interpolation of Σ̇ samples).
+    The coarse bracket comes from the recorded frames, scanned in order
+    up to the first crossing; the root is then bisected to 1e-6 in time,
+    with each probe obtained by a fresh short integration from the last
+    stored frame before the bracket (no interpolation of Σ̇ samples).
     """
     icfg = integrator or IntegratorConfig()
-    sigmas = np.array([
-        entropy_production_rate(state, float(t), cfg)
-        for t, state in zip(traj.times, traj.states)
-    ])
+    sigmas = []
     cross = None
-    for k in range(len(sigmas) - 1):
-        if sigmas[k] > 0.0 >= sigmas[k + 1]:
-            cross = k
+    for t, state in zip(traj.times, traj.states):
+        sigmas.append(entropy_production_rate(state, float(t), cfg))
+        if len(sigmas) > 1 and sigmas[-2] > 0.0 >= sigmas[-1]:
+            cross = len(sigmas) - 2
             break
     if cross is None:
-        if not np.any(sigmas > 0.0):
+        if not any(sigma > 0.0 for sigma in sigmas):
             return CrossingResult(found=False, reason="never_positive")
         if traj.final_rhs_norm < STEADY_RESIDUAL or math.isnan(traj.final_rhs_norm):
             return CrossingResult(found=False, reason="always_positive")

@@ -51,7 +51,7 @@ def test_criterion_1_boundary_contour(base_system):
     e_grid = tuple(float(x) for x in np.linspace(0.5, 3.0, 41))
     cfg = ScenarioConfig(
         kind="sweep_boundary", system=base_system,
-        integrator=IntegratorConfig(), threads=1,
+        integrator=IntegratorConfig(),
         t_ratio_grid=t_grid, eps_ratio_grid=e_grid,
     )
     table = run_scenario(cfg)
@@ -78,7 +78,7 @@ def test_criterion_2_resonant_and_detuned_currents(resonant_system):
     grid = tuple(float(x) for x in np.linspace(0.0, 10.0, 101))
     cfg = ScenarioConfig(
         kind="sweep_detuning", system=resonant_system,
-        integrator=IntegratorConfig(), threads=1, detuning_grid=grid,
+        integrator=IntegratorConfig(), detuning_grid=grid,
     )
     table = run_scenario(cfg)
     assert all(row[2] == "ok" for row in table.rows)
@@ -151,7 +151,7 @@ def test_criterion_5_relaxation_scaling(base_system):
     grid = tuple(float(x) for x in np.geomspace(0.1, 1.0, 7))
     cfg = ScenarioConfig(
         kind="relaxation", system=base_system,
-        integrator=IntegratorConfig(), threads=1, relaxation_grid=grid,
+        integrator=IntegratorConfig(), relaxation_grid=grid,
     )
     table = run_scenario(cfg)
     assert all(row[4] == "ok" for row in table.rows)

@@ -9,8 +9,17 @@ from lmesim.linalg import (
     herm_eig,
     hermitian_part,
     lyapunov_solve,
+    lyapunov_solve_stack,
     matrix_log_hermitian,
 )
+
+
+def random_stable(rng, n):
+    """A random Hurwitz drift and a random PSD diffusion of size n."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    w = a - (np.max(np.linalg.eigvals(a).real) + 1.0) * np.eye(n)
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return w, b @ b.conj().T
 
 
 def test_hermitian_part_is_hermitian_and_idempotent(rng):
@@ -69,11 +78,7 @@ def test_lyapunov_solve_scalar_case():
 
 def test_lyapunov_solve_random_stable(rng):
     for _ in range(25):
-        n = int(rng.integers(2, 5))
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        w = a - (np.max(np.linalg.eigvals(a).real) + 1.0) * np.eye(n)
-        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        d = b @ b.conj().T
+        w, d = random_stable(rng, int(rng.integers(2, 5)))
         c = lyapunov_solve(w, d)
         resid = np.max(np.abs(w @ c + c @ w.conj().T + d))
         assert resid < 1e-10 * max(1.0, np.max(np.abs(d)))
@@ -89,6 +94,40 @@ def test_lyapunov_solve_rejects_shape_mismatch():
         lyapunov_solve(-np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         lyapunov_solve(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def test_lyapunov_solve_stack_matches_single_solves_bitwise(rng):
+    for n in (1, 2, 3):
+        pairs = [random_stable(rng, n) for _ in range(12)]
+        drift = np.array([w for w, _ in pairs])
+        diffusion = np.array([d for _, d in pairs])
+        solutions, failures = lyapunov_solve_stack(drift, diffusion)
+        assert failures == [None] * len(pairs)
+        for (w, d), c in zip(pairs, solutions):
+            assert np.array_equal(c, lyapunov_solve(w, d))
+
+
+def test_lyapunov_solve_stack_isolates_a_failed_item(rng):
+    pairs = [random_stable(rng, 2) for _ in range(5)]
+    drift = np.array([w for w, _ in pairs])
+    diffusion = np.array([d for _, d in pairs])
+    drift[2] = np.eye(2)
+    solutions, failures = lyapunov_solve_stack(drift, diffusion)
+    assert "not Hurwitz" in failures[2]
+    assert np.all(np.isnan(solutions[2]))
+    with pytest.raises(StabilityError) as err:
+        lyapunov_solve(drift[2], diffusion[2])
+    assert str(err.value) == failures[2]
+    for k in (0, 1, 3, 4):
+        assert failures[k] is None
+        assert np.array_equal(solutions[k], lyapunov_solve(*pairs[k]))
+
+
+def test_lyapunov_solve_stack_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        lyapunov_solve_stack(-np.eye(2), np.eye(2))
+    with pytest.raises(ValueError):
+        lyapunov_solve_stack(-np.ones((3, 2, 2)), np.ones((2, 2, 2)))
 
 
 def test_matrix_log_diagonal():

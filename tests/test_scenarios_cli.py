@@ -87,7 +87,7 @@ def test_kind_violations(base_system, driven_system):
 def test_load_config_minimal_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path))
     assert cfg.kind == "evolve"
-    assert cfg.horizon is None and cfg.out is None and cfg.threads is None
+    assert cfg.horizon is None and cfg.out is None
     assert cfg.system.qubit1.epsilon == 10.0
     assert cfg.system.bath1.temperature == 15.0
     assert cfg.system.bath2.k_B == 1.0
@@ -114,7 +114,6 @@ kind = sweep_scaling
 scaling_axis = lambda2
 horizon = 4.5
 out = table.csv
-threads = 3
 scaling_min = 0.01
 scaling_max = 1.0
 scaling_count = 5
@@ -128,7 +127,6 @@ record_stride = 10
     assert cfg.scaling_axis == "lambda2"
     assert cfg.horizon == 4.5
     assert cfg.out == "table.csv"
-    assert cfg.threads == 3
     assert len(cfg.scaling_grid) == 5
     assert cfg.scaling_grid[0] == pytest.approx(0.01)
     assert cfg.scaling_grid[2] == pytest.approx(0.1)
@@ -170,7 +168,7 @@ x = 1
     msgs = err.value.violations
     assert any("bath1.temperature must be positive, got -5.0" in m for m in msgs)
     assert any("system.coupling is not a number" in m for m in msgs)
-    assert any("scenario.threads must be >= 1" in m for m in msgs)
+    assert any("unknown key scenario.threads" in m for m in msgs)
     assert any("unknown section [weird]" in m for m in msgs)
     assert len(msgs) >= 4
 
@@ -313,7 +311,7 @@ def test_run_scenario_steady_table(base_system):
 def test_run_scenario_boundary_grid_order_and_status(base_system):
     cfg = ScenarioConfig(
         kind="sweep_boundary", system=base_system,
-        integrator=IntegratorConfig(), threads=1,
+        integrator=IntegratorConfig(),
         t_ratio_grid=(1.0, 2.0, 3.0), eps_ratio_grid=(0.5, 1.5, 2.5),
     )
     table = run_scenario(cfg)
@@ -333,7 +331,7 @@ def test_sweep_records_numerical_failures_as_status(base_system):
     # zeta^2 = 0 leaves the drift without damping: not Hurwitz at any point
     cfg = ScenarioConfig(
         kind="sweep_boundary", system=replace(base_system, zeta2=0.0),
-        integrator=IntegratorConfig(), threads=1,
+        integrator=IntegratorConfig(),
         t_ratio_grid=(1.0, 2.0), eps_ratio_grid=(0.5,),
     )
     rows = run_scenario(cfg).rows
@@ -348,17 +346,59 @@ def test_sweep_lets_programming_errors_propagate(base_system, monkeypatch):
     monkeypatch.setattr(scenarios, "steady_heat_currents", broken)
     cfg = ScenarioConfig(
         kind="sweep_boundary", system=base_system,
-        integrator=IntegratorConfig(), threads=1,
+        integrator=IntegratorConfig(),
         t_ratio_grid=(1.0,), eps_ratio_grid=(0.5,),
     )
     with pytest.raises(TypeError, match="bug"):
         run_scenario(cfg)
 
 
+def test_steady_sweeps_match_per_point_solves(base_system):
+    # the stacked solve gives each point the bits of its own scalar solve
+    def j1_alone(system):
+        cov = scenarios.steady_covariance(scenarios.drift_diffusion(system))
+        return scenarios.steady_heat_currents(cov, system)
+
+    cfg = ScenarioConfig(
+        kind="sweep_boundary", system=base_system,
+        integrator=IntegratorConfig(),
+        t_ratio_grid=(1.0, 2.5), eps_ratio_grid=(0.5, 1.5, 2.5),
+    )
+    for tr, er, sigma, status in run_scenario(cfg).rows:
+        system = replace(
+            base_system,
+            bath1=replace(base_system.bath1,
+                          temperature=tr * base_system.bath2.temperature),
+            qubit1=replace(base_system.qubit1,
+                           epsilon=er * base_system.qubit2.epsilon),
+        )
+        j1, j2 = j1_alone(system)
+        assert status == "ok"
+        assert sigma == -(system.bath1.beta * j1 + system.bath2.beta * j2)
+
+    cfg = replace(cfg, kind="sweep_scaling", scaling_axis="lambda2",
+                  scaling_grid=(0.01, 0.25))
+    for lam2, mag, _ in run_scenario(cfg).rows:
+        assert mag == abs(j1_alone(replace(base_system, coupling=math.sqrt(lam2)))[0])
+
+
+def test_scaling_sweep_marks_only_the_failed_point(base_system):
+    # zeta^2 = 0 is not Hurwitz; its neighbours in the same stack still solve
+    cfg = ScenarioConfig(
+        kind="sweep_scaling", system=base_system,
+        integrator=IntegratorConfig(), scaling_grid=(0.5, 0.0, 1.0),
+    )
+    rows = run_scenario(cfg).rows
+    assert [r[2] for r in rows] == ["ok", "error:StabilityError", "ok"]
+    assert math.isnan(rows[1][1])
+    alone = run_scenario(replace(cfg, scaling_grid=(0.5, 1.0))).rows
+    assert [rows[0], rows[2]] == alone
+
+
 def test_run_scenario_detuning_sign_change(base_system):
     cfg = ScenarioConfig(
         kind="sweep_detuning", system=base_system,
-        integrator=IntegratorConfig(), threads=1,
+        integrator=IntegratorConfig(),
         detuning_grid=(0.0, 2.0, 4.0, 6.0),
     )
     table = run_scenario(cfg)
@@ -373,7 +413,7 @@ def test_run_scenario_detuning_sign_change(base_system):
 def test_run_scenario_scaling_tables(base_system):
     cfg = ScenarioConfig(
         kind="sweep_scaling", system=base_system,
-        integrator=IntegratorConfig(), threads=1,
+        integrator=IntegratorConfig(),
         scaling_axis="zeta2", scaling_grid=(0.01, 0.1, 1.0),
     )
     table = run_scenario(cfg)
@@ -391,7 +431,7 @@ def test_run_scenario_scaling_tables(base_system):
 def test_run_scenario_relaxation_point(base_system):
     cfg = ScenarioConfig(
         kind="relaxation", system=base_system,
-        integrator=IntegratorConfig(), threads=1, relaxation_grid=(1.0,),
+        integrator=IntegratorConfig(), relaxation_grid=(1.0,),
     )
     table = run_scenario(cfg)
     assert table.header == ("zeta2", "tau0", "tau_r", "ratio", "status")
@@ -406,7 +446,7 @@ def test_run_scenario_relaxation_point(base_system):
 def test_run_scenario_relaxation_reports_short_horizon(base_system):
     cfg = ScenarioConfig(
         kind="relaxation", system=base_system,
-        integrator=IntegratorConfig(), threads=1, relaxation_grid=(1.0,),
+        integrator=IntegratorConfig(), relaxation_grid=(1.0,),
         horizon=0.05,
     )
     row = run_scenario(cfg).rows[0]
@@ -415,19 +455,16 @@ def test_run_scenario_relaxation_reports_short_horizon(base_system):
     assert row[2] > 0.0
 
 
-def test_sweep_is_deterministic_across_runs_and_workers(tmp_path, base_system):
+def test_sweep_is_deterministic_across_runs(tmp_path, base_system):
     cfg = ScenarioConfig(
         kind="sweep_boundary", system=base_system,
-        integrator=IntegratorConfig(), threads=1,
+        integrator=IntegratorConfig(),
         t_ratio_grid=(1.0, 2.0, 3.0), eps_ratio_grid=(0.5, 1.5, 2.5),
     )
-    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+    paths = [tmp_path / name for name in ("a.csv", "b.csv")]
     emit_csv(run_scenario(cfg), paths[0])
     emit_csv(run_scenario(cfg), paths[1])
-    emit_csv(run_scenario(replace(cfg, threads=2)), paths[2])
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1]
-    assert blobs[0] == blobs[2]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +604,15 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
     assert main(["evolve", "--config", path, "--step", "-1"]) == 1
     assert "--step" in capsys.readouterr().err
+
+
+def test_cli_threads_flag_changes_nothing(tmp_path, capsys):
+    path = write_config(tmp_path, SMALL_BOUNDARY)
+    outs = [tmp_path / "plain.csv", tmp_path / "threads.csv"]
+    assert main(["sweep-boundary", "--config", path, "--out", str(outs[0])]) == 0
+    assert main(["sweep-boundary", "--config", path, "--out", str(outs[1]),
+                 "--threads", "3"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["evolve", "driven"])

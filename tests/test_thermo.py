@@ -14,6 +14,7 @@ import scipy.linalg
 from conftest import make_system, random_density
 
 from lmesim import (
+    CrossingResult,
     IntegratorConfig,
     effective_temperature_check,
     entropy,
@@ -28,6 +29,7 @@ from lmesim import (
     maximum_entropy_state,
     thermo_record,
 )
+from lmesim import thermo
 
 
 def haar_unitary(rng, dim=4):
@@ -216,6 +218,40 @@ def test_find_tau0_locates_the_crossing(base_trajectory, base_system):
         return entropy_production_rate(sub.final_state, t, base_system)
 
     assert sigma(t_lo) > 0.0 >= sigma(t_hi)
+
+
+def test_find_tau0_stops_scanning_at_the_crossing(base_trajectory, base_system,
+                                                  monkeypatch):
+    traj = base_trajectory
+    sigmas = [entropy_production_rate(state, float(t), base_system)
+              for t, state in zip(traj.times, traj.states)]
+    k = next(j for j in range(len(sigmas) - 1)
+             if sigmas[j] > 0.0 >= sigmas[j + 1])
+    # the documented bisection from frame k, each probe a fresh integration
+    icfg = IntegratorConfig(step=traj.step, record_stride=10**9)
+    t_lo, t_hi = float(traj.times[k]), float(traj.times[k + 1])
+    while t_hi - t_lo > thermo.TAU0_TIME_TOL:
+        mid = 0.5 * (t_lo + t_hi)
+        sub = integrate(traj.states[k], (float(traj.times[k]), mid),
+                        base_system, icfg)
+        if entropy_production_rate(sub.final_state, mid, base_system) > 0.0:
+            t_lo = mid
+        else:
+            t_hi = mid
+    full_scan = CrossingResult(found=True, tau0=0.5 * (t_lo + t_hi),
+                               bracket=(t_lo, t_hi))
+
+    frame_evals = []
+    original = thermo.entropy_production_rate
+
+    def counting(rho, t, cfg):
+        if np.shares_memory(rho, traj.states):
+            frame_evals.append(t)
+        return original(rho, t, cfg)
+
+    monkeypatch.setattr(thermo, "entropy_production_rate", counting)
+    assert find_tau0(traj, base_system) == full_scan
+    assert len(frame_evals) <= k + 2 < len(traj.times)
 
 
 def test_find_tau0_reports_always_positive_without_coupling():
