@@ -12,6 +12,9 @@ eigenbasis.  Two routes to the rates are provided and kept strictly separate:
   memory-correction rate Γ¹(ω);
 * quadrature oracles -- direct numerical evaluation of the defining
   time/frequency double integrals, used to cross-check the closed forms.
+  They load ``scipy.integrate`` on first use: no scenario calls them, and
+  importing it (with the ``scipy.special``/``scipy.optimize`` stack it pulls
+  in) would otherwise dominate the start-up of every CLI run.
 
 The closed-form decay rate γ(ω) = π J(ω)(coth(βω/2)+1) is exact for this
 spectral density; the Lamb-shift and memory-correction forms assume
@@ -22,8 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 
@@ -120,6 +121,8 @@ def _thermal_weight(omega: float, bath: BathParams) -> float:
 
 def _checked_quad(func, lo, hi, *, rtol, limit, scale, weight=None, wvar=None):
     """scipy quad with non-convergence turned into QuadratureError."""
+    from scipy.integrate import quad
+
     kwargs = dict(epsabs=rtol * scale, epsrel=rtol, limit=limit, full_output=1)
     if weight is not None:
         kwargs["weight"] = weight

@@ -6,9 +6,9 @@ The subcommand picks the scenario kind (overriding any ``kind`` in the
 config file); ``--step`` overrides the integrator step.  ``--threads`` is
 accepted for compatibility and ignored once it passes its ``>= 1`` check:
 every scenario runs in one process.  Exit codes:
-0 success, 1 configuration/validation problem, 2 numerical failure of a
-single-trajectory run (sweep-point failures are recorded in the CSV status
-column instead).
+0 success, 1 configuration/validation problem or an output path that cannot
+be written, 2 numerical failure of a single-trajectory run (sweep-point
+failures are recorded in the CSV status column instead).
 """
 
 from __future__ import annotations
@@ -89,7 +89,11 @@ def main(argv=None) -> int:
         return 2
 
     out = cfg.out or f"{cfg.kind}.csv"
-    emit_csv(table, out)
+    try:
+        emit_csv(table, out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {out} ({len(table.rows)} rows)")
     return 0
 

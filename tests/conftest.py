@@ -7,6 +7,7 @@ unit tests reuse the same runs.  The terminal-summary hook prints one
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from lmesim import (
@@ -32,6 +33,34 @@ def make_system(eps1=10.0, eps2=5.0, t1=15.0, t2=10.0, coupling=0.5,
         coupling=coupling,
         zeta2=zeta2,
     )
+
+
+# random valid configurations for the property tests
+undriven_systems = st.builds(
+    make_system,
+    eps1=st.floats(2.0, 15.0),
+    eps2=st.floats(2.0, 15.0),
+    t1=st.floats(2.0, 30.0),
+    t2=st.floats(2.0, 30.0),
+    coupling=st.floats(0.0, 1.0),    # below half the smallest gap
+    zeta2=st.floats(0.05, 1.0),
+    kappa=st.floats(1.0, 20.0),
+    cutoff=st.floats(0.5, 5.0),
+)
+
+driven_systems = st.builds(
+    make_system,
+    eps1=st.floats(2.0, 15.0),
+    eps2=st.floats(2.0, 15.0),
+    t1=st.floats(5.0, 30.0),         # above the cutoff: no cold-bath warning
+    t2=st.floats(5.0, 30.0),
+    coupling=st.floats(0.0, 1.0),
+    zeta2=st.floats(0.05, 1.0),
+    kappa=st.floats(1.0, 20.0),
+    cutoff=st.floats(0.5, 5.0),
+    amp=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    freq=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+)
 
 
 @pytest.fixture(scope="session")

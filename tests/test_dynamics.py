@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_system
+from conftest import driven_systems, make_system, random_density, undriven_systems
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lmesim import (
@@ -22,7 +24,7 @@ from lmesim import (
     rk4_step,
     steady_state,
 )
-from lmesim.dynamics import _check_frame, _driven_step, _plan_steps
+from lmesim.dynamics import FRAME_TRACE_TOL, _check_frame, _driven_step, _plan_steps
 
 
 def test_integrator_config_validation_collects_problems():
@@ -152,6 +154,29 @@ def test_integrate_keeps_states_physical(base_system):
         assert abs(np.trace(state).real - 1.0) < 1e-10
         assert np.array_equal(state, state.conj().T)
         assert low > -1e-8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    cfg=st.one_of(undriven_systems, driven_systems),
+    steps=st.floats(1.0, 200.0),
+    stride=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trajectory_frames_stay_physical(cfg, steps, stride, seed):
+    # horizons counted in default steps keep every driven run short; a
+    # fractional count ends the run with a tail step
+    rho0 = random_density(np.random.default_rng(seed))
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    icfg = IntegratorConfig(record_stride=stride)
+    traj = integrate(rho0, steps * default_step(cfg), cfg, icfg)
+    states = traj.states
+    traces = np.trace(states, axis1=1, axis2=2)
+    assert np.all(np.abs(traces.real - 1.0) <= FRAME_TRACE_TOL)
+    assert np.array_equal(states, states.conj().transpose(0, 2, 1))
+    assert np.array_equal(traj.min_eigenvalues, np.linalg.eigvalsh(states)[:, 0])
+    if not cfg.is_driven:
+        assert np.all(traj.min_eigenvalues >= -icfg.positivity_tol)
 
 
 def test_integrate_rejects_unstable_step(driven_system):

@@ -9,7 +9,7 @@ whichever step, produces the states.
 """
 
 import numpy as np
-from conftest import make_system, random_density
+from conftest import make_system, random_density, undriven_systems
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,21 +33,8 @@ from lmesim import (
 # written to a local example database
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=20)
 
-systems = st.builds(
-    make_system,
-    eps1=st.floats(2.0, 15.0),
-    eps2=st.floats(2.0, 15.0),
-    t1=st.floats(2.0, 30.0),
-    t2=st.floats(2.0, 30.0),
-    coupling=st.floats(0.0, 1.0),    # below half the smallest gap
-    zeta2=st.floats(0.05, 1.0),
-    kappa=st.floats(1.0, 20.0),
-    cutoff=st.floats(0.5, 5.0),
-)
-
-
 @PROPERTY
-@given(cfg=systems, seed=st.integers(0, 2**32 - 1))
+@given(cfg=undriven_systems, seed=st.integers(0, 2**32 - 1))
 def test_exact_frames_match_rk4_steps(cfg, seed):
     # 200 full steps and a partial one, frames every 64 steps: full blocks
     # and a last block that carries the tail
@@ -71,7 +58,7 @@ def test_exact_frames_match_rk4_steps(cfg, seed):
 
 
 @PROPERTY
-@given(cfg=systems)
+@given(cfg=undriven_systems)
 def test_steady_state_matches_lyapunov_covariance(cfg):
     from_density = covariance_from_density(steady_state(cfg))
     lyapunov = steady_covariance(drift_diffusion(cfg))

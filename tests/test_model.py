@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import make_system, random_density
+from conftest import driven_systems, make_system, random_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -310,21 +310,6 @@ def _dense_reference(rho, t, cfg):
             + gp * (s_p @ rho @ s_m - 0.5 * anti(s_m @ s_p, rho))
         )
     return diss, -1j * comm(h, rho) + cfg.zeta2 * (diss[0] + diss[1])
-
-
-driven_systems = st.builds(
-    make_system,
-    eps1=st.floats(2.0, 15.0),
-    eps2=st.floats(2.0, 15.0),
-    t1=st.floats(5.0, 30.0),         # above the cutoff: no cold-bath warning
-    t2=st.floats(5.0, 30.0),
-    coupling=st.floats(0.0, 1.0),
-    zeta2=st.floats(0.05, 1.0),
-    kappa=st.floats(1.0, 20.0),
-    cutoff=st.floats(0.5, 5.0),
-    amp=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
-    freq=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
-)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -1,6 +1,8 @@
 """Config parsing, scenario tables, CSV emission and the command line."""
 
+import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -624,6 +626,25 @@ def test_cli_rejects_non_finite_step(tmp_path, capsys, kind):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_reports_unwritable_output(tmp_path, capsys, target, source):
+    out = tmp_path / "missing" / "a.csv" if target == "missing_dir" else tmp_path
+    if source == "flag":
+        argv = ["--out", str(out)]
+        extra = SHORT_EVOLVE
+    else:
+        argv = []
+        extra = SHORT_EVOLVE.replace("horizon = 0.02", f"horizon = 0.02\nout = {out}")
+    rc = main(["evolve", "--config", write_config(tmp_path, extra), *argv])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error: ")
+    assert str(out) in captured.err
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     body = BASE.replace("zeta2 = 0.5", "zeta2 = 0.0")
     rc = main(["steady", "--config", write_config(tmp_path, base=body)])
@@ -647,3 +668,57 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
     assert out.exists()
+
+
+# every CLI kind in a fresh interpreter, then one quadrature oracle call; the
+# script prints which of the heavy SciPy modules were loaded after each phase
+FOOTPRINT_SCRIPT = """
+import json, sys
+import lmesim.cli as cli
+heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+undriven, driven, out = sys.argv[1:]
+for kind in cli.KINDS:
+    path = driven if kind == "driven" else undriven
+    if cli.main([kind.replace("_", "-"), "--config", path, "--out", out]) != 0:
+        sys.exit(f"{kind} failed")
+after_cli = [m for m in heavy if m in sys.modules]
+from lmesim import BathParams, QuadratureConfig, decay_rate_quadrature
+decay_rate_quadrature(10.0, BathParams(15.0, 10.0, 1.0), QuadratureConfig(rtol=1e-4))
+after_oracle = [m for m in heavy if m in sys.modules]
+print(json.dumps([after_cli, after_oracle]))
+"""
+
+TINY_GRIDS = """
+[scenario]
+horizon = 0.02
+t_ratio_count = 2
+eps_ratio_count = 2
+delta_count = 2
+scaling_count = 2
+relax_zeta2_min = 0.5
+relax_zeta2_count = 2
+
+[integrator]
+step = 1e-4
+"""
+
+
+def test_cli_runs_load_no_quadrature_stack(tmp_path):
+    # a top-level import of scipy.integrate (or of what it pulls in) would add
+    # a few tenths of a second to every CLI start-up; the quadrature oracles
+    # load it on first use
+    undriven = write_config(tmp_path, TINY_GRIDS)
+    driven = write_config(tmp_path, TINY_GRIDS + "\n[drive]\namplitude1 = 2.0\n"
+                          "frequency1 = 0.2\n", name="driven.ini")
+    src = os.path.dirname(os.path.dirname(scenarios.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, undriven, driven,
+         str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_cli, after_oracle = json.loads(proc.stdout.splitlines()[-1])
+    assert after_cli == []
+    assert "scipy.integrate" in after_oracle
