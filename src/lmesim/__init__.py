@@ -34,7 +34,6 @@ from .errors import (
 from .gaussian import (
     DriftDiffusion,
     covariance_from_density,
-    covariance_rhs,
     drift_diffusion,
     integrate_covariance,
     relaxation_time,

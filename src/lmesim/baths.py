@@ -19,12 +19,18 @@ eigenbasis.  Two routes to the rates are provided and kept strictly separate:
 The closed-form decay rate γ(ω) = π J(ω)(coth(βω/2)+1) is exact for this
 spectral density; the Lamb-shift and memory-correction forms assume
 k_B T ≳ Ω.
+
+`spectral_density` and `decay_rate` also take an ndarray of frequencies,
+which the steady sweeps use to compute a whole grid's rates in one call;
+the other closed forms take scalars.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import QuadratureError
 
@@ -97,7 +103,8 @@ class QuadratureConfig:
 
 
 def spectral_density(omega, bath: BathParams):
-    """Ohmic spectral density with Lorentz-Drude cutoff (odd in ω)."""
+    """Ohmic spectral density with Lorentz-Drude cutoff (odd in ω); ω may be
+    a float or an array."""
     cut2 = bath.cutoff * bath.cutoff
     return (2.0 * bath.kappa / math.pi) * omega * cut2 / (cut2 + omega * omega)
 
@@ -179,13 +186,26 @@ def correlation_function(s: float, bath: BathParams, quad_cfg: QuadratureConfig 
     return complex(real, -imag)
 
 
-def decay_rate(freq: float, bath: BathParams) -> float:
+def decay_rate(freq, bath: BathParams):
     """Closed-form decay rate γ(ω) = π J(ω) (coth(βω/2) + 1).
 
     Exact for the Lorentz-Drude spectral density at any temperature.  At
     ω = 0 this tends to 4κ k_B T.  Written with expm1 so that detailed
     balance γ(ω) = exp(βω) γ(-ω) holds to machine precision.
+
+    `freq` may be a float or an ndarray.  Both forms take ``math.expm1``
+    (NumPy's expm1 differs from it in the last bit for a few per cent of
+    arguments), so an array gives the scalar form's bits element by element.
     """
+    # the float test first keeps the scalar call cheap: a driven run makes
+    # four per RK4 stage
+    if type(freq) is not float and isinstance(freq, np.ndarray):
+        small = np.abs(freq) < ZERO_FREQ_FACTOR * bath.cutoff
+        safe = np.where(small, 1.0, freq)    # no 0/0 where the limit is taken
+        expm1 = np.fromiter(map(math.expm1, (-bath.beta * safe).ravel().tolist()),
+                            float, safe.size).reshape(safe.shape)
+        rate = 2.0 * math.pi * spectral_density(safe, bath) / -expm1
+        return np.where(small, 4.0 * bath.kappa * bath.k_B * bath.temperature, rate)
     if abs(freq) < ZERO_FREQ_FACTOR * bath.cutoff:
         return 4.0 * bath.kappa * bath.k_B * bath.temperature
     return 2.0 * math.pi * spectral_density(freq, bath) / (-math.expm1(-bath.beta * freq))

@@ -7,7 +7,8 @@ config file); ``--step`` overrides the integrator step.  ``--threads`` is
 accepted for compatibility and ignored once it passes its ``>= 1`` check:
 every scenario runs in one process.  Exit codes:
 0 success, 1 configuration/validation problem or an output path that cannot
-be written, 2 numerical failure of a single-trajectory run (sweep-point
+be written (a missing directory or a directory path is reported before the
+scenario runs), 2 numerical failure of a single-trajectory run (sweep-point
 failures are recorded in the CSV status column instead).
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from dataclasses import replace
 
@@ -78,6 +80,15 @@ def main(argv=None) -> int:
             return 1
     cfg = replace(cfg, **overrides)
 
+    # a scenario can run for seconds: report an output path that cannot be
+    # written before it starts (without creating the file)
+    out = cfg.out or f"{cfg.kind}.csv"
+    folder = os.path.dirname(out) or "."
+    if os.path.isdir(out) or not os.path.isdir(folder):
+        why = "is a directory" if os.path.isdir(out) else f"no such directory {folder}"
+        print(f"output error: {out}: {why}", file=sys.stderr)
+        return 1
+
     try:
         table = run_scenario(cfg)
     except ConfigError as exc:
@@ -88,7 +99,6 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
-    out = cfg.out or f"{cfg.kind}.csv"
     try:
         emit_csv(table, out)
     except OSError as exc:

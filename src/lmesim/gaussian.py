@@ -15,6 +15,12 @@ density-matrix route.  The equation is linear and inhomogeneous, so the
 trajectory is exact: the augmented state [vec C; 1] evolves under a
 constant 5x5 generator.  The steady state solves the Lyapunov equation
 W C + C W† + D = 0, and the steady heat currents are linear in C.
+
+`chain_stack` is the one place the rates, W, D and the currents are
+computed: over arrays of (ε₁, ε₂, ζ², λ) for chains that share two baths,
+which is how the steady sweeps run.  `drift_diffusion` and
+`steady_heat_currents` are its single-configuration views, so a sweep
+point and its own scalar solve give the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .baths import decay_rate
+from .baths import BathParams, decay_rate
 from .dynamics import _frame_plan
 from .errors import StabilityError, UnsupportedConfigError
 from .linalg import hermitian_part, lyapunov_solve
@@ -43,36 +49,77 @@ class DriftDiffusion:
     diffusion: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class ChainStack:
+    """W and D stacks of undriven chains that share two baths, and the
+    rates their heat currents need; per point, γ_i⁺ = γ_i(-2ε_i) and
+    γ_i⁺ + γ_i⁻ is the total rate of qubit i."""
+
+    epsilon: np.ndarray       # (2, m)
+    zeta2: np.ndarray         # (m,)
+    coupling: np.ndarray      # (m,)
+    gamma_plus: np.ndarray    # (2, m)
+    gamma_total: np.ndarray   # (2, m)
+    drift: np.ndarray         # (m, 2, 2)
+    diffusion: np.ndarray     # (m, 2, 2)
+
+    def heat_currents(self, cov: np.ndarray):
+        """Heat currents (J₁, J₂) into the system for an (m, 2, 2) covariance
+        stack, linear in the covariance:
+
+        J_i = ζ² { -(γ_i⁺+γ_i⁻)/2 · [4 ε_i C_ii + λ (C₁₂+C₂₁)] + 2 ε_i γ_i⁺ }.
+        """
+        cross = (cov[..., 0, 1] + cov[..., 1, 0]).real
+        pop = np.moveaxis(np.diagonal(cov, axis1=-2, axis2=-1).real, -1, 0)
+        eps = self.epsilon
+        j = self.zeta2 * (
+            -0.5 * self.gamma_total * (4.0 * eps * pop + self.coupling * cross)
+            + 2.0 * eps * self.gamma_plus
+        )
+        return j[0], j[1]
+
+
+def chain_stack(eps1, eps2, zeta2, coupling, bath1: BathParams,
+                bath2: BathParams) -> ChainStack:
+    """Rates, W and D at every point of the broadcast (ε₁, ε₂, ζ², λ).
+
+    The four rates γ_i∓ = γ_i(±2ε_i) of a point are computed once, in one
+    `decay_rate` call per bath.  Scalar parameters give a single 2x2 W and D.
+    """
+    eps1, eps2, z, lam = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (eps1, eps2, zeta2, coupling))
+    )
+    g1 = decay_rate(np.stack([2.0 * eps1, -2.0 * eps1]), bath1)
+    g2 = decay_rate(np.stack([2.0 * eps2, -2.0 * eps2]), bath2)
+    gplus = np.stack([g1[1], g2[1]])
+    gtot = np.stack([g1[0] + g1[1], g2[0] + g2[1]])
+    delta = eps1 - eps2
+    drift = np.empty(z.shape + (2, 2), dtype=complex)
+    drift[..., 0, 0] = -0.5 * z * gtot[0] + 1j * delta
+    drift[..., 0, 1] = drift[..., 1, 0] = 1j * lam
+    drift[..., 1, 1] = -0.5 * z * gtot[1] - 1j * delta
+    diffusion = np.zeros(z.shape + (2, 2), dtype=complex)
+    diffusion[..., 0, 0] = z * gplus[0]
+    diffusion[..., 1, 1] = z * gplus[1]
+    return ChainStack(
+        epsilon=np.stack([eps1, eps2]), zeta2=z, coupling=lam,
+        gamma_plus=gplus, gamma_total=gtot, drift=drift, diffusion=diffusion,
+    )
+
+
+def _chain(cfg: SystemConfig) -> ChainStack:
+    return chain_stack(cfg.qubit1.epsilon, cfg.qubit2.epsilon, cfg.zeta2,
+                       cfg.coupling, cfg.bath1, cfg.bath2)
+
+
 def drift_diffusion(cfg: SystemConfig) -> DriftDiffusion:
     """Assemble (W, D) from the static rates.  Undriven configurations only."""
     if cfg.is_driven:
         raise UnsupportedConfigError(
             "covariance dynamics require an undriven configuration"
         )
-    gp = []
-    gtot = []
-    for i in (1, 2):
-        eps = cfg.qubit(i).epsilon
-        b = cfg.bath(i)
-        gminus = decay_rate(2.0 * eps, b)
-        gplus = decay_rate(-2.0 * eps, b)
-        gp.append(gplus)
-        gtot.append(gminus + gplus)
-    delta = cfg.qubit1.epsilon - cfg.qubit2.epsilon
-    z = cfg.zeta2
-    lam = cfg.coupling
-    drift = np.array([
-        [-0.5 * z * gtot[0] + 1j * delta, 1j * lam],
-        [1j * lam, -0.5 * z * gtot[1] - 1j * delta],
-    ])
-    diffusion = np.diag([z * gp[0], z * gp[1]]).astype(complex)
-    return DriftDiffusion(drift=drift, diffusion=diffusion)
-
-
-def covariance_rhs(cov: np.ndarray, dd: DriftDiffusion) -> np.ndarray:
-    """dC/dt = W C + C W† + D."""
-    w = dd.drift
-    return w @ cov + cov @ w.conj().T + dd.diffusion
+    chain = _chain(cfg)
+    return DriftDiffusion(drift=chain.drift, diffusion=chain.diffusion)
 
 
 def steady_covariance(dd: DriftDiffusion) -> np.ndarray:
@@ -136,22 +183,7 @@ def relaxation_time(dd: DriftDiffusion) -> float:
 
 
 def steady_heat_currents(cov: np.ndarray, cfg: SystemConfig):
-    """Heat currents (J₁, J₂) into the system, linear in the covariance.
-
-    J_i = ζ² { -(γ_i⁺+γ_i⁻)/2 · [4 ε_i C_ii + λ (C₁₂+C₂₁)] + 2 ε_i γ_i⁺ }.
-    """
-    lam = cfg.coupling
-    z = cfg.zeta2
-    cross = float((cov[0, 1] + cov[1, 0]).real)
-    out = []
-    for i in (1, 2):
-        eps = cfg.qubit(i).epsilon
-        b = cfg.bath(i)
-        gminus = decay_rate(2.0 * eps, b)
-        gplus = decay_rate(-2.0 * eps, b)
-        pop = float(cov[i - 1, i - 1].real)
-        out.append(z * (
-            -0.5 * (gplus + gminus) * (4.0 * eps * pop + lam * cross)
-            + 2.0 * eps * gplus
-        ))
-    return out[0], out[1]
+    """Heat currents (J₁, J₂) into the system, linear in the covariance
+    (the formula is in `ChainStack.heat_currents`)."""
+    j1, j2 = _chain(cfg).heat_currents(np.asarray(cov))
+    return float(j1), float(j2)

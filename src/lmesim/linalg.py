@@ -122,10 +122,10 @@ def lyapunov_solve_stack(drift: np.ndarray, diffusion: np.ndarray):
     scale = np.maximum(1.0, np.max(np.abs(d_ok), axis=(1, 2)))
     solutions = np.full(w_mat.shape, np.nan, dtype=complex)
     solutions[ok] = c_ok
-    for k, res, size in zip(np.flatnonzero(ok), residual, scale):
-        if res > 1e-12 * size:
-            failures[k] = f"Lyapunov residual {res:.3e} exceeds tolerance"
-            solutions[k] = np.nan
+    bad = residual > 1e-12 * scale
+    for k, res in zip(np.flatnonzero(ok)[bad], residual[bad]):
+        failures[k] = f"Lyapunov residual {res:.3e} exceeds tolerance"
+        solutions[k] = np.nan
     return solutions, failures
 
 

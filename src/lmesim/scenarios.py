@@ -13,10 +13,13 @@ Seven scenario kinds cover the package's standard numerical experiments:
 * ``sweep_scaling``  — |J₁| versus ζ² (or λ²) for power-law fits.
 * ``relaxation``     — τ₀, τ_r and their ratio versus ζ².
 
-Every scenario runs in one process, point after point in grid order.  The
-three steady-state sweeps build each point's system, rates and heat
-currents one at a time but solve the points' Lyapunov equations as one
-stack (one T-ratio row at a time for the boundary grid).  A sweep point
+Every scenario runs in one process.  The three steady-state sweeps build
+no per-point system: ``gaussian.chain_stack`` takes the swept parameters as
+arrays and gives the rates, drift and diffusion of every point at once, the
+points' Lyapunov equations are solved as one stack and the heat currents
+come from the covariance stack (one T-ratio row at a time for the boundary
+grid, whose hot bath changes by row).  Relaxation runs point after point.
+CSV rows are written with one ``%`` format per row.  A sweep point
 whose numerics fail (an error from ``errors.NUMERICAL_ERRORS``; for the
 steady sweeps a drift that fails the Lyapunov checks) becomes a row with
 NaN values and an ``error:<Type>`` status instead of aborting the sweep;
@@ -28,6 +31,7 @@ generator's null vector for the density matrix.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -37,6 +41,8 @@ from .baths import BathParams
 from .dynamics import IntegratorConfig, integrate, steady_state
 from .errors import NUMERICAL_ERRORS, ConfigError
 from .gaussian import (
+    ChainStack,
+    chain_stack,
     drift_diffusion,
     relaxation_time,
     steady_covariance,
@@ -313,32 +319,25 @@ def load_config(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # sweep points
 
-def _steady_sigma(system: SystemConfig, j1: float, j2: float) -> float:
-    return -(system.bath1.beta * j1 + system.bath2.beta * j2)
+def _steady_sigma(bath1: BathParams, bath2: BathParams, j1, j2):
+    return -(bath1.beta * j1 + bath2.beta * j2)
 
 
-def _steady_rows(leads, systems, value) -> list:
-    """Rows ``(*lead, value(system, J1, J2), "ok")``, one per system.
+def _steady_rows(leads, chain: ChainStack, value) -> list:
+    """Rows ``(*lead, value(J1, J2), "ok")``, one per point of `chain`.
 
-    Rates and heat currents are computed system by system; the Lyapunov
-    equations of all the systems are solved as one stack.  A system whose
-    drift fails the solve's checks gets a NaN value and the status
-    ``error:StabilityError``, as `lyapunov_solve` would have raised.
+    The points' Lyapunov equations are solved as one stack and their heat
+    currents come from the covariance stack.  A point whose drift fails the
+    solve's checks gets a NaN value and the status ``error:StabilityError``,
+    as `lyapunov_solve` would have raised.
     """
-    dds = [drift_diffusion(system) for system in systems]
-    covs, failures = lyapunov_solve_stack(
-        np.array([dd.drift for dd in dds]).reshape(-1, 2, 2),
-        np.array([dd.diffusion for dd in dds]).reshape(-1, 2, 2),
-    )
-    rows = []
-    covs = hermitian_part(covs)
-    for lead, system, cov, failure in zip(leads, systems, covs, failures):
-        if failure is None:
-            j1, j2 = steady_heat_currents(cov, system)
-            rows.append((*lead, value(system, j1, j2), "ok"))
-        else:
-            rows.append((*lead, math.nan, "error:StabilityError"))
-    return rows
+    covs, failures = lyapunov_solve_stack(chain.drift, chain.diffusion)
+    values = value(*chain.heat_currents(hermitian_part(covs)))
+    return [
+        (*lead, v, "ok") if failure is None
+        else (*lead, math.nan, "error:StabilityError")
+        for lead, v, failure in zip(leads, values.tolist(), failures)
+    ]
 
 
 def _relaxation_point(zeta2: float, cfg: ScenarioConfig):
@@ -388,7 +387,7 @@ def _steady_table(cfg: ScenarioConfig) -> CsvTable:
     cov = steady_covariance(drift_diffusion(system))
     rho = steady_state(system)
     j1, j2 = steady_heat_currents(cov, system)
-    sigma = _steady_sigma(system, j1, j2)
+    sigma = _steady_sigma(system.bath1, system.bath2, j1, j2)
     header = []
     row = []
     for i in (1, 2):
@@ -408,17 +407,17 @@ def _steady_table(cfg: ScenarioConfig) -> CsvTable:
 
 def _boundary_table(cfg: ScenarioConfig) -> CsvTable:
     base = cfg.system
+    eps1 = np.array(cfg.eps_ratio_grid) * base.qubit2.epsilon
     rows = []
     # one stack per T-ratio row keeps a large grid's memory flat
     for tr in cfg.t_ratio_grid:
         bath1 = replace(base.bath1, temperature=tr * base.bath2.temperature)
-        systems = [
-            replace(base, bath1=bath1,
-                    qubit1=replace(base.qubit1, epsilon=er * base.qubit2.epsilon))
-            for er in cfg.eps_ratio_grid
-        ]
+        chain = chain_stack(eps1, base.qubit2.epsilon, base.zeta2,
+                            base.coupling, bath1, base.bath2)
         leads = [(tr, er) for er in cfg.eps_ratio_grid]
-        rows += _steady_rows(leads, systems, _steady_sigma)
+        rows += _steady_rows(
+            leads, chain, lambda j1, j2: _steady_sigma(bath1, base.bath2, j1, j2)
+        )
     return CsvTable(
         ("T1_over_T2", "eps1_over_eps2", "Sigma_dot_ss", "status"), rows
     )
@@ -426,22 +425,26 @@ def _boundary_table(cfg: ScenarioConfig) -> CsvTable:
 
 def _detuning_table(cfg: ScenarioConfig) -> CsvTable:
     base = cfg.system
-    systems = [
-        replace(base, qubit1=replace(base.qubit1, epsilon=base.qubit2.epsilon + d))
-        for d in cfg.detuning_grid
-    ]
+    eps1 = base.qubit2.epsilon + np.array(cfg.detuning_grid)
+    chain = chain_stack(eps1, base.qubit2.epsilon, base.zeta2, base.coupling,
+                        base.bath1, base.bath2)
     leads = [(d,) for d in cfg.detuning_grid]
-    rows = _steady_rows(leads, systems, lambda _, j1, __: j1)
+    rows = _steady_rows(leads, chain, lambda j1, _: j1)
     return CsvTable(("delta_eps", "J1_ss", "status"), rows)
 
 
 def _scaling_table(cfg: ScenarioConfig) -> CsvTable:
+    base = cfg.system
+    grid = np.array(cfg.scaling_grid)
+    zeta2, coupling = base.zeta2, base.coupling
     if cfg.scaling_axis == "zeta2":
-        systems = [replace(cfg.system, zeta2=v) for v in cfg.scaling_grid]
+        zeta2 = grid
     else:
-        systems = [replace(cfg.system, coupling=math.sqrt(v)) for v in cfg.scaling_grid]
+        coupling = np.sqrt(grid)
+    chain = chain_stack(base.qubit1.epsilon, base.qubit2.epsilon, zeta2,
+                        coupling, base.bath1, base.bath2)
     leads = [(v,) for v in cfg.scaling_grid]
-    rows = _steady_rows(leads, systems, lambda _, j1, __: abs(j1))
+    rows = _steady_rows(leads, chain, lambda j1, _: np.abs(j1))
     return CsvTable((cfg.scaling_axis, "J1_ss_abs", "status"), rows)
 
 
@@ -473,15 +476,27 @@ def run_scenario(cfg: ScenarioConfig) -> CsvTable:
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.16e}"
+@functools.lru_cache(maxsize=64)
+def _row_format(types: tuple) -> tuple:
+    """The ``%`` format of a row whose cells have these types, and the
+    indices of its text cells: bools and ints as integers, floats as
+    ``%.16e``, anything else as its (quoted) text."""
+    specs = []
+    text = []
+    for k, cls in enumerate(types):
+        if issubclass(cls, (bool, np.bool_, int, np.integer)):
+            specs.append("%d")
+        elif issubclass(cls, (float, np.floating)):
+            specs.append("%.16e")
+        else:
+            specs.append("%s")
+            text.append(k)
+    return ",".join(specs), tuple(text)
+
+
+def _quote(value) -> str:
     text = str(value)
-    if any(ch in text for ch in (",", '"', "\n")):
+    if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -490,6 +505,11 @@ def emit_csv(table: CsvTable, path) -> None:
     """Write header + rows, LF line endings, floats at 17 significant digits."""
     lines = [",".join(table.header)]
     for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+        spec, text = _row_format(tuple(map(type, row)))
+        if text:
+            row = list(row)
+            for k in text:
+                row[k] = _quote(row[k])
+        lines.append(spec % tuple(row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmesim import (
     BathParams,
@@ -34,7 +36,7 @@ from lmesim import (
     one_sided_rate,
     spectral_density,
 )
-from lmesim.baths import spectral_density_derivative
+from lmesim.baths import ZERO_FREQ_FACTOR, spectral_density_derivative
 
 BATH_HOT = BathParams(temperature=10.0, kappa=10.0, cutoff=1.0)
 BATH_WARM = BathParams(temperature=2.0, kappa=10.0, cutoff=1.0)
@@ -149,6 +151,40 @@ def test_decay_rate_continuous_at_zero_switch():
     # just outside the series threshold the full formula must agree with 4 k kT
     w = 2e-9 * BATH_HOT.cutoff
     assert decay_rate(w, BATH_HOT) == pytest.approx(400.0, rel=1e-6)
+
+
+random_baths = st.builds(
+    BathParams,
+    temperature=st.floats(1.0, 50.0),
+    kappa=st.floats(0.1, 20.0),
+    cutoff=st.floats(0.2, 5.0),
+    k_B=st.floats(0.5, 2.0),
+)
+
+# frequencies in units of the cutoff: exact zeros, a band that straddles the
+# ZERO_FREQ_FACTOR switch on both signs, and the bulk (|βω| <= 300)
+scaled_frequencies = st.one_of(
+    st.sampled_from([0.0, -0.0, ZERO_FREQ_FACTOR, -ZERO_FREQ_FACTOR]),
+    st.floats(-1e2 * ZERO_FREQ_FACTOR, 1e2 * ZERO_FREQ_FACTOR),
+    st.floats(-30.0, 30.0),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(bath=random_baths, scaled=st.lists(scaled_frequencies, min_size=1, max_size=30))
+def test_decay_rate_array_path(bath, scaled):
+    w = np.array(scaled) * bath.cutoff
+    down, up = decay_rate(np.stack([w, -w]), bath)
+    # element by element the bits of the scalar path, at either sign
+    assert np.array_equal(down, [decay_rate(float(x), bath) for x in w])
+    assert np.array_equal(up, [decay_rate(float(-x), bath) for x in w])
+    # detailed balance gamma(w) = exp(beta w) gamma(-w) outside the switch;
+    # inside it both signs take the limit 4 kappa k_B T
+    outside = np.abs(w) >= ZERO_FREQ_FACTOR * bath.cutoff
+    target = np.exp(bath.beta * w[outside])
+    assert np.all(np.abs(down[outside] / up[outside] - target) <= 1e-12 * target)
+    limit = 4.0 * bath.kappa * bath.k_B * bath.temperature
+    assert np.all(down[~outside] == limit) and np.all(up[~outside] == limit)
 
 
 def test_lamb_shift_reference_points():

@@ -28,7 +28,6 @@ from lmesim import (
     StabilityError,
     UnsupportedConfigError,
     covariance_from_density,
-    covariance_rhs,
     decay_rate,
     drift_diffusion,
     gibbs_product_state,
@@ -39,6 +38,12 @@ from lmesim import (
     steady_covariance,
     steady_heat_currents,
 )
+
+
+def covariance_rhs(cov, dd):
+    """dC/dt = W C + C W† + D, written out independently of the solver."""
+    w = dd.drift
+    return w @ cov + cov @ w.conj().T + dd.diffusion
 
 
 def analytic_steady(cfg):

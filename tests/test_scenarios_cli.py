@@ -20,7 +20,7 @@ from lmesim import (
     load_config,
     run_scenario,
 )
-from lmesim import scenarios
+from lmesim import cli, scenarios
 from lmesim.cli import main
 from lmesim.scenarios import DRIVEN_HEADER, EVOLVE_HEADER, kind_violations
 
@@ -345,7 +345,7 @@ def test_sweep_lets_programming_errors_propagate(base_system, monkeypatch):
     def broken(*_args):
         raise TypeError("bug")
 
-    monkeypatch.setattr(scenarios, "steady_heat_currents", broken)
+    monkeypatch.setattr(scenarios, "chain_stack", broken)
     cfg = ScenarioConfig(
         kind="sweep_boundary", system=base_system,
         integrator=IntegratorConfig(),
@@ -506,6 +506,61 @@ def test_emit_csv_header_only(tmp_path):
     assert path.read_text() == "x,y\n"
 
 
+def format_cell(value) -> str:
+    """One cell as emit_csv formatted it cell by cell; the byte oracle."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.16e}"
+    text = str(value)
+    if any(ch in text for ch in (",", '"', "\n")):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def per_cell_csv(table) -> bytes:
+    lines = [",".join(table.header)]
+    lines += [",".join(format_cell(v) for v in row) for row in table.rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def awkward_row(row, k):
+    """`row` with its cells swapped for values of the same kind that are
+    awkward to format: NaN, inf, -0.0, NumPy scalars, text to quote."""
+    floats = (math.nan, -0.0, math.inf, np.float64(1.0 / 3.0), -1e-300, np.float32(0.1))
+    ints = (np.True_, np.int64(-7), False, 12)
+    texts = ('error:"quoted", text', 'say "hi"', "two\nlines", "error:StabilityError", "ok")
+    swapped = []
+    for j, value in enumerate(row):
+        if isinstance(value, float):
+            swapped.append(floats[(j + k) % len(floats)])
+        elif isinstance(value, int):
+            swapped.append(ints[(j + k) % len(ints)])
+        else:
+            swapped.append(texts[(j + k) % len(texts)])
+    return tuple(swapped)
+
+
+@pytest.mark.parametrize("kind", scenarios.KINDS)
+def test_emit_csv_writes_the_per_cell_bytes(tmp_path, base_system, driven_system, kind):
+    # small grids with a failing point: zeta^2 = 0 in the scaling sweep, a
+    # horizon too short for tau0 in the relaxation sweep
+    cfg = ScenarioConfig(
+        kind=kind, system=driven_system if kind == "driven" else base_system,
+        integrator=IntegratorConfig(step=1e-4), horizon=0.02,
+        t_ratio_grid=(1.0, 2.5), eps_ratio_grid=(0.5, 2.5),
+        detuning_grid=(0.0, 5.0), scaling_grid=(0.0, 0.5),
+        relaxation_grid=(0.5,),
+    )
+    table = run_scenario(cfg)
+    table.rows += [awkward_row(table.rows[0], k) for k in range(5)]
+    path = tmp_path / "t.csv"
+    emit_csv(table, path)
+    assert path.read_bytes() == per_cell_csv(table)
+
+
 def test_csv_table_rejects_ragged_rows():
     with pytest.raises(ValueError):
         CsvTable(("x", "y"), [(1.0,)])
@@ -628,7 +683,8 @@ def test_cli_rejects_non_finite_step(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_cli_reports_unwritable_output(tmp_path, capsys, target, source):
+def test_cli_reports_unwritable_output(tmp_path, capsys, monkeypatch, target,
+                                       source):
     out = tmp_path / "missing" / "a.csv" if target == "missing_dir" else tmp_path
     if source == "flag":
         argv = ["--out", str(out)]
@@ -636,6 +692,11 @@ def test_cli_reports_unwritable_output(tmp_path, capsys, target, source):
     else:
         argv = []
         extra = SHORT_EVOLVE.replace("horizon = 0.02", f"horizon = 0.02\nout = {out}")
+
+    def never(_cfg):
+        pytest.fail("the scenario ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_scenario", never)
     rc = main(["evolve", "--config", write_config(tmp_path, extra), *argv])
     assert rc == 1
     captured = capsys.readouterr()
