@@ -74,11 +74,11 @@ from .thermo import (
     effective_temperature_check,
     entropy,
     entropy_production_rate,
-    entropy_time_derivative,
     find_tau0,
     fit_power_law,
     heat_current,
     thermo_record,
+    trajectory_observables,
 )
 
 __version__ = "0.1.0"

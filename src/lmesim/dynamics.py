@@ -185,11 +185,13 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     """Propagate rho0 over t_span = (t0, t1) (or a bare final time).
 
     Undriven frames are exact (one matrix exponential per distinct frame
-    spacing); driven frames come from fixed-step RK4.  Frames are validated
-    as they are recorded: the trace must stay within 1e-10 of one, and for
-    undriven configurations the smallest eigenvalue must stay above
-    -positivity_tol (driven runs only record it, since the time-dependent
-    generator is not guaranteed completely positive).
+    spacing); driven frames come from fixed-step RK4.  The recorded frames
+    are validated together, with the error naming the first bad frame: the
+    trace must stay within 1e-10 of one, and for undriven configurations
+    the smallest eigenvalue must stay above -positivity_tol (driven runs
+    only record it, since the time-dependent generator is not guaranteed
+    completely positive).  A driven run stops at the first frame whose
+    trace drifted.
     """
     icfg = integrator or IntegratorConfig()
     validate_density(rho0)
@@ -213,7 +215,6 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     rho = rho0.astype(complex)
     times = [t0]
     states = [rho]
-    min_eigs = [_check_frame(rho, t0, icfg, driven)]
     rate_flags = [False]
 
     n_full, tail, frames = _frame_plan(t0, t1, h, stride)
@@ -228,13 +229,16 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
             rho = _normalize((propagator(span) @ rho.reshape(16)).reshape(4, 4), t)
         times.append(t)
         states.append(rho)
-        min_eigs.append(_check_frame(rho, t, icfg, driven))
         rate_flags.append(neg_seen)
+        if driven and not abs(np.trace(rho).real - 1.0) <= FRAME_TRACE_TOL:
+            break    # RK4 blew up; the frame check below reports it
 
+    times = np.array(times)
+    states = np.array(states)
     return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        min_eigenvalues=np.array(min_eigs),
+        times=times,
+        states=states,
+        min_eigenvalues=_check_frame(states, times, icfg, driven),
         rate_negative=np.array(rate_flags, dtype=bool),
         step=h,
         record_stride=stride,
@@ -242,19 +246,32 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     )
 
 
-def _check_frame(rho, t, icfg: IntegratorConfig, driven: bool) -> float:
-    """Raise on trace drift (a NaN trace counts as drift) or, undriven, on a
-    negative eigenvalue; return the smallest eigenvalue."""
-    tr = float(np.trace(rho).real)
-    if not abs(tr - 1.0) <= FRAME_TRACE_TOL:
-        raise IntegrationError(f"trace drifted to {tr!r}", time=t)
-    low = float(np.linalg.eigvalsh(rho)[0])
-    if not driven and low < -icfg.positivity_tol:
+def _check_frame(states, times, icfg: IntegratorConfig, driven: bool) -> np.ndarray:
+    """Check frames in order and return their smallest eigenvalues.
+
+    ``states`` is one frame or a stack of them at ``times``.  Raises
+    IntegrationError at the first frame whose trace drifted (a NaN trace
+    counts as drift) or, undriven, whose smallest eigenvalue is below
+    -positivity_tol.  The traces are checked first, and one eigenvalue
+    solve then covers the frames before the first drift.
+    """
+    states = np.asarray(states).reshape(-1, 4, 4)
+    times = np.atleast_1d(times)
+    traces = np.trace(states, axis1=1, axis2=2).real
+    drifted = np.flatnonzero(~(np.abs(traces - 1.0) <= FRAME_TRACE_TOL))
+    end = drifted[0] if drifted.size else len(states)
+    lows = np.linalg.eigvalsh(states[:end])[:, 0]
+    negative = np.flatnonzero(lows < -icfg.positivity_tol)
+    if not driven and negative.size:
+        k = negative[0]
         raise IntegrationError(
-            f"state eigenvalue {low:.3e} below -{icfg.positivity_tol:.1e}",
-            time=t,
+            f"state eigenvalue {lows[k]:.3e} below -{icfg.positivity_tol:.1e}",
+            time=float(times[k]),
         )
-    return low
+    if drifted.size:
+        raise IntegrationError(f"trace drifted to {float(traces[end])!r}",
+                               time=float(times[end]))
+    return lows
 
 
 def _driven_step(rho, t, h, cfg: SystemConfig):

@@ -15,6 +15,8 @@ from .errors import PositivityError, StabilityError
 
 #: eigenvalues below this are clamped before taking a matrix logarithm
 LOG_CLAMP = 1e-12
+#: an eigenvalue below minus this makes the matrix logarithm fail
+LOG_POSITIVITY_TOL = 1e-10
 
 HURWITZ_TOL = -1e-14
 
@@ -129,7 +131,16 @@ def lyapunov_solve_stack(drift: np.ndarray, diffusion: np.ndarray):
     return solutions, failures
 
 
-def matrix_log_hermitian(matrix: np.ndarray, positivity_tol: float = 1e-10) -> np.ndarray:
+def clamped_log(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
+    """Matrix logarithm V diag(ln w) V† from a Hermitian eigendecomposition,
+    with eigenvalues below 1e-12 clamped to 1e-12; for one matrix or a stack."""
+    logs = np.log(np.maximum(eigenvalues, LOG_CLAMP))
+    out = (eigenvectors * logs[..., None, :]) @ eigenvectors.conj().swapaxes(-1, -2)
+    return hermitian_part(out)
+
+
+def matrix_log_hermitian(matrix: np.ndarray,
+                         positivity_tol: float = LOG_POSITIVITY_TOL) -> np.ndarray:
     """Matrix logarithm of a Hermitian positive-semidefinite matrix.
 
     Eigenvalues below 1e-12 are clamped to 1e-12 before the scalar log; an
@@ -140,6 +151,4 @@ def matrix_log_hermitian(matrix: np.ndarray, positivity_tol: float = 1e-10) -> n
         raise PositivityError(
             f"matrix has negative eigenvalue {w[0]:.3e} beyond tolerance"
         )
-    clamped = np.maximum(w, LOG_CLAMP)
-    out = (v * np.log(clamped)) @ v.conj().T
-    return hermitian_part(out)
+    return clamped_log(w, v)

@@ -324,11 +324,21 @@ def lme_rhs(rho: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return (liouvillian_matrix(cfg) @ rho.reshape(16)).reshape(4, 4)
 
 
-def dissipator(i: int, rho: np.ndarray, t: float, cfg: SystemConfig) -> np.ndarray:
-    """Single-bath dissipator 𝓛_i[ρ] at time t, without the ζ² factor."""
-    w, _ = _bath_weights(i, cfg, drive(i, t, cfg), _drive_dot(i, t, cfg))
-    superop = (np.array(w) @ _dissipator_basis()[i - 1]).view(complex)
-    return (superop.reshape(16, 16) @ rho.reshape(16)).reshape(4, 4)
+def dissipator(i: int, rho: np.ndarray, t, cfg: SystemConfig) -> np.ndarray:
+    """Single-bath dissipator 𝓛_i[ρ] at time t, without the ζ² factor.
+
+    ``rho`` may also be an (n, 4, 4) stack of states with ``t`` their n
+    times.  An undriven configuration's superoperator does not depend on t,
+    so it is built once and broadcast over the stack; a driven one is built
+    per time from that time's weights.
+    """
+    times = np.atleast_1d(t) if cfg.is_driven else (0.0,)
+    weights = np.array([
+        _bath_weights(i, cfg, drive(i, s, cfg), _drive_dot(i, s, cfg))[0]
+        for s in times
+    ])
+    superops = (weights @ _dissipator_basis()[i - 1]).view(complex).reshape(-1, 16, 16)
+    return (superops @ rho.reshape(-1, 16, 1)).reshape(rho.shape)
 
 
 @lru_cache(maxsize=128)

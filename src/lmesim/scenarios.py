@@ -50,7 +50,10 @@ from .gaussian import (
 )
 from .linalg import hermitian_part, lyapunov_solve_stack
 from .model import QubitParams, SystemConfig, maximum_entropy_state
-from .thermo import effective_temperature_check, find_tau0, thermo_record
+from .thermo import effective_temperature_check, find_tau0, trajectory_observables
+# unused here since the table is computed in one batched pass, but the
+# benchmark's tracer (perfbench/tracer.py) wraps this name on this module
+from .thermo import thermo_record  # noqa: F401
 
 KINDS = (
     "evolve", "steady", "sweep_boundary", "sweep_detuning",
@@ -363,22 +366,14 @@ def _trajectory_table(cfg: ScenarioConfig, driven: bool) -> CsvTable:
     if horizon is None:
         horizon = DEFAULT_HORIZONS["driven" if driven else "evolve"]
     traj = integrate(maximum_entropy_state(), horizon, system, cfg.integrator)
-    rows = []
-    for t, state, low, neg in zip(
-        traj.times, traj.states, traj.min_eigenvalues, traj.rate_negative
-    ):
-        t = float(t)
-        rec = thermo_record(state, t, system)
-        row = (
-            rec.t, rec.j1, rec.j2, rec.js1, rec.ji1, rec.js2, rec.ji2,
-            rec.entropy, rec.sigma_dot, float(low), int(bool(neg)),
-        )
-        if driven:
-            row = row + (
-                effective_temperature_check(1, t, system),
-                effective_temperature_check(2, t, system),
-            )
-        rows.append(row)
+    cols = trajectory_observables(traj.times, traj.states, system)
+    columns = [*cols[:-1], traj.min_eigenvalues, traj.rate_negative.astype(int)]
+    if driven:
+        columns += [
+            np.array([effective_temperature_check(i, t, system) for t in cols.t.tolist()])
+            for i in (1, 2)
+        ]
+    rows = list(zip(*(c.tolist() for c in columns)))
     return CsvTable(DRIVEN_HEADER if driven else EVOLVE_HEADER, rows)
 
 

@@ -13,6 +13,13 @@ The heat current splits into the part flowing through the bare qubit
 Hamiltonians and the part through the exchange interaction:
 J_i = J_i^s + J_i^I with J_i^s = ζ² Tr(H_bare 𝓛_i[ρ]) and
 J_i^I = ζ² Tr(H_int 𝓛_i[ρ]); the identity holds to rounding by linearity.
+
+`trajectory_observables` computes every observable of a whole trajectory
+in one pass over its (n, 4, 4) state stack: the currents are linear in ρ,
+so each bath's dissipator is applied to the stack at once, and one batched
+``eigh`` gives the entropy, the clamped ln ρ and the positivity margin.
+`thermo_record`, `heat_current` and `entropy_production_rate` are its
+one-frame views, and `find_tau0` scans Σ̇ from it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import IntegratorConfig, Trajectory, integrate
-from .linalg import matrix_log_hermitian
+from .errors import PositivityError
+from .linalg import LOG_POSITIVITY_TOL, clamped_log, hermitian_part
+# unused here since the observables are batched, but the benchmark's tracer
+# (perfbench/tracer.py) wraps this name on this module
+from .linalg import matrix_log_hermitian  # noqa: F401
 from .model import (
     SystemConfig,
     bare_hamiltonian,
@@ -40,6 +51,8 @@ TAU0_TIME_TOL = 1e-6
 # residual under which a crossing-free trajectory counts as having reached
 # its steady state (so Σ̇ was genuinely positive throughout, not cut short)
 STEADY_RESIDUAL = 1e-6
+# frames per block of `trajectory_observables`
+FRAME_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -78,80 +91,137 @@ class PowerLawFit(NamedTuple):
     r_squared: float
 
 
-def _real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", a, b).real)
+class FrameColumns(NamedTuple):
+    """Observables of every frame of a trajectory: one array per field of
+    `ThermoRecord`, in its order, then the smallest eigenvalue of each
+    frame's Hermitian part (the one the matrix logarithm clamps)."""
+
+    t: np.ndarray
+    j1: np.ndarray
+    j2: np.ndarray
+    js1: np.ndarray
+    ji1: np.ndarray
+    js2: np.ndarray
+    ji2: np.ndarray
+    entropy: np.ndarray
+    sigma_dot: np.ndarray
+    lowest: np.ndarray
+
+
+def _real_traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(a_k b_k) over the frames; either factor may be one matrix."""
+    return np.einsum("...ij,...ji->...", a, b).real
+
+
+def _entropy_of_spectrum(w: np.ndarray) -> np.ndarray:
+    """-Σ p ln p over the positive eigenvalues along the last axis."""
+    positive = w > 0.0
+    return -np.sum(np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0),
+                   axis=-1)
+
+
+def _hamiltonians(times: np.ndarray, cfg: SystemConfig):
+    """(H_bare, H_int): H_bare is one matrix for an undriven configuration
+    and stacked over the frame times for a driven one."""
+    if cfg.is_driven:
+        h_bare = np.array([bare_hamiltonian(float(t), cfg) for t in times])
+    else:
+        h_bare = bare_hamiltonian(0.0, cfg)
+    return h_bare, interaction_hamiltonian(cfg)
+
+
+def _currents(h_bare: np.ndarray, h_int: np.ndarray, diss: np.ndarray):
+    """(J, J^s, J^I) of one bath over the frames, from their ζ²𝓛[ρ]."""
+    return (_real_traces(h_bare + h_int, diss), _real_traces(h_bare, diss),
+            _real_traces(h_int, diss))
+
+
+def _check_log_spectrum(times: np.ndarray, lowest: np.ndarray) -> None:
+    """The matrix logarithm's checks over frames: warn when a smallest
+    eigenvalue is below LOG_EIG_WARN (the clamp then biases Σ̇), and raise
+    PositivityError at the first frame below -LOG_POSITIVITY_TOL."""
+    near = np.flatnonzero(lowest < LOG_EIG_WARN)
+    if near.size:
+        k = near[0]
+        more = f" (and in {near.size - 1} later frames)" if near.size > 1 else ""
+        warnings.warn(
+            f"state eigenvalue {lowest[k]:.3e} below {LOG_EIG_WARN:.0e} at "
+            f"t={times[k]:.6g}{more}; the clamped matrix log biases "
+            "entropy-production values",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    bad = np.flatnonzero(lowest < -LOG_POSITIVITY_TOL)
+    if bad.size:
+        k = bad[0]
+        raise PositivityError(
+            f"state at t={times[k]:.6g} has negative eigenvalue "
+            f"{lowest[k]:.3e} beyond tolerance"
+        )
+
+
+def trajectory_observables(times, states, cfg: SystemConfig,
+                           check: bool = True) -> FrameColumns:
+    """Heat currents, entropy and Σ̇ of every frame of a trajectory at once.
+
+    ``states`` is the (n, 4, 4) stack of the frames at ``times``.  The
+    currents are linear in ρ: each bath's dissipator is applied to the whole
+    stack (one 16x16 superoperator when undriven, one per frame when
+    driven).  One ``eigh`` over the Hermitian parts gives S, the clamped
+    ln ρ and each frame's smallest eigenvalue.  The frames are taken
+    FRAME_BLOCK at a time, which bounds the temporaries of a long run.
+    With ``check`` the frames get the matrix logarithm's checks
+    (`_check_log_spectrum`).
+    """
+    times = np.asarray(times, dtype=float)
+    states = np.asarray(states, dtype=complex)
+    blocks = [_block_observables(times[k:k + FRAME_BLOCK],
+                                 states[k:k + FRAME_BLOCK], cfg)
+              for k in range(0, len(times), FRAME_BLOCK)]
+    cols = FrameColumns(*map(np.concatenate, zip(*blocks)))
+    if check:
+        _check_log_spectrum(cols.t, cols.lowest)
+    return cols
+
+
+def _block_observables(times: np.ndarray, states: np.ndarray,
+                       cfg: SystemConfig) -> FrameColumns:
+    w, v = np.linalg.eigh(hermitian_part(states))
+    logm = clamped_log(w, v)
+    h_bare, h_int = _hamiltonians(times, cfg)
+    h_full = h_bare + h_int
+    diss = [cfg.zeta2 * dissipator(i, states, times, cfg) for i in (1, 2)]
+    (j1, js1, ji1), (j2, js2, ji2) = (_currents(h_bare, h_int, d) for d in diss)
+    sigma = (-_real_traces(logm + cfg.bath1.beta * h_full, diss[0])
+             - _real_traces(logm + cfg.bath2.beta * h_full, diss[1]))
+    return FrameColumns(
+        t=times, j1=j1, j2=j2, js1=js1, ji1=ji1, js2=js2, ji2=ji2,
+        entropy=_entropy_of_spectrum(w), sigma_dot=sigma, lowest=w[:, 0],
+    )
 
 
 def heat_current(i: int, rho: np.ndarray, t: float, cfg: SystemConfig):
     """(J_i, J_i^s, J_i^I): total, bare-Hamiltonian and interaction parts."""
-    diss = cfg.zeta2 * dissipator(i, rho, t, cfg)
-    h_bare = bare_hamiltonian(t, cfg)
-    h_int = interaction_hamiltonian(cfg)
-    total = _real_trace_product(h_bare + h_int, diss)
-    bare = _real_trace_product(h_bare, diss)
-    inter = _real_trace_product(h_int, diss)
-    return total, bare, inter
+    h_bare, h_int = _hamiltonians([t], cfg)
+    diss = cfg.zeta2 * dissipator(i, np.asarray(rho)[None], [t], cfg)
+    return tuple(float(j[0]) for j in _currents(h_bare, h_int, diss))
 
 
 def entropy(rho: np.ndarray) -> float:
     """von Neumann entropy -Tr(ρ ln ρ) in nats."""
-    probs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    probs = probs[probs > 0.0]
-    return float(-np.sum(probs * np.log(probs)))
-
-
-def _checked_log(rho: np.ndarray) -> np.ndarray:
-    low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if low < LOG_EIG_WARN:
-        warnings.warn(
-            f"state eigenvalue {low:.3e} below {LOG_EIG_WARN:.0e}; the "
-            "clamped matrix log biases entropy-production values",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return matrix_log_hermitian(rho)
-
-
-def entropy_time_derivative(rho: np.ndarray, t: float, cfg: SystemConfig) -> float:
-    """dS/dt = -ζ² Σ_i Tr(𝓛_i[ρ] ln ρ) (the unitary part contributes zero)."""
-    logm = _checked_log(rho)
-    out = 0.0
-    for i in (1, 2):
-        out -= cfg.zeta2 * _real_trace_product(dissipator(i, rho, t, cfg), logm)
-    return out
+    return float(_entropy_of_spectrum(np.linalg.eigvalsh(hermitian_part(rho))))
 
 
 def entropy_production_rate(rho: np.ndarray, t: float, cfg: SystemConfig) -> float:
-    """Σ̇ = -ζ² Σ_i Tr{[ln ρ + β_i H_S(t)] 𝓛_i[ρ]}."""
-    logm = _checked_log(rho)
-    h_full = bare_hamiltonian(t, cfg) + interaction_hamiltonian(cfg)
-    out = 0.0
-    for i in (1, 2):
-        diss = cfg.zeta2 * dissipator(i, rho, t, cfg)
-        out -= _real_trace_product(logm + cfg.bath(i).beta * h_full, diss)
-    return out
+    """Σ̇ = -ζ² Σ_i Tr{[ln ρ + β_i H_S(t)] 𝓛_i[ρ]}, for one state."""
+    return float(trajectory_observables([t], np.asarray(rho)[None], cfg).sigma_dot[0])
 
 
 def thermo_record(rho: np.ndarray, t: float, cfg: SystemConfig) -> ThermoRecord:
-    """All per-frame observables in one pass (shared dissipators and log)."""
-    h_bare = bare_hamiltonian(t, cfg)
-    h_int = interaction_hamiltonian(cfg)
-    h_full = h_bare + h_int
-    logm = _checked_log(rho)
-    js = []
-    ji = []
-    jtot = []
-    sigma = 0.0
-    for i in (1, 2):
-        diss = cfg.zeta2 * dissipator(i, rho, t, cfg)
-        jtot.append(_real_trace_product(h_full, diss))
-        js.append(_real_trace_product(h_bare, diss))
-        ji.append(_real_trace_product(h_int, diss))
-        sigma -= _real_trace_product(logm + cfg.bath(i).beta * h_full, diss)
-    return ThermoRecord(
-        t=t, j1=jtot[0], j2=jtot[1], js1=js[0], ji1=ji[0], js2=js[1],
-        ji2=ji[1], entropy=entropy(rho), sigma_dot=sigma,
-    )
+    """All observables of one frame (the one-frame case of
+    `trajectory_observables`)."""
+    cols = trajectory_observables([t], np.asarray(rho)[None], cfg)
+    return ThermoRecord(t, *(float(col[0]) for col in cols[1:-1]))
 
 
 def effective_temperature_check(i: int, t: float, cfg: SystemConfig) -> float:
@@ -169,26 +239,27 @@ def find_tau0(traj: Trajectory, cfg: SystemConfig,
               integrator: IntegratorConfig | None = None) -> CrossingResult:
     """Locate the first downward zero of Σ̇ along a trajectory.
 
-    The coarse bracket comes from the recorded frames, scanned in order
-    up to the first crossing; the root is then bisected to 1e-6 in time,
-    with each probe obtained by a fresh short integration from the last
-    stored frame before the bracket (no interpolation of Σ̇ samples).
+    The coarse bracket is the first sign change of Σ̇ over the recorded
+    frames, all computed in one `trajectory_observables` pass (its checks
+    apply only to the frames up to that change, as a scan in order would);
+    the root is then bisected to 1e-6 in time, with each probe obtained by
+    a fresh short integration from the last stored frame before the
+    bracket (no interpolation of Σ̇ samples).
     """
     icfg = integrator or IntegratorConfig()
-    sigmas = []
-    cross = None
-    for t, state in zip(traj.times, traj.states):
-        sigmas.append(entropy_production_rate(state, float(t), cfg))
-        if len(sigmas) > 1 and sigmas[-2] > 0.0 >= sigmas[-1]:
-            cross = len(sigmas) - 2
-            break
-    if cross is None:
-        if not any(sigma > 0.0 for sigma in sigmas):
+    cols = trajectory_observables(traj.times, traj.states, cfg, check=False)
+    sigmas = cols.sigma_dot
+    down = np.flatnonzero((sigmas[:-1] > 0.0) & (sigmas[1:] <= 0.0))
+    scanned = int(down[0]) + 2 if down.size else len(sigmas)
+    _check_log_spectrum(cols.t[:scanned], cols.lowest[:scanned])
+    if not down.size:
+        if not np.any(sigmas > 0.0):
             return CrossingResult(found=False, reason="never_positive")
         if traj.final_rhs_norm < STEADY_RESIDUAL or math.isnan(traj.final_rhs_norm):
             return CrossingResult(found=False, reason="always_positive")
         return CrossingResult(found=False, reason="insufficient_horizon")
 
+    cross = int(down[0])
     base_t = float(traj.times[cross])
     base_state = traj.states[cross]
     probe_cfg = replace(icfg, step=icfg.step or traj.step,

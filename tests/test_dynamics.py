@@ -50,6 +50,23 @@ def test_check_frame_treats_nan_trace_as_drift():
             _check_frame(rho, 0.5, IntegratorConfig(), driven)
 
 
+def test_check_frame_reports_the_first_failing_frame_of_a_stack():
+    good = maximum_entropy_state()
+    negative = np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6]).astype(complex)
+    states = np.array([good, negative, 2.0 * good, good])
+    times = [0.0, 0.1, 0.2, 0.3]
+    icfg = IntegratorConfig()
+    with pytest.raises(IntegrationError, match="state eigenvalue") as err:
+        _check_frame(states, times, icfg, False)
+    assert err.value.time == 0.1
+    # driven runs only record the eigenvalue, so the drift is the failure
+    with pytest.raises(IntegrationError, match="trace drifted to 2.0") as err:
+        _check_frame(states, times, icfg, True)
+    assert err.value.time == 0.2
+    lows = _check_frame(states[:2], times[:2], icfg, True)
+    assert np.array_equal(lows, [np.linalg.eigvalsh(s)[0] for s in states[:2]])
+
+
 def test_default_step_uses_fastest_scale(base_system):
     # gap scale dominates here: 2 eps_max = 20 against zeta^2 max-rate ~ 3
     rate_max = max(

@@ -1,33 +1,44 @@
-"""Entropy, heat currents and the entropy-production crossing finder.
+"""Entropy, heat currents, the batched observable kernel and the
+entropy-production crossing finder.
 
 The dS/dt check propagates the state with an independent route — the
 matrix exponential of the vectorized generator — so that the finite
-difference of the entropy never touches the stepper under test.
+difference of the entropy never touches the stepper under test.  The
+kernel is checked against the per-frame computation it replaced, kept
+here as the oracle.
 """
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import make_system, random_density
+from conftest import driven_systems, make_system, random_density, undriven_systems
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmesim import (
     CrossingResult,
     IntegratorConfig,
+    PositivityError,
+    bare_hamiltonian,
+    dissipator,
     effective_temperature_check,
     entropy,
     entropy_production_rate,
-    entropy_time_derivative,
     find_tau0,
     fit_power_law,
     gibbs_product_state,
     heat_current,
     integrate,
+    interaction_hamiltonian,
     liouvillian_matrix,
+    matrix_log_hermitian,
     maximum_entropy_state,
     thermo_record,
+    trajectory_observables,
 )
 from lmesim import thermo
 
@@ -101,6 +112,18 @@ def test_steady_heat_flows_hot_to_system_to_cold(base_system, base_steady):
 # entropy rate and production rate
 
 
+def _real_trace(a, b):
+    return float(np.einsum("ij,ji->", a, b).real)
+
+
+def _entropy_rate(rho, t, cfg):
+    """dS/dt = -ζ² Σ_i Tr(𝓛_i[ρ] ln ρ), from the per-bath dissipators and the
+    single-matrix logarithm."""
+    logm = matrix_log_hermitian(rho)
+    return -sum(cfg.zeta2 * _real_trace(dissipator(i, rho, t, cfg), logm)
+                for i in (1, 2))
+
+
 def test_entropy_time_derivative_against_finite_difference(base_system):
     # independent propagation: matrix exponential of the vectorized generator
     gen = liouvillian_matrix(base_system)
@@ -110,18 +133,21 @@ def test_entropy_time_derivative_against_finite_difference(base_system):
         return (scipy.linalg.expm(gen * t) @ rho0.reshape(16)).reshape(4, 4)
 
     h = 1e-4
-    for t in (0.3, 1.0, 2.5):
+    times = (0.3, 1.0, 2.5)
+    # dS/dt = Σ̇ + Σ_i β_i J_i, all from one kernel pass over the frames
+    cols = trajectory_observables(times, [state_at(t) for t in times], base_system)
+    ds_dt = (cols.sigma_dot + base_system.bath1.beta * cols.j1
+             + base_system.bath2.beta * cols.j2)
+    for t, rate in zip(times, ds_dt):
         fd = (entropy(state_at(t + h)) - entropy(state_at(t - h))) / (2.0 * h)
-        assert entropy_time_derivative(state_at(t), t, base_system) == pytest.approx(
-            fd, abs=1e-6
-        )
+        assert rate == pytest.approx(fd, abs=1e-6)
 
 
 def test_production_rate_assembles_from_entropy_rate_and_currents(rng, driven_system):
     for t in (0.0, 0.9, 4.2):
         rho = random_density(rng)
         direct = entropy_production_rate(rho, t, driven_system)
-        assembled = entropy_time_derivative(rho, t, driven_system)
+        assembled = _entropy_rate(rho, t, driven_system)
         for i in (1, 2):
             assembled -= driven_system.bath(i).beta * heat_current(i, rho, t, driven_system)[0]
         assert direct == pytest.approx(assembled, abs=1e-10)
@@ -169,6 +195,65 @@ def test_thermo_record_matches_individual_observables(base_trajectory, base_syst
     assert rec.sigma_dot == pytest.approx(
         entropy_production_rate(rho, t, base_system), rel=1e-12, abs=1e-13
     )
+
+
+# ---------------------------------------------------------------------------
+# batched observable kernel
+
+
+def _per_frame_record(rho, t, cfg):
+    """One frame's (J1, J2, Js1, JI1, Js2, JI2, S, Σ̇) as computed before the
+    batched kernel: two dissipator calls, a checked matrix log, a separate
+    eigenvalue solve for S and one trace per product."""
+    h_bare = bare_hamiltonian(t, cfg)
+    h_int = interaction_hamiltonian(cfg)
+    h_full = h_bare + h_int
+    logm = matrix_log_hermitian(rho)
+    js, ji, jtot = [], [], []
+    sigma = 0.0
+    for i in (1, 2):
+        diss = cfg.zeta2 * dissipator(i, rho, t, cfg)
+        jtot.append(_real_trace(h_full, diss))
+        js.append(_real_trace(h_bare, diss))
+        ji.append(_real_trace(h_int, diss))
+        sigma -= _real_trace(logm + cfg.bath(i).beta * h_full, diss)
+    probs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    probs = probs[probs > 0.0]
+    s = float(-np.sum(probs * np.log(probs)))
+    return (jtot[0], jtot[1], js[0], ji[0], js[1], ji[1], s, sigma)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(cfg=st.one_of(undriven_systems, driven_systems),
+       times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_trajectory_observables_match_per_frame_records(cfg, times, seed):
+    rng = np.random.default_rng(seed)
+    states = np.array([random_density(rng) for _ in times])
+    cols = trajectory_observables(times, states, cfg)
+    assert np.array_equal(cols.t, times)
+    got = np.array(cols[1:-1]).T
+    for row, t, rho in zip(got, times, states):
+        want = np.array(_per_frame_record(rho, t, cfg))
+        assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert np.allclose(cols.lowest, np.linalg.eigvalsh(states)[:, 0], rtol=0.0, atol=1e-14)
+
+
+def test_trajectory_observables_warn_on_a_near_singular_frame(base_system):
+    near = np.diag([1.0 - 1.5e-10, 2e-10, 0.0, -5e-11]).astype(complex)
+    states = np.array([maximum_entropy_state(), near])
+    with pytest.warns(RuntimeWarning, match="clamped matrix log"):
+        cols = trajectory_observables([0.0, 0.1], states, base_system)
+    assert cols.lowest[1] == pytest.approx(-5e-11, abs=1e-15)
+    assert np.all(np.isfinite(cols.sigma_dot))
+
+
+def test_trajectory_observables_reject_a_negative_frame(base_system):
+    bad = np.diag([1.0 + 1e-9, 0.0, 0.0, -1e-9]).astype(complex)
+    states = np.array([maximum_entropy_state(), bad, maximum_entropy_state()])
+    with pytest.warns(RuntimeWarning, match="clamped matrix log"):
+        with pytest.raises(PositivityError, match="t=0.1 "):
+            trajectory_observables([0.0, 0.1, 0.2], states, base_system)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +337,24 @@ def test_find_tau0_stops_scanning_at_the_crossing(base_trajectory, base_system,
     monkeypatch.setattr(thermo, "entropy_production_rate", counting)
     assert find_tau0(traj, base_system) == full_scan
     assert len(frame_evals) <= k + 2 < len(traj.times)
+
+
+def test_find_tau0_checks_only_the_frames_up_to_the_crossing(base_trajectory,
+                                                              base_system):
+    want = find_tau0(base_trajectory, base_system)
+    bad = np.diag([1.0 + 1e-9, 0.0, 0.0, -1e-9]).astype(complex)
+    k = int(np.searchsorted(base_trajectory.times, want.bracket[1])) + 1
+    states = base_trajectory.states.copy()
+    states[k] = bad                       # after the crossing: never looked at
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        late = dataclasses.replace(base_trajectory, states=states)
+        assert find_tau0(late, base_system) == want
+    states[1] = bad                       # before it: the scan fails there
+    early = dataclasses.replace(base_trajectory, states=states)
+    with pytest.warns(RuntimeWarning, match="clamped matrix log"):
+        with pytest.raises(PositivityError):
+            find_tau0(early, base_system)
 
 
 def test_find_tau0_reports_always_positive_without_coupling():
