@@ -20,7 +20,6 @@ from .dynamics import (
     Trajectory,
     default_step,
     integrate,
-    rk4_step,
     steady_state,
 )
 from .errors import (

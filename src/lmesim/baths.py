@@ -20,9 +20,9 @@ The closed-form decay rate γ(ω) = π J(ω)(coth(βω/2)+1) is exact for this
 spectral density; the Lamb-shift and memory-correction forms assume
 k_B T ≳ Ω.
 
-`spectral_density` and `decay_rate` also take an ndarray of frequencies,
-which the steady sweeps use to compute a whole grid's rates in one call;
-the other closed forms take scalars.
+`spectral_density`, `decay_rate` and `memory_correction_rate` also take an
+ndarray of frequencies, which the steady sweeps and the driven generator use
+to compute many rates in one call; the other closed forms take scalars.
 """
 
 from __future__ import annotations
@@ -116,6 +116,20 @@ def spectral_density_derivative(omega, bath: BathParams):
     return (2.0 * bath.kappa / math.pi) * cut2 * (cut2 - omega * omega) / (den * den)
 
 
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` element by element: NumPy's expm1 and sinh differ
+    from ``math``'s in the last bit for a few per cent of arguments."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _split_zero_frequency(freq, bath: BathParams):
+    """``freq`` as an array, the mask of those that take the ω → 0 limit, and
+    ``freq`` with them set to 1 (no 0/0 where the limit is taken)."""
+    freq = np.asarray(freq, dtype=float)
+    small = np.abs(freq) < ZERO_FREQ_FACTOR * bath.cutoff
+    return freq, small, np.where(small, 1.0, freq)
+
+
 def _thermal_weight(omega: float, bath: BathParams) -> float:
     """J(ω) coth(βω/2); finite at ω = 0 where it tends to 4κ k_B T / π."""
     beta = bath.beta
@@ -193,22 +207,14 @@ def decay_rate(freq, bath: BathParams):
     ω = 0 this tends to 4κ k_B T.  Written with expm1 so that detailed
     balance γ(ω) = exp(βω) γ(-ω) holds to machine precision.
 
-    `freq` may be a float or an ndarray.  Both forms take ``math.expm1``
-    (NumPy's expm1 differs from it in the last bit for a few per cent of
-    arguments), so an array gives the scalar form's bits element by element.
+    `freq` may be a float or an ndarray.  ``math.expm1`` is taken element by
+    element, so every rate has the bits of the scalar formula.
     """
-    # the float test first keeps the scalar call cheap: a driven run makes
-    # four per RK4 stage
-    if type(freq) is not float and isinstance(freq, np.ndarray):
-        small = np.abs(freq) < ZERO_FREQ_FACTOR * bath.cutoff
-        safe = np.where(small, 1.0, freq)    # no 0/0 where the limit is taken
-        expm1 = np.fromiter(map(math.expm1, (-bath.beta * safe).ravel().tolist()),
-                            float, safe.size).reshape(safe.shape)
-        rate = 2.0 * math.pi * spectral_density(safe, bath) / -expm1
-        return np.where(small, 4.0 * bath.kappa * bath.k_B * bath.temperature, rate)
-    if abs(freq) < ZERO_FREQ_FACTOR * bath.cutoff:
-        return 4.0 * bath.kappa * bath.k_B * bath.temperature
-    return 2.0 * math.pi * spectral_density(freq, bath) / (-math.expm1(-bath.beta * freq))
+    _, small, safe = _split_zero_frequency(freq, bath)
+    rate = 2.0 * math.pi * spectral_density(safe, bath) / -_elementwise(
+        math.expm1, -bath.beta * safe)
+    rate = np.where(small, 4.0 * bath.kappa * bath.k_B * bath.temperature, rate)
+    return rate if isinstance(freq, np.ndarray) else float(rate)
 
 
 def lamb_shift(freq: float, bath: BathParams) -> float:
@@ -226,31 +232,30 @@ def one_sided_rate(freq: float, bath: BathParams) -> complex:
     return complex(0.5 * decay_rate(freq, bath), lamb_shift(freq, bath))
 
 
-def memory_correction_rate(freq: float, bath: BathParams) -> complex:
+def memory_correction_rate(freq, bath: BathParams):
     """First-order finite-memory correction Γ¹(ω) = i dΓ(ω)/dω.
 
     Re Γ¹ = -2κΩ [k_B T (Ω² - ω²) + Ω² ω] / (ω² + Ω²)²
     Im Γ¹ = (π/2) [J'(ω)(coth(βω/2)+1) - β J(ω) / (2 sinh²(βω/2))]
 
     The imaginary part is evaluated by series near ω = 0, where its limit
-    is κ.
+    is κ.  `freq` may be a float or an ndarray; ``math.expm1`` and
+    ``math.sinh`` are taken element by element, so every value has the bits
+    of the scalar formula.
     """
+    w, small, safe = _split_zero_frequency(freq, bath)
     cut = bath.cutoff
     beta = bath.beta
     kT = bath.k_B * bath.temperature
-    den = freq * freq + cut * cut
-    real = -2.0 * bath.kappa * cut * (kT * (cut * cut - freq * freq) + cut * cut * freq) / (den * den)
-
-    if abs(freq) < ZERO_FREQ_FACTOR * cut:
-        imag = bath.kappa * (1.0 + freq * (beta / 3.0 - 4.0 / (beta * cut * cut)))
-    else:
-        coth_plus_one = 2.0 / (-math.expm1(-beta * freq))
-        sh = math.sinh(0.5 * beta * freq)
-        imag = 0.5 * math.pi * (
-            spectral_density_derivative(freq, bath) * coth_plus_one
-            - beta * spectral_density(freq, bath) / (2.0 * sh * sh)
-        )
-    return complex(real, imag)
+    den = w * w + cut * cut
+    out = np.empty(w.shape, dtype=complex)
+    out.real = -2.0 * bath.kappa * cut * (kT * (cut * cut - w * w) + cut * cut * w) / (den * den)
+    coth_plus_one = 2.0 / -_elementwise(math.expm1, -beta * safe)
+    sh = _elementwise(math.sinh, 0.5 * beta * safe)
+    out.imag = np.where(small, bath.kappa * (1.0 + w * (beta / 3.0 - 4.0 / (beta * cut * cut))),
+                        0.5 * math.pi * (spectral_density_derivative(safe, bath) * coth_plus_one
+                                         - beta * spectral_density(safe, bath) / (2.0 * sh * sh)))
+    return out if isinstance(freq, np.ndarray) else complex(out)
 
 
 def _regularized_time_integral(freq, bath, q, combine):

@@ -4,9 +4,11 @@ Undriven configurations have a constant 16x16 generator L acting on the
 row-major vectorized state, so each recorded frame is computed exactly as
 expm(L·Δt) applied to the previous one; the step only lays out the frame
 grid.  Driven configurations are stepped with classical fourth-order
-Runge-Kutta at a fixed step on the vectorized state: each step assembles the
-generator at t, t + h/2 and t + h and applies it as 16x16 matrix-vector
-products.  Every new state is re-Hermitized and its trace renormalized (and
+Runge-Kutta at a fixed step on the vectorized state, DRIVEN_BLOCK steps at a
+time: one `model.generator_stack` call builds the generators at every stage
+time t, t + h/2 and t + h of the block, and each step is then four 16x16
+matrix-vector products.  Both kernels carry the state as its row-major
+16-vector; every new state is re-Hermitized and its trace renormalized (and
 the event logged) whenever it drifts beyond 1e-12.  The steady state of an
 undriven configuration is the trace-one null vector of L.
 
@@ -32,8 +34,8 @@ from .model import (
     SystemConfig,
     dissipation_rates,
     generator,
+    generator_stack,
     liouvillian_matrix,
-    tdlme_rhs,
     validate_density,
 )
 
@@ -43,6 +45,8 @@ TRACE_RENORM_TOL = 1e-12
 FRAME_TRACE_TOL = 1e-10
 DEFAULT_FRAME_SPACING = 5e-3
 STEP_SAFETY = 1e-3
+#: RK4 steps of a driven run whose stage generators are built together
+DRIVEN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -103,53 +107,30 @@ def default_step(cfg: SystemConfig) -> float:
 
 
 def _max_rate(cfg: SystemConfig) -> float:
-    if not cfg.is_driven:
-        return max(
-            abs(g) for i in (1, 2) for g in dissipation_rates(i, 0.0, cfg)
-        )
-    periods = [
-        2.0 * math.pi / q.drive_frequency
-        for q in (cfg.qubit1, cfg.qubit2)
-        if q.drive_amplitude != 0.0 and q.drive_frequency != 0.0
-    ]
-    out = 0.0
-    for t in np.linspace(0.0, min(periods), 257):
-        for i in (1, 2):
-            out = max(out, *(abs(g) for g in dissipation_rates(i, float(t), cfg)))
-    return out
+    """Largest |rate| of either bath: at t = 0 when undriven, else over 257
+    times spanning the shortest drive period."""
+    times = 0.0
+    if cfg.is_driven:
+        periods = [2.0 * math.pi / q.drive_frequency for q in (cfg.qubit1, cfg.qubit2)
+                   if q.drive_amplitude != 0.0 and q.drive_frequency != 0.0]
+        times = np.linspace(0.0, min(periods), 257)
+    return max(float(np.max(np.abs(dissipation_rates(i, times, cfg)))) for i in (1, 2))
 
 
-def rk4_step(rho: np.ndarray, t: float, h: float, rhs,
-             positivity_tol: float | None = None) -> np.ndarray:
-    """One RK4 step of drho/dt = rhs(rho, t); re-Hermitizes the result.
-
-    With ``positivity_tol`` set, raises IntegrationError if the stepped
-    state has an eigenvalue below -positivity_tol.
-    """
-    half = 0.5 * h
-    k1 = rhs(rho, t)
-    k2 = rhs(rho + half * k1, t + half)
-    k3 = rhs(rho + half * k2, t + half)
-    k4 = rhs(rho + h * k3, t + h)
-    out = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    out = _normalize(out, t + h)
-    if positivity_tol is not None:
-        low = float(np.linalg.eigvalsh(out)[0])
-        if low < -positivity_tol:
-            raise IntegrationError(
-                f"state eigenvalue {low:.3e} below -{positivity_tol:.1e}",
-                time=t + h,
-            )
-    return out
+# position in the row-major vectorized state of each entry's transpose
+_TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(16)
 
 
-def _normalize(rho: np.ndarray, t: float) -> np.ndarray:
-    rho = hermitian_part(rho)
-    tr = float(np.trace(rho).real)
+def _normalize(v: np.ndarray, t: float) -> np.ndarray:
+    """Hermitian part of the row-major vectorized state v, renormalized to
+    unit trace (and the event logged) when its trace drifted beyond
+    TRACE_RENORM_TOL."""
+    v = 0.5 * (v + v[_TRANSPOSED].conj())
+    tr = float(v[::5].sum().real)
     if abs(tr - 1.0) > TRACE_RENORM_TOL:
         logger.debug("renormalizing trace %.16f at t=%.6f", tr, t)
-        rho = rho / tr
-    return rho
+        v = v / tr
+    return v
 
 
 def _plan_steps(t0: float, t1: float, h: float):
@@ -212,29 +193,30 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
         liou = liouvillian_matrix(cfg)
         propagator = functools.cache(lambda span: expm(liou * span))
 
-    rho = rho0.astype(complex)
+    v = rho0.astype(complex).reshape(16)
     times = [t0]
-    states = [rho]
+    states = [v]
     rate_flags = [False]
 
     n_full, tail, frames = _frame_plan(t0, t1, h, stride)
+    steps = _driven_steps(v, t0, h, n_full, tail, cfg) if driven else None
     for first, end, t, span in frames:
         neg_seen = False
         if driven:
-            for k in range(first, end):
-                hk = h if k < n_full else tail
-                rho, neg = _driven_step(rho, t0 + k * h, hk, cfg)
+            for _ in range(first, end):
+                v, neg = next(steps)
                 neg_seen = neg_seen or neg
         else:
-            rho = _normalize((propagator(span) @ rho.reshape(16)).reshape(4, 4), t)
+            v = _normalize(propagator(span) @ v, t)
         times.append(t)
-        states.append(rho)
+        states.append(v)
         rate_flags.append(neg_seen)
-        if driven and not abs(np.trace(rho).real - 1.0) <= FRAME_TRACE_TOL:
+        if driven and not abs(v[::5].sum().real - 1.0) <= FRAME_TRACE_TOL:
             break    # RK4 blew up; the frame check below reports it
 
     times = np.array(times)
-    states = np.array(states)
+    states = np.array(states).reshape(-1, 4, 4)
+    end_generator = generator(t1, cfg)[0] if driven else liou
     return Trajectory(
         times=times,
         states=states,
@@ -242,7 +224,7 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
         rate_negative=np.array(rate_flags, dtype=bool),
         step=h,
         record_stride=stride,
-        final_rhs_norm=float(np.max(np.abs(tdlme_rhs(rho, t1, cfg)))),
+        final_rhs_norm=float(np.max(np.abs(end_generator @ v))),
     )
 
 
@@ -274,21 +256,30 @@ def _check_frame(states, times, icfg: IntegratorConfig, driven: bool) -> np.ndar
     return lows
 
 
-def _driven_step(rho, t, h, cfg: SystemConfig):
-    """One RK4 step of the time-dependent equation on the vectorized state,
-    sharing the midpoint generator between the two middle stages.  Returns
-    (state, neg_rate_seen)."""
-    half = 0.5 * h
-    l_lo, neg_lo = generator(t, cfg)
-    l_mid, neg_mid = generator(t + half, cfg)
-    l_hi, neg_hi = generator(t + h, cfg)
-    v = rho.reshape(16)
-    k1 = l_lo @ v
-    k2 = l_mid @ (v + half * k1)
-    k3 = l_mid @ (v + half * k2)
-    k4 = l_hi @ (v + h * k3)
-    out = v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return _normalize(out.reshape(4, 4), t + h), neg_lo or neg_mid or neg_hi
+def _driven_steps(v: np.ndarray, t0: float, h: float, n_full: int, tail: float,
+                  cfg: SystemConfig):
+    """RK4 on the time-dependent equation from the vectorized state v at t0,
+    yielding each step's state and whether a rate was negative at one of its
+    stage times t, t + h/2, t + h.  Step k starts at t0 + k·h and has size h
+    (``tail`` past the n_full full steps); the stage generators of
+    DRIVEN_BLOCK steps come from one `generator_stack` call."""
+    n = n_full + (1 if tail else 0)
+    for start in range(0, n, DRIVEN_BLOCK):
+        k = np.arange(start, min(start + DRIVEN_BLOCK, n))
+        sizes = np.where(k < n_full, h, tail)
+        t = t0 + k * h
+        gens, neg = generator_stack(np.concatenate([t, t + 0.5 * sizes, t + sizes]), cfg)
+        lo, mid, hi = gens.reshape(3, k.size, 16, 16)
+        neg = neg.reshape(3, k.size).any(axis=0)
+        for l_lo, l_mid, l_hi, hk, tk, neg_k in zip(
+                lo, mid, hi, sizes.tolist(), t.tolist(), neg.tolist()):
+            half = 0.5 * hk
+            k1 = l_lo @ v
+            k2 = l_mid @ (v + half * k1)
+            k3 = l_mid @ (v + half * k2)
+            k4 = l_hi @ (v + hk * k3)
+            v = _normalize(v + (hk / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), tk + hk)
+            yield v, neg_k
 
 
 def steady_state(cfg: SystemConfig) -> np.ndarray:

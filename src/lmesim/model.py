@@ -29,10 +29,12 @@ dissipator is a fixed combination of five superoperators weighted by the
 harmonics 1, cos θ, sin θ, cos 2θ, sin 2θ.  The 16x16 generator (row-major
 vec) is thus one real-weighted sum of 33 fixed superoperators, built once per
 configuration: -i[·, ·] of ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of
-σ_2^x, and 15 dissipator pieces per bath.  ``generator_coefficients`` gives
-the weights at time t and ``generator`` contracts them with the basis; the
-static and time-dependent right-hand sides, the Liouvillian matrix and the
-per-bath dissipator all go through that one contraction.
+σ_2^x, and 15 dissipator pieces per bath.  ``coefficient_table`` gives the
+weights at an array of times in one NumPy pass and ``generator_stack``
+contracts each row with the basis; the driven RK4 kernel, the right-hand
+sides, the Liouvillian, the rates and the per-bath dissipator are views on
+them.  Undriven weights keep the bits of the scalar formula; driven ones can
+differ in the last bit, where NumPy's arctan and hypot differ from ``math``'s.
 
 Basis ordering: |↑↑⟩, |↑↓⟩, |↓↑⟩, |↓↓⟩.
 """
@@ -62,6 +64,7 @@ SM = (embed_qubit_op(SIGMA_MINUS, 1), embed_qubit_op(SIGMA_MINUS, 2))
 HOP = SP[0] @ SM[1] + SM[0] @ SP[1]
 
 IDENTITY4 = np.eye(4, dtype=complex)
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _non_negative_violations(name: str, value: float) -> list:
@@ -143,21 +146,24 @@ class SystemConfig:
         raise ValueError(f"bath index must be 1 or 2, got {i}")
 
 
-def drive(i: int, t: float, cfg: SystemConfig) -> float:
-    """Drive field f_i(t) = a_i sin(ω_i t)."""
-    q = cfg.qubit(i)
-    if q.drive_amplitude == 0.0 or q.drive_frequency == 0.0:
-        # exact zero (not a signed zero from 0.0 * sin) so the static and
-        # time-dependent generators coincide bitwise when the drive is off
-        return 0.0
-    return q.drive_amplitude * math.sin(q.drive_frequency * t)
+def drive(i: int, t, cfg: SystemConfig):
+    """Drive field f_i(t) = a_i sin(ω_i t); ``t`` may be an array of times."""
+    return _drive_fields(t, cfg)[0][i - 1].reshape(np.shape(t))[()]
 
 
-def _drive_dot(i: int, t: float, cfg: SystemConfig) -> float:
-    q = cfg.qubit(i)
-    if q.drive_amplitude == 0.0 or q.drive_frequency == 0.0:
-        return 0.0
-    return q.drive_amplitude * q.drive_frequency * math.cos(q.drive_frequency * t)
+def _drive_fields(t, cfg: SystemConfig, static: bool = False):
+    """f_i and ḟ_i at the time or times t, two (2, m) arrays; exact zeros
+    (not signed zeros from 0.0 * sin) for an undriven qubit, or for both
+    with ``static``, so that the drive-off generators coincide bitwise."""
+    times = np.asarray(t, dtype=float).reshape(-1)
+    f = np.zeros((2, times.size))
+    fdot = np.zeros((2, times.size))
+    for i, q in enumerate((cfg.qubit1, cfg.qubit2)):
+        if not static and q.drive_amplitude != 0.0 and q.drive_frequency != 0.0:
+            phase = q.drive_frequency * times
+            f[i] = q.drive_amplitude * np.sin(phase)
+            fdot[i] = q.drive_amplitude * q.drive_frequency * np.cos(phase)
+    return f, fdot
 
 
 def mixing_angle(i: int, t: float, cfg: SystemConfig) -> float:
@@ -165,23 +171,18 @@ def mixing_angle(i: int, t: float, cfg: SystemConfig) -> float:
     return math.atan(drive(i, t, cfg) / cfg.qubit(i).epsilon)
 
 
-def _mixing_angle_dot(eps: float, f: float, fdot: float) -> float:
-    return eps * fdot / (eps * eps + f * f)
+def instantaneous_gap(i: int, t, cfg: SystemConfig):
+    """Half-gap E_i(t) = (ε_i² + f_i²)^½, levels at ±E_i; t may be an array."""
+    return np.hypot(cfg.qubit(i).epsilon, drive(i, t, cfg))
 
 
-def instantaneous_gap(i: int, t: float, cfg: SystemConfig) -> float:
-    """Half-gap E_i(t) = (ε_i² + f_i²)^½; levels sit at ±E_i."""
-    return math.hypot(cfg.qubit(i).epsilon, drive(i, t, cfg))
-
-
-def bare_hamiltonian(t: float, cfg: SystemConfig) -> np.ndarray:
-    """Σ_i ε_i σ_i^z + f_i(t) σ_i^x (no interaction term)."""
-    return (
-        cfg.qubit1.epsilon * SZ[0]
-        + cfg.qubit2.epsilon * SZ[1]
-        + drive(1, t, cfg) * SX[0]
-        + drive(2, t, cfg) * SX[1]
-    )
+def bare_hamiltonian(t, cfg: SystemConfig) -> np.ndarray:
+    """Σ_i ε_i σ_i^z + f_i(t) σ_i^x (no interaction term); an array of times
+    gives the stack of their Hamiltonians."""
+    f = _drive_fields(t, cfg)[0][:, :, None, None]
+    h = (cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1]
+         + f[0] * SX[0] + f[1] * SX[1])
+    return h.reshape(np.shape(t) + (4, 4))
 
 
 def interaction_hamiltonian(cfg: SystemConfig) -> np.ndarray:
@@ -224,34 +225,46 @@ def _zero_frequency_rates(b: BathParams):
     return decay_rate(0.0, b), memory_correction_rate(0.0, b).real
 
 
-def _rate_triplet(eps: float, b: BathParams, f: float, fdot: float):
-    theta = math.atan(f / eps)
-    theta_dot = _mixing_angle_dot(eps, f, fdot)
-    gap2 = 2.0 * math.hypot(eps, f)
-    st = math.sin(theta)
-    ct = math.cos(theta)
+def _bath_rates(i: int, cfg: SystemConfig, f: np.ndarray, fdot: np.ndarray):
+    """Rates (γ_z, γ_-, γ_+) of bath i at the m drive values f, ḟ, shape
+    (3, m), and the weights γ_c h_n(θ_i) of its 15 dissipator rows, shape
+    (m, 15); one array call per rate function."""
+    eps = cfg.qubit(i).epsilon
+    b = cfg.bath(i)
+    theta = np.arctan(f / eps)
+    theta_dot = eps * fdot / (eps * eps + f * f)
+    st = np.sin(theta)
+    ct = np.cos(theta)
     dsin = ct * theta_dot
     dcos = -st * theta_dot
 
     gamma0, memory0 = _zero_frequency_rates(b)
-    gz = gamma0 * st * st + 2.0 * memory0 * st * dsin
-    gm = decay_rate(gap2, b) * ct * ct \
-        + 2.0 * memory_correction_rate(gap2, b).real * ct * dcos
-    gp = decay_rate(-gap2, b) * ct * ct \
-        + 2.0 * memory_correction_rate(-gap2, b).real * ct * dcos
-    return theta, gz, gm, gp
+    gaps = _SIGNS * (2.0 * np.hypot(eps, f))      # ±2E_i
+    rates = np.empty((3, f.size))
+    rates[0] = gamma0 * st * st + 2.0 * memory0 * st * dsin
+    rates[1:] = decay_rate(gaps, b) * ct * ct \
+        + 2.0 * memory_correction_rate(gaps, b).real * ct * dcos
+    harmonics = np.array([np.ones(f.size), ct, st, np.cos(2.0 * theta), np.sin(2.0 * theta)])
+    return rates, (rates.T[:, :, None] * harmonics.T[:, None, :]).reshape(-1, 15)
 
 
-def dissipation_rates(i: int, t: float, cfg: SystemConfig):
-    """Instantaneous rates (γ_z, γ_-, γ_+) for bath i.
+def coefficient_table(times, cfg: SystemConfig, static: bool = False):
+    """(m, 33) weights of the basis at the m times, rows (1, f_1, f_2, ζ² ×
+    bath-1 weights, ζ² × bath-2 weights), and the (m,) flags of a negative
+    rate.  ``static`` forces both drive fields to zero."""
+    f, fdot = _drive_fields(times, cfg, static)
+    (r1, w1), (r2, w2) = (_bath_rates(i, cfg, f[i - 1], fdot[i - 1]) for i in (1, 2))
+    table = np.concatenate([np.ones((len(w1), 1)), f.T, cfg.zeta2 * w1, cfg.zeta2 * w2],
+                           axis=1)
+    return table, ((r1 < 0.0) | (r2 < 0.0)).any(axis=0)
 
-    Not clipped: a transiently negative value is reported as-is.
-    """
-    _, gz, gm, gp = _rate_triplet(
-        cfg.qubit(i).epsilon, cfg.bath(i),
-        drive(i, t, cfg), _drive_dot(i, t, cfg),
-    )
-    return gz, gm, gp
+
+def dissipation_rates(i: int, t, cfg: SystemConfig):
+    """Instantaneous rates (γ_z, γ_-, γ_+) for bath i at time t (three arrays
+    for an array of times); not clipped, a negative value is reported as-is."""
+    f, fdot = _drive_fields(t, cfg)
+    rates = _bath_rates(i, cfg, f[i - 1], fdot[i - 1])[0]
+    return tuple(r.reshape(np.shape(t))[()] for r in rates)
 
 
 @lru_cache(maxsize=1)
@@ -284,34 +297,26 @@ def _basis(cfg: SystemConfig) -> np.ndarray:
     return np.vstack([comm.reshape(3, 256).view(float), *_dissipator_basis()])
 
 
-def _bath_weights(i: int, cfg: SystemConfig, f: float, fdot: float):
-    """Weights γ_c h_n(θ_i) of bath i's 15 dissipator rows, and whether any
-    of its rates is negative."""
-    theta, gz, gm, gp = _rate_triplet(cfg.qubit(i).epsilon, cfg.bath(i), f, fdot)
-    harmonics = (1.0, math.cos(theta), math.sin(theta),
-                 math.cos(2.0 * theta), math.sin(2.0 * theta))
-    return [g * h for g in (gz, gm, gp) for h in harmonics], min(gz, gm, gp) < 0.0
-
-
 def generator_coefficients(t: float, cfg: SystemConfig, static: bool = False):
     """Real weights of the 33 basis superoperators at time t, and whether any
-    rate is negative there: (1, f_1, f_2, ζ² × bath-1 weights, ζ² × bath-2
-    weights).  ``static`` forces both drive fields to zero."""
-    (f1, d1), (f2, d2) = [
-        (0.0, 0.0) if static else (drive(i, t, cfg), _drive_dot(i, t, cfg))
-        for i in (1, 2)
-    ]
-    w1, neg1 = _bath_weights(1, cfg, f1, d1)
-    w2, neg2 = _bath_weights(2, cfg, f2, d2)
-    coeffs = [1.0, f1, f2, *(cfg.zeta2 * w for w in w1 + w2)]
-    return np.array(coeffs), neg1 or neg2
+    rate is negative there: one row of `coefficient_table`."""
+    table, neg = coefficient_table(t, cfg, static)
+    return table[0], bool(neg[0])
+
+
+def generator_stack(times, cfg: SystemConfig, static: bool = False):
+    """16x16 generators (row-major vec) at each of the m times, and the (m,)
+    negative-rate flags.  Each table row is contracted with the basis on its
+    own, so it has the bits of a one-time call."""
+    table, neg = coefficient_table(times, cfg, static)
+    return (table[:, None] @ _basis(cfg)).view(complex).reshape(-1, 16, 16), neg
 
 
 def generator(t: float, cfg: SystemConfig, static: bool = False):
     """16x16 generator at time t (row-major vec), and whether any rate is
     negative there.  ``static`` forces both drive fields to zero."""
-    coeffs, neg = generator_coefficients(t, cfg, static)
-    return (coeffs @ _basis(cfg)).view(complex).reshape(16, 16), neg
+    gens, neg = generator_stack(t, cfg, static)
+    return gens[0], bool(neg[0])
 
 
 def tdlme_rhs(rho: np.ndarray, t: float, cfg: SystemConfig) -> np.ndarray:
@@ -328,17 +333,24 @@ def dissipator(i: int, rho: np.ndarray, t, cfg: SystemConfig) -> np.ndarray:
     """Single-bath dissipator 𝓛_i[ρ] at time t, without the ζ² factor.
 
     ``rho`` may also be an (n, 4, 4) stack of states with ``t`` their n
-    times.  An undriven configuration's superoperator does not depend on t,
-    so it is built once and broadcast over the stack; a driven one is built
-    per time from that time's weights.
+    times.  An undriven superoperator does not depend on t: it is built once
+    per configuration and broadcast over the stack.
     """
-    times = np.atleast_1d(t) if cfg.is_driven else (0.0,)
-    weights = np.array([
-        _bath_weights(i, cfg, drive(i, s, cfg), _drive_dot(i, s, cfg))[0]
-        for s in times
-    ])
-    superops = (weights @ _dissipator_basis()[i - 1]).view(complex).reshape(-1, 16, 16)
+    superops = _dissipator_superops(i, t, cfg) if cfg.is_driven else _undriven_dissipator(i, cfg)
     return (superops @ rho.reshape(-1, 16, 1)).reshape(rho.shape)
+
+
+def _dissipator_superops(i: int, t, cfg: SystemConfig) -> np.ndarray:
+    """Bath i's dissipator superoperators at the time or times t, (m, 16, 16)."""
+    f, fdot = _drive_fields(t, cfg)
+    weights = _bath_rates(i, cfg, f[i - 1], fdot[i - 1])[1]
+    return (weights @ _dissipator_basis()[i - 1]).view(complex).reshape(-1, 16, 16)
+
+
+@lru_cache(maxsize=128)
+def _undriven_dissipator(i: int, cfg: SystemConfig) -> np.ndarray:
+    """`_dissipator_superops` of an undriven configuration (independent of t)."""
+    return _dissipator_superops(i, 0.0, cfg)
 
 
 @lru_cache(maxsize=128)

@@ -369,10 +369,7 @@ def _trajectory_table(cfg: ScenarioConfig, driven: bool) -> CsvTable:
     cols = trajectory_observables(traj.times, traj.states, system)
     columns = [*cols[:-1], traj.min_eigenvalues, traj.rate_negative.astype(int)]
     if driven:
-        columns += [
-            np.array([effective_temperature_check(i, t, system) for t in cols.t.tolist()])
-            for i in (1, 2)
-        ]
+        columns += [effective_temperature_check(i, cols.t, system) for i in (1, 2)]
     rows = list(zip(*(c.tolist() for c in columns)))
     return CsvTable(DRIVEN_HEADER if driven else EVOLVE_HEADER, rows)
 

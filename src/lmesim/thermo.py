@@ -123,11 +123,7 @@ def _entropy_of_spectrum(w: np.ndarray) -> np.ndarray:
 def _hamiltonians(times: np.ndarray, cfg: SystemConfig):
     """(H_bare, H_int): H_bare is one matrix for an undriven configuration
     and stacked over the frame times for a driven one."""
-    if cfg.is_driven:
-        h_bare = np.array([bare_hamiltonian(float(t), cfg) for t in times])
-    else:
-        h_bare = bare_hamiltonian(0.0, cfg)
-    return h_bare, interaction_hamiltonian(cfg)
+    return bare_hamiltonian(times if cfg.is_driven else 0.0, cfg), interaction_hamiltonian(cfg)
 
 
 def _currents(h_bare: np.ndarray, h_int: np.ndarray, diss: np.ndarray):
@@ -224,14 +220,14 @@ def thermo_record(rho: np.ndarray, t: float, cfg: SystemConfig) -> ThermoRecord:
     return ThermoRecord(t, *(float(col[0]) for col in cols[1:-1]))
 
 
-def effective_temperature_check(i: int, t: float, cfg: SystemConfig) -> float:
+def effective_temperature_check(i: int, t, cfg: SystemConfig):
     """Relative deviation of γ⁻/γ⁺ from the thermal ratio e^{2β E_e(t)}.
 
     Zero (to rounding) when undriven; stays small while the drive is slow
-    against the bath memory.
+    against the bath memory.  ``t`` may be an array of times.
     """
     _, gm, gp = dissipation_rates(i, t, cfg)
-    target = math.exp(2.0 * cfg.bath(i).beta * instantaneous_gap(i, t, cfg))
+    target = np.exp(2.0 * cfg.bath(i).beta * instantaneous_gap(i, t, cfg))
     return abs(gm / gp - target) / target
 
 

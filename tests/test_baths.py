@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import driven_systems, scalar_decay_rate, scalar_memory_correction_rate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,9 +176,12 @@ scaled_frequencies = st.one_of(
 def test_decay_rate_array_path(bath, scaled):
     w = np.array(scaled) * bath.cutoff
     down, up = decay_rate(np.stack([w, -w]), bath)
-    # element by element the bits of the scalar path, at either sign
-    assert np.array_equal(down, [decay_rate(float(x), bath) for x in w])
-    assert np.array_equal(up, [decay_rate(float(-x), bath) for x in w])
+    # element by element the bits of the scalar formula, at either sign, and
+    # so the bits of a float call
+    for got, sign in ((down, 1.0), (up, -1.0)):
+        want = [scalar_decay_rate(sign * x, bath) for x in w.tolist()]
+        assert np.array_equal(got, want)
+        assert [decay_rate(sign * x, bath) for x in w.tolist()] == want
     # detailed balance gamma(w) = exp(beta w) gamma(-w) outside the switch;
     # inside it both signs take the limit 4 kappa k_B T
     outside = np.abs(w) >= ZERO_FREQ_FACTOR * bath.cutoff
@@ -185,6 +189,22 @@ def test_decay_rate_array_path(bath, scaled):
     assert np.all(np.abs(down[outside] / up[outside] - target) <= 1e-12 * target)
     limit = 4.0 * bath.kappa * bath.k_B * bath.temperature
     assert np.all(down[~outside] == limit) and np.all(up[~outside] == limit)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(cfg=driven_systems, scaled=st.lists(scaled_frequencies, min_size=1, max_size=30))
+def test_memory_correction_rate_array_path(cfg, scaled):
+    # the baths a driven run uses, at frequencies that straddle the series
+    # switch: element by element the bits of the scalar formula, and so the
+    # bits of a float call
+    for bath in (cfg.bath1, cfg.bath2):
+        w = np.array(scaled) * bath.cutoff
+        got = memory_correction_rate(np.stack([w, -w]), bath)
+        want = [[scalar_memory_correction_rate(s * x, bath) for x in w.tolist()]
+                for s in (1.0, -1.0)]
+        assert got.shape == (2, w.size)
+        assert np.array_equal(got, np.array(want))
+        assert [memory_correction_rate(x, bath) for x in w.tolist()] == want[0]
 
 
 def test_lamb_shift_reference_points():

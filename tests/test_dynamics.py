@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import driven_systems, make_system, random_density, undriven_systems
+from conftest import (
+    driven_systems,
+    make_system,
+    random_density,
+    rk4_step,
+    scalar_coefficients,
+    undriven_systems,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -21,10 +28,17 @@ from lmesim import (
     liouvillian_matrix,
     lme_rhs,
     maximum_entropy_state,
-    rk4_step,
     steady_state,
 )
-from lmesim.dynamics import FRAME_TRACE_TOL, _check_frame, _driven_step, _plan_steps
+from lmesim.dynamics import (
+    DRIVEN_BLOCK,
+    FRAME_TRACE_TOL,
+    _check_frame,
+    _driven_steps,
+    _frame_plan,
+    _plan_steps,
+)
+from lmesim.model import _basis
 
 
 def test_integrator_config_validation_collects_problems():
@@ -110,16 +124,6 @@ def test_rk4_step_against_matrix_exponential(base_system, rng):
         assert errs[h] < 1e7 * h**5  # local truncation is O(h^5)
     # halving the step cuts the local error by ~2^5
     assert 16.0 < errs[2e-4] / errs[1e-4] < 64.0
-
-
-def test_rk4_step_positivity_gate(base_system):
-    # an absurdly large step destroys positivity; the optional gate reports it
-    def rhs(r, _t):
-        return lme_rhs(r, base_system)
-
-    rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    with pytest.raises(IntegrationError):
-        rk4_step(rho0, 0.0, 5.0, rhs, positivity_tol=1e-8)
 
 
 def test_integrate_records_endpoints_and_stride(base_system):
@@ -209,17 +213,77 @@ def test_integrate_rejects_invalid_initial_state(base_system):
 
 
 def test_driven_and_static_steps_agree_bitwise_without_drive(base_system):
-    # the time-dependent stepping machinery on an undriven configuration
-    # reproduces the static generator's floats exactly
+    # the blocked time-dependent kernel on an undriven configuration
+    # reproduces the static generator's floats exactly, across a block
+    # boundary and through a tail step
     rho = maximum_entropy_state()
     h = 1e-3
-    t = 0.0
-    for _ in range(5):
-        via_td, neg = _driven_step(rho, t, h, base_system)
-        rho = rk4_step(rho, t, h, lambda r, u: lme_rhs(r, base_system))
+    n_full, tail = DRIVEN_BLOCK + 3, 0.4 * h
+    steps = list(_driven_steps(rho.reshape(16), 0.0, h, n_full, tail, base_system))
+    assert len(steps) == n_full + 1
+    for k, (via_td, neg) in enumerate(steps):
+        rho = rk4_step(rho, k * h, h if k < n_full else tail,
+                       lambda r, u: lme_rhs(r, base_system))
         assert not neg
-        assert np.array_equal(via_td, rho)
-        t += h
+        assert np.array_equal(via_td.reshape(4, 4), rho)
+
+
+def _scalar_generator(t, cfg):
+    coeffs, negative = scalar_coefficients(t, cfg)
+    return (coeffs @ _basis(cfg)).view(complex).reshape(16, 16), negative
+
+
+# random windows of a driven run: a start time in [0, 50], up to 300
+# default steps (a fractional count ends with a tail step), and a stride
+driven_windows = dict(
+    cfg=driven_systems,
+    t0=st.floats(0.0, 50.0),
+    steps=st.floats(1.0, 300.0),
+    stride=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(**driven_windows)
+def test_driven_kernel_matches_scalar_generator_rk4(cfg, t0, steps, stride, seed):
+    # the blocked table against RK4 on generators assembled one stage time
+    # at a time from the scalar rate formula
+    h = default_step(cfg)
+    rho0 = random_density(np.random.default_rng(seed))
+    icfg = IntegratorConfig(step=h, record_stride=stride)
+    traj = integrate(rho0, (t0, t0 + steps * h), cfg, icfg)
+
+    def rhs(r, t):
+        return (_scalar_generator(t, cfg)[0] @ r.reshape(16)).reshape(4, 4)
+
+    n_full, tail, frames = _frame_plan(t0, t0 + steps * h, h, stride)
+    rho = rho0
+    ref = [rho0]
+    for first, end, _, _ in frames:
+        for k in range(first, end):
+            rho = rk4_step(rho, t0 + k * h, h if k < n_full else tail, rhs)
+        ref.append(rho)
+    assert np.max(np.abs(traj.states - np.array(ref))) <= 1e-13
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(**driven_windows)
+def test_rate_flags_match_a_per_stage_scalar_check(cfg, t0, steps, stride, seed):
+    # a frame is flagged when a rate was negative at any stage time of any
+    # of its steps, each step's stages being t, t + h/2 and t + h
+    h = default_step(cfg)
+    icfg = IntegratorConfig(step=h, record_stride=stride)
+    traj = integrate(maximum_entropy_state(), (t0, t0 + steps * h), cfg, icfg)
+    n_full, tail, frames = _frame_plan(t0, t0 + steps * h, h, stride)
+    want = [False]
+    for first, end, _, _ in frames:
+        flag = False
+        for k in range(first, end):
+            t, hk = t0 + k * h, (h if k < n_full else tail)
+            flag |= any(scalar_coefficients(s, cfg)[1] for s in (t, t + 0.5 * hk, t + hk))
+        want.append(flag)
+    assert traj.rate_negative.tolist() == want
 
 
 def test_driven_step_flags_negative_rates():

@@ -9,7 +9,7 @@ whichever step, produces the states.
 """
 
 import numpy as np
-from conftest import make_system, random_density, undriven_systems
+from conftest import make_system, random_density, rk4_step, undriven_systems
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,6 @@ from lmesim import (
     liouvillian_matrix,
     lme_rhs,
     maximum_entropy_state,
-    rk4_step,
     steady_covariance,
     steady_state,
 )

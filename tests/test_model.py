@@ -2,10 +2,17 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import driven_systems, make_system, random_density
+from conftest import (
+    driven_systems,
+    make_system,
+    random_density,
+    scalar_coefficients,
+    undriven_systems,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -33,7 +40,18 @@ from lmesim import (
     tdlme_rhs,
     validate_density,
 )
-from lmesim.model import HOP, IDENTITY4, SM, SP, SX, SZ
+from lmesim.model import (
+    HOP,
+    IDENTITY4,
+    SM,
+    SP,
+    SX,
+    SZ,
+    _basis,
+    coefficient_table,
+    generator,
+    generator_coefficients,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +344,38 @@ def test_basis_assembly_matches_dense_reference(cfg, t, seed):
     got = tdlme_rhs(rho, t, cfg)
     assert abs(np.trace(got)) <= 1e-12 * scale
     assert np.max(np.abs(got - got.conj().T)) <= 1e-12 * scale
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(cfg=driven_systems, times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=20))
+def test_coefficient_table_matches_scalar_oracle(cfg, times):
+    table, negative = coefficient_table(np.array(times), cfg)
+    rows = [scalar_coefficients(t, cfg) for t in times]
+    want = np.array([row for row, _ in rows])
+    assert table.shape == (len(times), 33)
+    ulp = np.spacing(np.max(np.abs(want), axis=1, keepdims=True))
+    assert np.all(np.abs(table - want) <= 4.0 * ulp)
+    assert negative.tolist() == [neg for _, neg in rows]
+    # each row is what the one-time views return
+    for t, row, neg in zip(times, table, negative):
+        coeffs, flag = generator_coefficients(t, cfg)
+        assert np.array_equal(coeffs, row) and flag == neg
+        assert np.array_equal(generator(t, cfg)[0],
+                              (row @ _basis(cfg)).view(complex).reshape(16, 16))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(cfg=st.one_of(undriven_systems, driven_systems),
+       times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=10))
+def test_static_coefficient_table_is_the_scalar_oracle_bitwise(cfg, times):
+    # θ = 0: no last-bit source is left, so the rows keep the scalar bits
+    # and with them the Liouvillian's
+    table, negative = coefficient_table(np.array(times), cfg, static=True)
+    undriven = replace(cfg, qubit1=QubitParams(cfg.qubit1.epsilon),
+                       qubit2=QubitParams(cfg.qubit2.epsilon))
+    want, neg = scalar_coefficients(0.0, undriven)
+    assert np.array_equal(table, np.tile(want, (len(times), 1)))
+    assert not negative.any() and not neg
 
 
 def test_static_and_time_dependent_generators_coincide_bitwise(base_system, rng):

@@ -265,6 +265,16 @@ def test_effective_temperature_check_undriven(base_system):
         assert effective_temperature_check(i, 0.4, base_system) < 1e-13
 
 
+def test_effective_temperature_check_takes_an_array_of_times(driven_system):
+    times = np.linspace(0.0, 8.0, 161)
+    for i in (1, 2):
+        devs = effective_temperature_check(i, times, driven_system)
+        one_by_one = [effective_temperature_check(i, float(t), driven_system) for t in times]
+        assert devs.shape == times.shape
+        assert np.array_equal(devs, one_by_one)
+        assert np.ndim(one_by_one[0]) == 0
+
+
 def test_effective_temperature_check_grows_with_drive_frequency():
     devs = []
     for omega in (0.2, 1.0, 5.0):
