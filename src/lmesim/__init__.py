@@ -39,7 +39,7 @@ from .gaussian import (
     steady_covariance,
     steady_heat_currents,
 )
-from .linalg import embed_qubit_op, herm_eig, lyapunov_solve, matrix_log_hermitian
+from .linalg import embed_qubit_op, lyapunov_solve, matrix_log_hermitian
 from .model import (
     QubitParams,
     SystemConfig,
@@ -48,14 +48,11 @@ from .model import (
     dissipator,
     drive,
     gibbs_product_state,
-    hamiltonian,
     instantaneous_gap,
-    instantaneous_jump_ops,
     interaction_hamiltonian,
     liouvillian_matrix,
     lme_rhs,
     maximum_entropy_state,
-    mixing_angle,
     tdlme_rhs,
     validate_density,
 )

@@ -23,7 +23,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -33,7 +34,6 @@ from .linalg import hermitian_part
 from .model import (
     SystemConfig,
     dissipation_rates,
-    generator,
     generator_stack,
     liouvillian_matrix,
     validate_density,
@@ -47,6 +47,11 @@ DEFAULT_FRAME_SPACING = 5e-3
 STEP_SAFETY = 1e-3
 #: RK4 steps of a driven run whose stage generators are built together
 DRIVEN_BLOCK = 128
+
+
+def _is_stride(value) -> bool:
+    """Whether value can be a frame stride: an integer (NumPy's too) >= 1."""
+    return isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,9 @@ class IntegratorConfig:
         problems = []
         if self.step is not None and not 0 < self.step < math.inf:
             problems.append(f"step must be positive and finite, got {self.step}")
-        if self.record_stride is not None and self.record_stride < 1:
-            problems.append(f"record_stride must be >= 1, got {self.record_stride}")
+        if self.record_stride is not None and not _is_stride(self.record_stride):
+            problems.append(
+                f"record_stride must be an integer >= 1, got {self.record_stride}")
         if not 0 < self.positivity_tol < math.inf:
             problems.append(
                 f"positivity_tol must be positive and finite, got {self.positivity_tol}")
@@ -86,7 +92,6 @@ class Trajectory:
     rate_negative: np.ndarray         # (n_frames,) bool, since previous frame
     step: float
     record_stride: int
-    final_rhs_norm: float = field(default=math.nan)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -133,13 +138,13 @@ def _normalize(v: np.ndarray, t: float) -> np.ndarray:
     return v
 
 
-def _plan_steps(t0: float, t1: float, h: float):
-    span = t1 - t0
-    n_full = int(math.floor(span / h + 1e-9))
-    tail = span - n_full * h
-    if tail < 1e-12 * max(1.0, abs(t1)):
-        tail = 0.0
-    return n_full, tail
+def _time_span(t_span):
+    """(t0, t1) of t_span = (t0, t1), or of a bare final time t1 with t0 = 0."""
+    t0, t1 = ((0.0, float(t_span)) if np.isscalar(t_span)
+              else (float(x) for x in t_span))
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 <= t1):
+        raise ValueError(f"t_span must be finite and increasing, got ({t0}, {t1})")
+    return t0, t1
 
 
 def _frame_plan(t0: float, t1: float, h: float, stride: int):
@@ -150,7 +155,10 @@ def _frame_plan(t0: float, t1: float, h: float, stride: int):
     Returns (n_full, tail, frames); each frame is (first step, end step,
     frame time, span of its steps).
     """
-    n_full, tail = _plan_steps(t0, t1, h)
+    n_full = int(math.floor((t1 - t0) / h + 1e-9))
+    tail = t1 - t0 - n_full * h
+    if tail < 1e-12 * max(1.0, abs(t1)):
+        tail = 0.0
     n = n_full + (1 if tail else 0)
     ends = [*range(stride, n, stride), n] if n else []
     frames = [
@@ -176,12 +184,7 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     """
     icfg = integrator or IntegratorConfig()
     validate_density(rho0)
-    if np.isscalar(t_span):
-        t0, t1 = 0.0, float(t_span)
-    else:
-        t0, t1 = (float(x) for x in t_span)
-    if t1 < t0:
-        raise ValueError(f"t_span must be increasing, got ({t0}, {t1})")
+    t0, t1 = _time_span(t_span)
 
     h = icfg.step if icfg.step is not None else default_step(cfg)
     stride = icfg.record_stride
@@ -216,7 +219,6 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
 
     times = np.array(times)
     states = np.array(states).reshape(-1, 4, 4)
-    end_generator = generator(t1, cfg)[0] if driven else liou
     return Trajectory(
         times=times,
         states=states,
@@ -224,7 +226,6 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
         rate_negative=np.array(rate_flags, dtype=bool),
         step=h,
         record_stride=stride,
-        final_rhs_norm=float(np.max(np.abs(end_generator @ v))),
     )
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .baths import BathParams, decay_rate
-from .dynamics import _frame_plan
+from .dynamics import _frame_plan, _is_stride, _time_span
 from .errors import StabilityError, UnsupportedConfigError
 from .linalg import hermitian_part, lyapunov_solve
 from .model import SM, SP, SystemConfig
@@ -144,14 +144,9 @@ def integrate_covariance(cov0: np.ndarray, dd: DriftDiffusion, t_span,
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    if record_stride < 1:
-        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
-    if np.isscalar(t_span):
-        t0, t1 = 0.0, float(t_span)
-    else:
-        t0, t1 = (float(x) for x in t_span)
-    if t1 < t0:
-        raise ValueError(f"t_span must be increasing, got ({t0}, {t1})")
+    if not _is_stride(record_stride):
+        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride}")
+    t0, t1 = _time_span(t_span)
 
     eye = np.eye(2)
     gen = np.zeros((5, 5), dtype=complex)

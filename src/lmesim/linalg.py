@@ -7,8 +7,6 @@ thin, contract-checked wrappers around numpy's dense solvers, sized for the
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import PositivityError, StabilityError
@@ -19,11 +17,6 @@ LOG_CLAMP = 1e-12
 LOG_POSITIVITY_TOL = 1e-10
 
 HURWITZ_TOL = -1e-14
-
-
-class HermitianEig(NamedTuple):
-    eigenvalues: np.ndarray   # real, ascending
-    eigenvectors: np.ndarray  # orthonormal columns, matching order
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -37,23 +30,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[-1] * b.shape[-1]
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(*out.shape[:-4], n, n)
-
-
-def herm_eig(matrix: np.ndarray, tol: float = 1e-10) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues are returned in ascending order with matching orthonormal
-    eigenvector columns.  Raises ValueError if the input is not square or
-    deviates from Hermiticity by more than `tol` in any entry.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    dev = np.max(np.abs(matrix - matrix.conj().T))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian (max |M - M†| = {dev:.3e})")
-    w, v = np.linalg.eigh(matrix)
-    return HermitianEig(w, v)
 
 
 def embed_qubit_op(op: np.ndarray, which: int) -> np.ndarray:
@@ -139,15 +115,22 @@ def clamped_log(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray
     return hermitian_part(out)
 
 
-def matrix_log_hermitian(matrix: np.ndarray,
-                         positivity_tol: float = LOG_POSITIVITY_TOL) -> np.ndarray:
+def matrix_log_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a Hermitian positive-semidefinite matrix.
 
-    Eigenvalues below 1e-12 are clamped to 1e-12 before the scalar log; an
-    eigenvalue below -`positivity_tol` raises PositivityError.
+    Raises ValueError if the input is not square or deviates from
+    Hermiticity by more than 1e-10 in any entry.  Eigenvalues below 1e-12
+    are clamped to 1e-12 before the scalar log; an eigenvalue below
+    -LOG_POSITIVITY_TOL raises PositivityError.
     """
-    w, v = herm_eig(matrix)
-    if w[0] < -positivity_tol:
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    dev = np.max(np.abs(matrix - matrix.conj().T))
+    if dev > 1e-10:
+        raise ValueError(f"matrix is not Hermitian (max |M - M†| = {dev:.3e})")
+    w, v = np.linalg.eigh(matrix)
+    if w[0] < -LOG_POSITIVITY_TOL:
         raise PositivityError(
             f"matrix has negative eigenvalue {w[0]:.3e} beyond tolerance"
         )

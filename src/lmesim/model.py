@@ -66,6 +66,11 @@ HOP = SP[0] @ SM[1] + SM[0] @ SP[1]
 IDENTITY4 = np.eye(4, dtype=complex)
 _SIGNS = np.array([[1.0], [-1.0]])
 
+#: `validate_density` limits on |ρ - ρ†| entries, |Tr ρ - 1| and -λ_min(ρ)
+DENSITY_HERM_TOL = 1e-10
+DENSITY_TRACE_TOL = 1e-10
+DENSITY_EIG_TOL = 1e-8
+
 
 def _non_negative_violations(name: str, value: float) -> list:
     if not math.isfinite(value):
@@ -148,6 +153,7 @@ class SystemConfig:
 
 def drive(i: int, t, cfg: SystemConfig):
     """Drive field f_i(t) = a_i sin(ω_i t); ``t`` may be an array of times."""
+    cfg.qubit(i)    # rejects an index other than 1 or 2
     return _drive_fields(t, cfg)[0][i - 1].reshape(np.shape(t))[()]
 
 
@@ -164,11 +170,6 @@ def _drive_fields(t, cfg: SystemConfig, static: bool = False):
             f[i] = q.drive_amplitude * np.sin(phase)
             fdot[i] = q.drive_amplitude * q.drive_frequency * np.cos(phase)
     return f, fdot
-
-
-def mixing_angle(i: int, t: float, cfg: SystemConfig) -> float:
-    """θ_i(t) = arctan(f_i/ε_i)."""
-    return math.atan(drive(i, t, cfg) / cfg.qubit(i).epsilon)
 
 
 def instantaneous_gap(i: int, t, cfg: SystemConfig):
@@ -190,11 +191,6 @@ def interaction_hamiltonian(cfg: SystemConfig) -> np.ndarray:
     return cfg.coupling * HOP
 
 
-def hamiltonian(t: float, cfg: SystemConfig) -> np.ndarray:
-    """Full system Hamiltonian H_S(t)."""
-    return bare_hamiltonian(t, cfg) + interaction_hamiltonian(cfg)
-
-
 # The rotated jump operators are linear in u(θ) = (1, cos θ, sin θ):
 #   ŝ_z = cos θ σ_z + sin θ σ_x,   ŝ_∓ = ½(σ_∓ - σ_±) + ½ cos θ σ_x - ½ sin θ σ_z.
 # Rows are the channels in rate order (ŝ_z, ŝ_-, ŝ_+), columns the factors of u.
@@ -212,13 +208,6 @@ _PRODUCT_HARMONICS = np.array([
 ])
 
 
-def instantaneous_jump_ops(i: int, t: float, cfg: SystemConfig):
-    """Embedded (ŝ_z, ŝ_+, ŝ_-) for qubit i in its instantaneous eigenbasis."""
-    theta = mixing_angle(i, t, cfg)
-    sz, sm, sp = np.tensordot(_JUMP_PIECES, [1.0, math.cos(theta), math.sin(theta)], (1, 0))
-    return embed_qubit_op(sz, i), embed_qubit_op(sp, i), embed_qubit_op(sm, i)
-
-
 @lru_cache(maxsize=128)
 def _zero_frequency_rates(b: BathParams):
     """(γ(0), Re Γ¹(0)): the dephasing rates, fixed by the bath alone."""
@@ -226,11 +215,12 @@ def _zero_frequency_rates(b: BathParams):
 
 
 def _bath_rates(i: int, cfg: SystemConfig, f: np.ndarray, fdot: np.ndarray):
-    """Rates (γ_z, γ_-, γ_+) of bath i at the m drive values f, ḟ, shape
+    """Rates (γ_z, γ_-, γ_+) of bath i at the (2, m) drive values f, ḟ, shape
     (3, m), and the weights γ_c h_n(θ_i) of its 15 dissipator rows, shape
     (m, 15); one array call per rate function."""
     eps = cfg.qubit(i).epsilon
     b = cfg.bath(i)
+    f, fdot = f[i - 1], fdot[i - 1]
     theta = np.arctan(f / eps)
     theta_dot = eps * fdot / (eps * eps + f * f)
     st = np.sin(theta)
@@ -253,7 +243,7 @@ def coefficient_table(times, cfg: SystemConfig, static: bool = False):
     bath-1 weights, ζ² × bath-2 weights), and the (m,) flags of a negative
     rate.  ``static`` forces both drive fields to zero."""
     f, fdot = _drive_fields(times, cfg, static)
-    (r1, w1), (r2, w2) = (_bath_rates(i, cfg, f[i - 1], fdot[i - 1]) for i in (1, 2))
+    (r1, w1), (r2, w2) = (_bath_rates(i, cfg, f, fdot) for i in (1, 2))
     table = np.concatenate([np.ones((len(w1), 1)), f.T, cfg.zeta2 * w1, cfg.zeta2 * w2],
                            axis=1)
     return table, ((r1 < 0.0) | (r2 < 0.0)).any(axis=0)
@@ -263,7 +253,7 @@ def dissipation_rates(i: int, t, cfg: SystemConfig):
     """Instantaneous rates (γ_z, γ_-, γ_+) for bath i at time t (three arrays
     for an array of times); not clipped, a negative value is reported as-is."""
     f, fdot = _drive_fields(t, cfg)
-    rates = _bath_rates(i, cfg, f[i - 1], fdot[i - 1])[0]
+    rates = _bath_rates(i, cfg, f, fdot)[0]
     return tuple(r.reshape(np.shape(t))[()] for r in rates)
 
 
@@ -295,13 +285,6 @@ def _basis(cfg: SystemConfig) -> np.ndarray:
     hams = np.array([h0, *SX])
     comm = -1j * (kron(hams, IDENTITY4) - kron(IDENTITY4, np.swapaxes(hams, -1, -2)))
     return np.vstack([comm.reshape(3, 256).view(float), *_dissipator_basis()])
-
-
-def generator_coefficients(t: float, cfg: SystemConfig, static: bool = False):
-    """Real weights of the 33 basis superoperators at time t, and whether any
-    rate is negative there: one row of `coefficient_table`."""
-    table, neg = coefficient_table(t, cfg, static)
-    return table[0], bool(neg[0])
 
 
 def generator_stack(times, cfg: SystemConfig, static: bool = False):
@@ -343,7 +326,7 @@ def dissipator(i: int, rho: np.ndarray, t, cfg: SystemConfig) -> np.ndarray:
 def _dissipator_superops(i: int, t, cfg: SystemConfig) -> np.ndarray:
     """Bath i's dissipator superoperators at the time or times t, (m, 16, 16)."""
     f, fdot = _drive_fields(t, cfg)
-    weights = _bath_rates(i, cfg, f[i - 1], fdot[i - 1])[1]
+    weights = _bath_rates(i, cfg, f, fdot)[1]
     return (weights @ _dissipator_basis()[i - 1]).view(complex).reshape(-1, 16, 16)
 
 
@@ -373,18 +356,17 @@ def maximum_entropy_state() -> np.ndarray:
     return IDENTITY4 / 4.0
 
 
-def validate_density(rho: np.ndarray, herm_tol: float = 1e-10,
-                     trace_tol: float = 1e-10, eig_tol: float = 1e-8) -> None:
-    """Raise if rho is not a valid density matrix within tolerances."""
+def validate_density(rho: np.ndarray) -> None:
+    """Raise if rho is not a valid density matrix within the DENSITY_* limits."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if dev > herm_tol:
+    if dev > DENSITY_HERM_TOL:
         raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr} is not 1 within {trace_tol}")
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr} is not 1 within {DENSITY_TRACE_TOL}")
     low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if low < -eig_tol:
+    if low < -DENSITY_EIG_TOL:
         raise PositivityError(f"density matrix has eigenvalue {low:.3e}")

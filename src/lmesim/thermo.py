@@ -24,7 +24,6 @@ one-frame views, and `find_tau0` scans Σ̇ from it.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -42,6 +41,7 @@ from .model import (
     bare_hamiltonian,
     dissipation_rates,
     dissipator,
+    generator,
     instantaneous_gap,
     interaction_hamiltonian,
 )
@@ -251,7 +251,8 @@ def find_tau0(traj: Trajectory, cfg: SystemConfig,
     if not down.size:
         if not np.any(sigmas > 0.0):
             return CrossingResult(found=False, reason="never_positive")
-        if traj.final_rhs_norm < STEADY_RESIDUAL or math.isnan(traj.final_rhs_norm):
+        end_rhs = generator(float(traj.times[-1]), cfg)[0] @ traj.final_state.reshape(16)
+        if np.max(np.abs(end_rhs)) < STEADY_RESIDUAL:
             return CrossingResult(found=False, reason="always_positive")
         return CrossingResult(found=False, reason="insufficient_horizon")
 

@@ -36,7 +36,6 @@ from lmesim.dynamics import (
     _check_frame,
     _driven_steps,
     _frame_plan,
-    _plan_steps,
 )
 from lmesim.model import _basis
 
@@ -46,6 +45,10 @@ def test_integrator_config_validation_collects_problems():
         IntegratorConfig(step=-1.0, record_stride=0, positivity_tol=0.0)
     msg = str(err.value)
     assert "step" in msg and "record_stride" in msg and "positivity_tol" in msg
+    # a fractional stride would only fail later, in the frame layout
+    with pytest.raises(ValueError, match="record_stride must be an integer"):
+        IntegratorConfig(record_stride=2.5)
+    assert IntegratorConfig(record_stride=np.int64(3)).record_stride == 3
 
 
 @pytest.mark.parametrize("field", ["step", "positivity_tol"])
@@ -98,12 +101,12 @@ def test_default_step_shrinks_for_hot_fast_bath():
 
 
 def test_plan_steps_layout():
-    n, tail = _plan_steps(0.0, 1.0, 0.25)
+    n, tail = _frame_plan(0.0, 1.0, 0.25, 1)[:2]
     assert (n, tail) == (4, 0.0)
-    n, tail = _plan_steps(0.0, 1.1, 0.25)
+    n, tail = _frame_plan(0.0, 1.1, 0.25, 1)[:2]
     assert n == 4 and tail == pytest.approx(0.1)
     # a span that is an exact multiple up to rounding must not grow a sliver
-    n, tail = _plan_steps(0.0, 0.3, 0.1)
+    n, tail = _frame_plan(0.0, 0.3, 0.1, 1)[:2]
     assert n == 3 and tail == 0.0
 
 
@@ -144,6 +147,12 @@ def test_integrate_accepts_time_window(base_system):
     assert traj.times[-1] == 2.25
     with pytest.raises(ValueError, match="increasing"):
         integrate(maximum_entropy_state(), (1.0, 0.5), base_system, icfg)
+
+
+@pytest.mark.parametrize("t_span", [math.nan, math.inf, (-math.inf, 1.0)])
+def test_integrate_rejects_non_finite_time_span(base_system, t_span):
+    with pytest.raises(ValueError, match="t_span must be finite"):
+        integrate(maximum_entropy_state(), t_span, base_system)
 
 
 def test_integrate_matches_matrix_exponential(base_system):

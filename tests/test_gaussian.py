@@ -169,6 +169,19 @@ def test_integrate_covariance_time_grid_matches_density_layout():
     assert len(times) == len(covs)
     with pytest.raises(ValueError):
         integrate_covariance(0.5 * np.eye(2, dtype=complex), dd, 1.0, step=-1.0)
+    with pytest.raises(ValueError, match="record_stride must be an integer"):
+        integrate_covariance(0.5 * np.eye(2, dtype=complex), dd, 1.0, step=1e-3,
+                             record_stride=2.5)
+    times, _ = integrate_covariance(0.5 * np.eye(2, dtype=complex), dd, (0.0, 0.123),
+                                    step=1e-3, record_stride=np.int64(25))
+    assert times[-1] == 0.123
+
+
+@pytest.mark.parametrize("t_span", [math.nan, math.inf, (-math.inf, 1.0)])
+def test_integrate_covariance_rejects_non_finite_time_span(t_span):
+    dd = drift_diffusion(make_system())
+    with pytest.raises(ValueError, match="t_span must be finite"):
+        integrate_covariance(0.5 * np.eye(2, dtype=complex), dd, t_span, step=1e-3)
 
 
 def test_relaxation_time_matches_eigenvalues(base_system):

@@ -28,15 +28,12 @@ from lmesim import (
     dissipator,
     drive,
     gibbs_product_state,
-    hamiltonian,
     instantaneous_gap,
-    instantaneous_jump_ops,
     interaction_hamiltonian,
     liouvillian_matrix,
     lme_rhs,
     maximum_entropy_state,
     memory_correction_rate,
-    mixing_angle,
     tdlme_rhs,
     validate_density,
 )
@@ -50,7 +47,6 @@ from lmesim.model import (
     _basis,
     coefficient_table,
     generator,
-    generator_coefficients,
 )
 
 
@@ -168,12 +164,22 @@ def test_drive_off_returns_unsigned_zero():
         assert f == 0.0 and math.copysign(1.0, f) == 1.0
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_qubit_index_is_checked(i):
+    cfg = make_system(amp=(2.0, 1.0), freq=(0.2, 0.3))
+    for view in (drive, instantaneous_gap, dissipation_rates):
+        with pytest.raises(ValueError, match="index must be 1 or 2"):
+            view(i, 0.7, cfg)
+
+
 def test_mixing_angle_and_gap():
+    # the generator weights the γ_- channel of bath i by (1, cos θ_i, sin θ_i, …)
     cfg = make_system(eps1=3.0, amp=(4.0, 0.0), freq=(math.pi, 0.0))
     t = 0.5  # sin(pi/2) = 1, so f = 4
-    assert mixing_angle(1, t, cfg) == pytest.approx(math.atan(4.0 / 3.0))
+    row = coefficient_table(t, cfg)[0][0]
+    assert math.atan2(row[10], row[9]) == pytest.approx(math.atan(4.0 / 3.0))
     assert instantaneous_gap(1, t, cfg) == pytest.approx(5.0)
-    assert mixing_angle(2, t, cfg) == 0.0
+    assert row[25] == 0.0 and row[24] > 0.0
     assert instantaneous_gap(2, t, cfg) == cfg.qubit2.epsilon
 
 
@@ -183,7 +189,7 @@ def test_mixing_angle_and_gap():
 
 def test_hamiltonian_assembly():
     cfg = make_system(eps1=2.0, eps2=3.0, coupling=0.4)
-    h = hamiltonian(0.0, cfg)
+    h = bare_hamiltonian(0.0, cfg) + interaction_hamiltonian(cfg)
     assert np.allclose(h, h.conj().T)
     expected = 2.0 * SZ[0] + 3.0 * SZ[1] + 0.4 * HOP
     assert np.allclose(h, expected)
@@ -203,24 +209,6 @@ def test_bare_hamiltonian_tracks_drive():
 
 # ---------------------------------------------------------------------------
 # jump operators and rates
-
-
-def test_jump_ops_reduce_to_fixed_basis_when_undriven():
-    cfg = make_system()
-    sz, sp, sm = instantaneous_jump_ops(1, 3.0, cfg)
-    assert np.array_equal(sz, SZ[0])
-    assert np.array_equal(sp, SP[0])
-    assert np.array_equal(sm, SM[0])
-
-
-def test_jump_ops_algebra_holds_at_any_angle():
-    cfg = make_system(amp=(3.0, 0.0), freq=(0.7, 0.0))
-    for t in (0.3, 1.1, 2.9):
-        sz, sp, sm = instantaneous_jump_ops(1, t, cfg)
-        assert np.allclose(sm, sp.conj().T)
-        assert np.allclose(sp @ sm + sm @ sp, IDENTITY4, atol=1e-14)
-        assert np.allclose(sz @ sz, IDENTITY4, atol=1e-14)
-        assert np.allclose(sp @ sm - sm @ sp, sz, atol=1e-14)
 
 
 def test_undriven_rates_match_static_decay_rates(base_system):
@@ -356,10 +344,10 @@ def test_coefficient_table_matches_scalar_oracle(cfg, times):
     ulp = np.spacing(np.max(np.abs(want), axis=1, keepdims=True))
     assert np.all(np.abs(table - want) <= 4.0 * ulp)
     assert negative.tolist() == [neg for _, neg in rows]
-    # each row is what the one-time views return
+    # each row is what a one-time call and the one-time generator return
     for t, row, neg in zip(times, table, negative):
-        coeffs, flag = generator_coefficients(t, cfg)
-        assert np.array_equal(coeffs, row) and flag == neg
+        coeffs, flag = coefficient_table(t, cfg)
+        assert np.array_equal(coeffs[0], row) and flag[0] == neg
         assert np.array_equal(generator(t, cfg)[0],
                               (row @ _basis(cfg)).view(complex).reshape(16, 16))
 
