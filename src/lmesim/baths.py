@@ -12,7 +12,8 @@ eigenbasis.  Two routes to the rates are provided and kept strictly separate:
   memory-correction rate Γ¹(ω);
 * quadrature oracles -- direct numerical evaluation of the defining
   time/frequency double integrals, used to cross-check the closed forms.
-  They load ``scipy.integrate`` on first use: no scenario calls them, and
+  They are the package's only use of SciPy (the ``quadrature`` extra) and
+  load ``scipy.integrate`` on first use: no scenario calls them, and
   importing it (with the ``scipy.special``/``scipy.optimize`` stack it pulls
   in) would otherwise dominate the start-up of every CLI run.
 

@@ -13,8 +13,9 @@ This is exact for the undriven generator (the nonlinear terms cancel in
 the equations of motion), so it doubles as an independent oracle for the
 density-matrix route.  The equation is linear and inhomogeneous, so the
 trajectory is exact: the augmented state [vec C; 1] evolves under a
-constant 5x5 generator.  The steady state solves the Lyapunov equation
-W C + C W† + D = 0, and the steady heat currents are linear in C.
+constant 5x5 generator, propagated with `linalg.expm`.  The steady state
+solves the Lyapunov equation W C + C W† + D = 0, and the steady heat
+currents are linear in C.
 
 `chain_stack` is the one place the rates, W, D and the currents are
 computed: over arrays of (ε₁, ε₂, ζ², λ) for chains that share two baths,
@@ -29,12 +30,11 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .baths import BathParams, decay_rate
 from .dynamics import _frame_plan, _is_stride, _time_span
 from .errors import StabilityError, UnsupportedConfigError
-from .linalg import hermitian_part, lyapunov_solve
+from .linalg import expm, hermitian_part, lyapunov_solve
 from .model import SM, SP, SystemConfig
 
 # C_ij = tr(σ_i^+ σ_j^- ρ); correlator operators in the fixed product basis
@@ -132,29 +132,39 @@ def covariance_from_density(rho: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,lk->ij", _CORR_OPS, rho)
 
 
+def _augmented_generator(dd: DriftDiffusion) -> np.ndarray:
+    """The constant 5x5 generator M = [[W⊗I + I⊗W̄, vec D], [0, 0]] of
+    [vec C; 1] (row-major vec)."""
+    eye = np.eye(2)
+    gen = np.zeros((5, 5), dtype=complex)
+    gen[:4, :4] = np.kron(dd.drift, eye) + np.kron(eye, dd.drift.conj())
+    gen[:4, 4] = dd.diffusion.reshape(4)
+    return gen
+
+
 def integrate_covariance(cov0: np.ndarray, dd: DriftDiffusion, t_span,
                          step: float, record_stride: int = 1):
-    """Covariance trajectory, exact at every recorded frame.
+    """Covariance trajectory from the 2x2 cov0, exact at every recorded
+    frame; t_span is (t0, t1) or a bare final time, as for `integrate`.
 
     Records frames on the density-matrix integrator's grid (same step
     layout and final partial step) so times line up frame for frame.  Each
-    frame applies expm(M·Δt) to [vec C; 1] with
-    M = [[W⊗I + I⊗W̄, vec D], [0, 0]] (row-major vec), which needs no
-    stability of W.  Returns (times, covariances).
+    frame applies expm(M·Δt) to [vec C; 1], with M the
+    `_augmented_generator`, which needs no stability of W.  Returns (times,
+    covariances).
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     if not _is_stride(record_stride):
         raise ValueError(f"record_stride must be an integer >= 1, got {record_stride}")
+    if np.shape(cov0) != (2, 2):
+        raise ValueError(f"cov0 must be a 2x2 covariance, got shape {np.shape(cov0)}")
     t0, t1 = _time_span(t_span)
 
-    eye = np.eye(2)
-    gen = np.zeros((5, 5), dtype=complex)
-    gen[:4, :4] = np.kron(dd.drift, eye) + np.kron(eye, dd.drift.conj())
-    gen[:4, 4] = dd.diffusion.reshape(4)
+    gen = _augmented_generator(dd)
     propagator = functools.cache(lambda span: expm(gen * span))
 
-    cov = cov0.astype(complex)
+    cov = np.array(cov0, dtype=complex)
     times = [t0]
     covs = [cov]
     _, _, frames = _frame_plan(t0, t1, step, record_stride)

@@ -2,10 +2,15 @@
 
 All matrices are plain numpy arrays of complex dtype.  The routines here are
 thin, contract-checked wrappers around numpy's dense solvers, sized for the
-2x2 covariance and 4x4 density matrices used elsewhere in the package.
+2x2 covariance, 4x4 density, 5x5 covariance-generator and 16x16 Liouvillian
+matrices used elsewhere in the package.  The matrix exponential is Higham's
+scaling-and-squaring Padé method in NumPy alone, so the package needs no
+SciPy to propagate.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +22,61 @@ LOG_CLAMP = 1e-12
 LOG_POSITIVITY_TOL = 1e-10
 
 HURWITZ_TOL = -1e-14
+
+#: the largest 1-norm θ_m at which the degree-m Padé approximant of exp
+#: meets double-precision roundoff (Higham, SIAM J. Matrix Anal. Appl. 26,
+#: 1179 (2005), Table 2.3)
+PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+              7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+              13: 5.371920351148152e0}
+# numerator coefficients b_0..b_m of the degree-m Padé approximant of exp,
+# scaled to b_m = 1: b_j = (2m - j)! / (j! (m - j)!), exact integers
+_PADE = {m: [float(math.factorial(2 * m - j)
+                   // (math.factorial(j) * math.factorial(m - j)))
+             for j in range(m + 1)] for m in PADE_THETA}
+
+
+def expm(matrix: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a Padé approximant
+    (Higham 2005, Algorithm 2.3).
+
+    The degree m ∈ {3, 5, 7, 9, 13} is the smallest whose θ_m bounds the
+    1-norm; past θ_13 the matrix is halved s times, the degree-13
+    approximant taken and squared s times.  The approximant is
+    (V - U)⁻¹(V + U) with U the odd and V the even part of the Padé
+    numerator.  A non-finite entry gives a NaN matrix.
+    """
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
+    if not math.isfinite(norm):
+        return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    for m in (3, 5, 7, 9):
+        if norm <= PADE_THETA[m]:
+            b = _PADE[m]
+            a2 = a @ a
+            powers = [eye, a2]
+            for _ in range(m // 2 - 1):
+                powers.append(powers[-1] @ a2)
+            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+            v = sum(b[2 * k] * p for k, p in enumerate(powers))
+            return np.linalg.solve(v - u, v + u)
+    b = _PADE[13]
+    s = max(0, math.ceil(math.log2(norm / PADE_THETA[13])))
+    a = a * 2.0 ** -s
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:

@@ -140,6 +140,13 @@ def test_integrate_records_endpoints_and_stride(base_system):
     assert np.array_equal(traj.final_state, traj.states[-1])
 
 
+def test_integrate_accepts_nested_lists(base_system):
+    rho0 = maximum_entropy_state()
+    icfg = IntegratorConfig(step=1e-3, record_stride=10)
+    assert np.array_equal(integrate(rho0.tolist(), 0.05, base_system, icfg).states,
+                          integrate(rho0, 0.05, base_system, icfg).states)
+
+
 def test_integrate_accepts_time_window(base_system):
     icfg = IntegratorConfig(step=1e-3, record_stride=1000)
     traj = integrate(maximum_entropy_state(), (2.0, 2.25), base_system, icfg)
@@ -152,6 +159,12 @@ def test_integrate_accepts_time_window(base_system):
 @pytest.mark.parametrize("t_span", [math.nan, math.inf, (-math.inf, 1.0)])
 def test_integrate_rejects_non_finite_time_span(base_system, t_span):
     with pytest.raises(ValueError, match="t_span must be finite"):
+        integrate(maximum_entropy_state(), t_span, base_system)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 1.0, 2.0), (1.0,), [[0.0, 1.0]]])
+def test_integrate_rejects_time_span_of_wrong_length(base_system, t_span):
+    with pytest.raises(ValueError, match=r"t_span must be a final time or a pair"):
         integrate(maximum_entropy_state(), t_span, base_system)
 
 
@@ -219,6 +232,19 @@ def test_integrate_rejects_unstable_step(driven_system):
 def test_integrate_rejects_invalid_initial_state(base_system):
     with pytest.raises(ValueError):
         integrate(np.eye(4, dtype=complex), 1.0, base_system)
+
+
+def test_integrate_reports_an_overflowing_generator():
+    # rates this large overflow the Liouvillian; its exponential is NaN and
+    # the frame check turns that into a typed error
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="trace drifted"):
+        integrate(maximum_entropy_state(), 0.01, make_system(kappa=1e306))
+
+
+@pytest.mark.parametrize("rho0", [np.eye(2) / 2, np.eye(3) / 3, np.full(16, 1 / 16)])
+def test_integrate_rejects_initial_state_of_wrong_shape(base_system, rho0):
+    with pytest.raises(ValueError, match=r"rho0 must be a 4x4 density matrix, got shape"):
+        integrate(rho0, 1.0, base_system)
 
 
 def test_driven_and_static_steps_agree_bitwise_without_drive(base_system):

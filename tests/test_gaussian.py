@@ -177,11 +177,33 @@ def test_integrate_covariance_time_grid_matches_density_layout():
     assert times[-1] == 0.123
 
 
+def test_integrate_covariance_accepts_nested_lists():
+    dd = drift_diffusion(make_system())
+    cov0 = 0.5 * np.eye(2, dtype=complex)
+    ref = integrate_covariance(cov0, dd, 0.05, step=1e-3)
+    got = integrate_covariance(cov0.tolist(), dd, 0.05, step=1e-3)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 @pytest.mark.parametrize("t_span", [math.nan, math.inf, (-math.inf, 1.0)])
 def test_integrate_covariance_rejects_non_finite_time_span(t_span):
     dd = drift_diffusion(make_system())
     with pytest.raises(ValueError, match="t_span must be finite"):
         integrate_covariance(0.5 * np.eye(2, dtype=complex), dd, t_span, step=1e-3)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 1.0, 2.0), (1.0,), [[0.0, 1.0]]])
+def test_integrate_covariance_rejects_time_span_of_wrong_length(t_span):
+    dd = drift_diffusion(make_system())
+    with pytest.raises(ValueError, match=r"t_span must be a final time or a pair"):
+        integrate_covariance(0.5 * np.eye(2, dtype=complex), dd, t_span, step=1e-3)
+
+
+@pytest.mark.parametrize("cov0", [np.eye(3) / 2, np.eye(4) / 2, np.full(4, 0.25)])
+def test_integrate_covariance_rejects_initial_state_of_wrong_shape(cov0):
+    dd = drift_diffusion(make_system())
+    with pytest.raises(ValueError, match=r"cov0 must be a 2x2 covariance, got shape"):
+        integrate_covariance(cov0, dd, 1.0, step=1e-3)
 
 
 def test_relaxation_time_matches_eigenvalues(base_system):

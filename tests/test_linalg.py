@@ -1,11 +1,17 @@
-"""Dense linear-algebra kernels: eigendecomposition, Lyapunov, matrix log."""
+"""Dense linear-algebra kernels: matrix exponential, Lyapunov, matrix log."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import make_system, undriven_systems
+from hypothesis import given, settings
 
-from lmesim import PositivityError, StabilityError
+from lmesim import PositivityError, StabilityError, drift_diffusion, liouvillian_matrix
+from lmesim.gaussian import _augmented_generator
 from lmesim.linalg import (
+    PADE_THETA,
     embed_qubit_op,
+    expm,
     hermitian_part,
     lyapunov_solve,
     lyapunov_solve_stack,
@@ -35,6 +41,55 @@ def test_herm_eig_rejects_bad_input():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         matrix_log_hermitian(skew)
+
+
+def generators(cfg):
+    """The 16x16 Liouvillian and the 5x5 covariance generator of cfg."""
+    return liouvillian_matrix(cfg), _augmented_generator(drift_diffusion(cfg))
+
+
+def assert_expm_matches_scipy(a):
+    # SciPy's expm (Al-Mohy & Higham 2009) is the oracle
+    ref = scipy.linalg.expm(a)
+    assert np.max(np.abs(expm(a) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# frame spans from zero to a long run: every Padé degree and the squaring run
+EXPM_SPANS = (0.0, 1e-6, 5e-3, 0.1, 1.0, 12.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(cfg=undriven_systems)
+def test_expm_matches_scipy_on_both_generators(cfg):
+    for gen in generators(cfg):
+        for span in EXPM_SPANS:
+            assert_expm_matches_scipy(gen * span)
+
+
+@pytest.mark.parametrize("norm", [
+    *(0.99 * PADE_THETA[m] for m in (3, 5, 7, 9, 13)), 100.0 * PADE_THETA[13],
+])
+def test_expm_every_pade_branch_matches_scipy(norm):
+    # each degree just inside its θ limit, then the degree 13 with squaring
+    for gen in generators(make_system()):
+        assert_expm_matches_scipy(gen * (norm / np.max(np.sum(np.abs(gen), axis=0))))
+
+
+def test_expm_of_zero_is_exactly_the_identity():
+    for n in (1, 5, 16):
+        assert np.array_equal(expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+
+
+def test_expm_rejects_a_non_square_matrix():
+    for shape in [(2, 3), (4,), (2, 2, 2)]:
+        with pytest.raises(ValueError, match="square"):
+            expm(np.zeros(shape))
+
+
+def test_expm_of_a_non_finite_matrix_is_nan():
+    a = np.eye(3)
+    a[0, 1] = np.inf
+    assert np.all(np.isnan(expm(a)))
 
 
 def test_embed_qubit_op_tensor_slots():

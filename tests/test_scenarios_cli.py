@@ -732,21 +732,23 @@ def test_module_entry_point(tmp_path):
 
 
 # every CLI kind in a fresh interpreter, then one quadrature oracle call; the
-# script prints which of the heavy SciPy modules were loaded after each phase
+# script prints the SciPy modules loaded after each CLI kind and after the
+# oracle
 FOOTPRINT_SCRIPT = """
 import json, sys
 import lmesim.cli as cli
-heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
 undriven, driven, out = sys.argv[1:]
+after_cli = {}
 for kind in cli.KINDS:
     path = driven if kind == "driven" else undriven
     if cli.main([kind.replace("_", "-"), "--config", path, "--out", out]) != 0:
         sys.exit(f"{kind} failed")
-after_cli = [m for m in heavy if m in sys.modules]
+    after_cli[kind] = scipy_modules()
 from lmesim import BathParams, QuadratureConfig, decay_rate_quadrature
 decay_rate_quadrature(10.0, BathParams(15.0, 10.0, 1.0), QuadratureConfig(rtol=1e-4))
-after_oracle = [m for m in heavy if m in sys.modules]
-print(json.dumps([after_cli, after_oracle]))
+print(json.dumps([after_cli, scipy_modules()]))
 """
 
 TINY_GRIDS = """
@@ -764,22 +766,45 @@ step = 1e-4
 """
 
 
-def test_cli_runs_load_no_quadrature_stack(tmp_path):
-    # a top-level import of scipy.integrate (or of what it pulls in) would add
-    # a few tenths of a second to every CLI start-up; the quadrature oracles
-    # load it on first use
-    undriven = write_config(tmp_path, TINY_GRIDS)
-    driven = write_config(tmp_path, TINY_GRIDS + "\n[drive]\namplitude1 = 2.0\n"
-                          "frequency1 = 0.2\n", name="driven.ini")
+def src_env(**overrides):
+    """The environment with the package's source tree first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(scenarios.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(overrides)
+    return env
+
+
+def test_cli_runs_load_no_quadrature_stack(tmp_path):
+    # importing any of SciPy (scipy.linalg alone takes about 0.2 s) would add
+    # to every CLI start-up; no CLI kind may load it, and the quadrature
+    # oracles load scipy.integrate on first use
+    undriven = write_config(tmp_path, TINY_GRIDS)
+    driven = write_config(tmp_path, TINY_GRIDS + "\n[drive]\namplitude1 = 2.0\n"
+                          "frequency1 = 0.2\n", name="driven.ini")
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_SCRIPT, undriven, driven,
          str(tmp_path / "out.csv")],
-        capture_output=True, text=True, timeout=300, env=env,
+        capture_output=True, text=True, timeout=300, env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     after_cli, after_oracle = json.loads(proc.stdout.splitlines()[-1])
-    assert after_cli == []
+    assert after_cli == {kind: [] for kind in cli.KINDS}
     assert "scipy.integrate" in after_oracle
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_holds_openblas_to_one_thread_unless_set(preset, expected):
+    # the package sets OPENBLAS_NUM_THREADS before NumPy loads; a value the
+    # user set is kept
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, lmesim; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [expected]
