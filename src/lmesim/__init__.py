@@ -3,16 +3,6 @@ two bosonic baths: dynamics, thermodynamic observables, a Gaussian
 covariance fast path, and reproducible scenario sweeps.
 """
 
-import os
-
-# NumPy's bundled OpenBLAS starts a worker thread that spins through the
-# tiny batched LAPACK calls made here (the stacked eigenvalue solve of the
-# steady sweeps, for one), which costs CPU time and gains no wall time on
-# matrices of 16x16 and below.  It reads this variable only when NumPy is
-# first imported, so it is set before any import below; a value the user
-# set wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 from .baths import (
     BathParams,
     QuadratureConfig,

@@ -23,26 +23,24 @@ LOG_POSITIVITY_TOL = 1e-10
 
 HURWITZ_TOL = -1e-14
 
-#: the largest 1-norm θ_m at which the degree-m Padé approximant of exp
-#: meets double-precision roundoff (Higham, SIAM J. Matrix Anal. Appl. 26,
-#: 1179 (2005), Table 2.3)
-PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-              7: 9.504178996162932e-1, 9: 2.097847961257068e0,
-              13: 5.371920351148152e0}
-# numerator coefficients b_0..b_m of the degree-m Padé approximant of exp,
-# scaled to b_m = 1: b_j = (2m - j)! / (j! (m - j)!), exact integers
-_PADE = {m: [float(math.factorial(2 * m - j)
-                   // (math.factorial(j) * math.factorial(m - j)))
-             for j in range(m + 1)] for m in PADE_THETA}
+#: the largest 1-norm at which the degree-13 Padé approximant of exp meets
+#: double-precision roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+#: (2005), Table 2.3)
+PADE_THETA_13 = 5.371920351148152
+# numerator coefficients b_0..b_13 of the degree-13 Padé approximant of exp,
+# scaled to b_0 = 1 (so that a zero matrix gives exactly the identity):
+# b_j = (26 - j)! 13! / (26! j! (13 - j)!)
+_PADE_13 = tuple(math.factorial(26 - j) * math.factorial(13)
+                 / (math.factorial(26) * math.factorial(j) * math.factorial(13 - j))
+                 for j in range(14))
 
 
 def expm(matrix: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Padé approximant
-    (Higham 2005, Algorithm 2.3).
+    """Matrix exponential by scaling and squaring with the degree-13 Padé
+    approximant (Higham 2005, Algorithm 2.3).
 
-    The degree m ∈ {3, 5, 7, 9, 13} is the smallest whose θ_m bounds the
-    1-norm; past θ_13 the matrix is halved s times, the degree-13
-    approximant taken and squared s times.  The approximant is
+    A matrix whose 1-norm exceeds θ_13 is halved s times, the approximant
+    taken and squared s times; up to θ_13, s = 0.  The approximant is
     (V - U)⁻¹(V + U) with U the odd and V the even part of the Padé
     numerator.  A non-finite entry gives a NaN matrix.
     """
@@ -52,20 +50,10 @@ def expm(matrix: np.ndarray) -> np.ndarray:
     norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
     if not math.isfinite(norm):
         return np.full(a.shape, np.nan, dtype=np.result_type(a, float))
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    for m in (3, 5, 7, 9):
-        if norm <= PADE_THETA[m]:
-            b = _PADE[m]
-            a2 = a @ a
-            powers = [eye, a2]
-            for _ in range(m // 2 - 1):
-                powers.append(powers[-1] @ a2)
-            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-            v = sum(b[2 * k] * p for k, p in enumerate(powers))
-            return np.linalg.solve(v - u, v + u)
-    b = _PADE[13]
-    s = max(0, math.ceil(math.log2(norm / PADE_THETA[13])))
+    b = _PADE_13
+    s = math.ceil(math.log2(norm / PADE_THETA_13)) if norm > PADE_THETA_13 else 0
     a = a * 2.0 ** -s
+    eye = np.eye(a.shape[0], dtype=a.dtype)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4

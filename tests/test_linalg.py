@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from lmesim import PositivityError, StabilityError, drift_diffusion, liouvillian_matrix
 from lmesim.gaussian import _augmented_generator
 from lmesim.linalg import (
-    PADE_THETA,
+    PADE_THETA_13,
     embed_qubit_op,
     expm,
     hermitian_part,
@@ -49,12 +49,19 @@ def generators(cfg):
 
 
 def assert_expm_matches_scipy(a):
-    # SciPy's expm (Al-Mohy & Higham 2009) is the oracle
+    # SciPy's expm (Al-Mohy & Higham 2009) is the oracle.  Both carry a
+    # roundoff error of order u‖A‖₁ relative to the largest entry, so the
+    # bound grows with the 1-norm past 1 and is EXPM_ROUNDOFF·u below it.
     ref = scipy.linalg.expm(a)
-    assert np.max(np.abs(expm(a) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    norm = np.max(np.sum(np.abs(a), axis=0), initial=0.0)
+    bound = EXPM_ROUNDOFF * np.finfo(float).eps * max(1.0, norm)
+    assert np.max(np.abs(expm(a) - ref)) <= bound * np.max(np.abs(ref))
 
 
-# frame spans from zero to a long run: every Padé degree and the squaring run
+# the largest difference over 60 000 random generator spans (both
+# generators, 1-norms up to 2e4) was 2.6 u·max(1, ‖A‖₁) of the largest entry
+EXPM_ROUNDOFF = 8
+# frame spans from zero to a long run, on both sides of θ_13
 EXPM_SPANS = (0.0, 1e-6, 5e-3, 0.1, 1.0, 12.0)
 
 
@@ -66,11 +73,9 @@ def test_expm_matches_scipy_on_both_generators(cfg):
             assert_expm_matches_scipy(gen * span)
 
 
-@pytest.mark.parametrize("norm", [
-    *(0.99 * PADE_THETA[m] for m in (3, 5, 7, 9, 13)), 100.0 * PADE_THETA[13],
-])
-def test_expm_every_pade_branch_matches_scipy(norm):
-    # each degree just inside its θ limit, then the degree 13 with squaring
+@pytest.mark.parametrize("norm", [0.99 * PADE_THETA_13, 100.0 * PADE_THETA_13])
+def test_expm_with_and_without_squaring_matches_scipy(norm):
+    # just inside θ_13 (no scaling), then scaled by 2⁻⁷ and squared seven times
     for gen in generators(make_system()):
         assert_expm_matches_scipy(gen * (norm / np.max(np.sum(np.abs(gen), axis=0))))
 

@@ -791,20 +791,3 @@ def test_cli_runs_load_no_quadrature_stack(tmp_path):
     after_cli, after_oracle = json.loads(proc.stdout.splitlines()[-1])
     assert after_cli == {kind: [] for kind in cli.KINDS}
     assert "scipy.integrate" in after_oracle
-
-
-@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
-def test_import_holds_openblas_to_one_thread_unless_set(preset, expected):
-    # the package sets OPENBLAS_NUM_THREADS before NumPy loads; a value the
-    # user set is kept
-    env = src_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import os, lmesim; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [expected]
