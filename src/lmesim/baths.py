@@ -119,8 +119,22 @@ def spectral_density_derivative(omega, bath: BathParams):
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` from ``math`` element by element: NumPy's expm1 and sinh differ
-    from ``math``'s in the last bit for a few per cent of arguments."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    from ``math``'s in the last bit for a few per cent of arguments.  Where
+    ``fn`` overflows (β|ω| beyond about 709.78 for expm1, a cold bath) the
+    element is ±inf, so the rate formulas take their finite limits."""
+    args = x.ravel().tolist()
+    try:
+        values = np.fromiter(map(fn, args), float, x.size)
+    except OverflowError:
+        values = np.array([_or_infinity(fn, v) for v in args], dtype=float)
+    return values.reshape(x.shape)
+
+
+def _or_infinity(fn, v: float) -> float:
+    try:
+        return fn(v)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def _split_zero_frequency(freq, bath: BathParams):
@@ -209,7 +223,8 @@ def decay_rate(freq, bath: BathParams):
     balance γ(ω) = exp(βω) γ(-ω) holds to machine precision.
 
     `freq` may be a float or an ndarray.  ``math.expm1`` is taken element by
-    element, so every rate has the bits of the scalar formula.
+    element, so every rate has the bits of the scalar formula.  Past its
+    overflow (βω below about -709.78, a cold bath) the rate is its limit 0.
     """
     _, small, safe = _split_zero_frequency(freq, bath)
     rate = 2.0 * math.pi * spectral_density(safe, bath) / -_elementwise(
@@ -242,7 +257,8 @@ def memory_correction_rate(freq, bath: BathParams):
     The imaginary part is evaluated by series near ω = 0, where its limit
     is κ.  `freq` may be a float or an ndarray; ``math.expm1`` and
     ``math.sinh`` are taken element by element, so every value has the bits
-    of the scalar formula.
+    of the scalar formula; past their overflow (a cold bath) the terms they
+    enter take their limits and the value stays finite.
     """
     w, small, safe = _split_zero_frequency(freq, bath)
     cut = bath.cutoff
@@ -253,9 +269,12 @@ def memory_correction_rate(freq, bath: BathParams):
     out.real = -2.0 * bath.kappa * cut * (kT * (cut * cut - w * w) + cut * cut * w) / (den * den)
     coth_plus_one = 2.0 / -_elementwise(math.expm1, -beta * safe)
     sh = _elementwise(math.sinh, 0.5 * beta * safe)
+    with np.errstate(over="ignore"):
+        # sinh² overflows from β|ω| ≈ 710 on, where its term is zero
+        thermal = beta * spectral_density(safe, bath) / (2.0 * sh * sh)
     out.imag = np.where(small, bath.kappa * (1.0 + w * (beta / 3.0 - 4.0 / (beta * cut * cut))),
                         0.5 * math.pi * (spectral_density_derivative(safe, bath) * coth_plus_one
-                                         - beta * spectral_density(safe, bath) / (2.0 * sh * sh)))
+                                         - thermal))
     return out if isinstance(freq, np.ndarray) else complex(out)
 
 

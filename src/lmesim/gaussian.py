@@ -14,8 +14,10 @@ the equations of motion), so it doubles as an independent oracle for the
 density-matrix route.  The equation is linear and inhomogeneous, so the
 trajectory is exact: the augmented state [vec C; 1] evolves under a
 constant 5x5 generator, propagated with `linalg.expm`.  The steady state
-solves the Lyapunov equation W C + C W† + D = 0, and the steady heat
-currents are linear in C.
+solves the Lyapunov equation W C + C W† + D = 0 with the closed-form 2x2
+kernel of `linalg` (its Hurwitz check uses the same closed-form
+eigenvalues), and the steady heat currents are linear in C.
+`relaxation_time` takes the drift eigenvalues from LAPACK.
 
 `chain_stack` is the one place the rates, W, D and the currents are
 computed: over arrays of (ε₁, ε₂, ζ², λ) for chains that share two baths,

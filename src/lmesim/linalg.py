@@ -1,11 +1,13 @@
 """Dense linear-algebra kernels for small complex matrices.
 
-All matrices are plain numpy arrays of complex dtype.  The routines here are
-thin, contract-checked wrappers around numpy's dense solvers, sized for the
-2x2 covariance, 4x4 density, 5x5 covariance-generator and 16x16 Liouvillian
+All matrices are plain numpy arrays of complex dtype, sized for the 2x2
+covariance, 4x4 density, 5x5 covariance-generator and 16x16 Liouvillian
 matrices used elsewhere in the package.  The matrix exponential is Higham's
 scaling-and-squaring Padé method in NumPy alone, so the package needs no
-SciPy to propagate.
+SciPy to propagate.  The Lyapunov solve takes 2x2 equations only (every
+drift the package builds is 2x2) and solves a stack of them in closed form,
+elementwise over the stack, with no LAPACK call; the matrix logarithm wraps
+numpy's Hermitian eigensolver.
 """
 
 from __future__ import annotations
@@ -94,63 +96,141 @@ def embed_qubit_op(op: np.ndarray, which: int) -> np.ndarray:
 
 
 def lyapunov_solve(drift: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
-    """Solve W C + C W† + D = 0 for C.
+    """Solve W C + C W† + D = 0 for a 2x2 C.
 
     One item of `lyapunov_solve_stack`; its failure message is raised as a
     StabilityError.
     """
     w_mat = np.asarray(drift, dtype=complex)
-    d_mat = np.asarray(diffusion, dtype=complex)
-    if w_mat.ndim != 2 or w_mat.shape[0] != w_mat.shape[1]:
-        raise ValueError(f"drift matrix must be square, got shape {w_mat.shape}")
-    (c_mat,), (failure,) = lyapunov_solve_stack(w_mat[None], d_mat[None])
+    if w_mat.shape != (2, 2):
+        raise ValueError(f"drift must be a 2x2 matrix, got shape {w_mat.shape}")
+    (c_mat,), (failure,) = lyapunov_solve_stack(w_mat[None], np.asarray(diffusion)[None])
     if failure is not None:
         raise StabilityError(failure)
     return c_mat
 
 
-def lyapunov_solve_stack(drift: np.ndarray, diffusion: np.ndarray):
-    """Solve W_k C_k + C_k W_k† + D_k = 0 for every item k of an (m, n, n) stack.
+# 2x2 matrices below are held as their row-major entries (x00, x01, x10, x11),
+# each an array over the stack, so that every product is elementwise
 
-    Each equation is vectorized column-major into
-    (I ⊗ W + conj(W) ⊗ I) vec(C) = -vec(D) and solved densely.  The drift
-    matrix must be Hurwitz: every eigenvalue real part strictly below
-    -1e-14.  The solution residual is verified to 1e-12 in max norm.
+
+def _entries(stack: np.ndarray):
+    return stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
+
+
+def _product(x, y):
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
+def _adjoint(x):
+    return x[0].conj(), x[2].conj(), x[1].conj(), x[3].conj()
+
+
+def _max_abs(x):
+    return np.max(np.abs(np.array(x)), axis=0)
+
+
+def _schur(w):
+    """Eigenvalues λ₁, λ₂, unitary Q and r with Q†WQ = [[λ₁, r], [0, λ₂]].
+
+    For W = [[a, b], [c, d]] the eigenvalues are tr/2 ± s with
+    s = √(p² + bc), p = (a - d)/2, the sign of s taken in the half-plane of
+    p so that p + s does not cancel.  (p + s, c) is an eigenvector of
+    λ₁ = tr/2 + s; normalized to (α, β), or e₁ where it vanishes (then W is
+    already upper triangular), it gives Q = [[α, -β̄], [β, ᾱ]].
+    """
+    a, b, c, d = w
+    half_trace = 0.5 * (a + d)
+    p = 0.5 * (a - d)
+    s = np.sqrt(p * p + b * c)
+    s = np.where(p.real * s.real + p.imag * s.imag < 0.0, -s, s)
+    x = p + s
+    norm = np.hypot(np.abs(x), np.abs(c))
+    flat = norm == 0.0
+    norm = np.where(flat, 1.0, norm)
+    alpha = np.where(flat, 1.0, x / norm)
+    beta = c / norm
+    ac, bc = alpha.conj(), beta.conj()
+    r = ac * ac * b - bc * bc * c + (d - a) * ac * bc
+    return half_trace + s, half_trace - s, (alpha, -bc, beta, ac), r
+
+
+def _triangular_solve(lam1, lam2, r, f):
+    """X with T X + X T† + F = 0 for T = [[λ₁, r], [0, λ₂]], by back
+    substitution through the divisors λᵢ + λ̄ⱼ."""
+    f00, f01, f10, f11 = f
+    x11 = -f11 / (2.0 * lam2.real)
+    x01 = -(f01 + r * x11) / (lam1 + lam2.conj())
+    x10 = -(f10 + r.conj() * x11) / (lam2 + lam1.conj())
+    x00 = -(f00 + r * x10 + r.conj() * x01) / (2.0 * lam1.real)
+    return x00, x01, x10, x11
+
+
+def lyapunov_solve_stack(drift: np.ndarray, diffusion: np.ndarray):
+    """Solve W_k C_k + C_k W_k† + D_k = 0 for every item k of an (m, 2, 2) stack.
+
+    Bartels-Stewart in closed form (Comm. ACM 15, 820 (1972)), element by
+    element over the stack: with the unitary Schur factor Q of W
+    (`_schur`), X = Q†CQ solves T X + X T† + Q†DQ = 0 for the triangular
+    T = Q†WQ by back substitution, and C = Q X Q†.  The drift matrix must
+    be Hurwitz: both closed-form eigenvalues have real part strictly below
+    -1e-14.  The solution residual is verified to 1e-12 of max(1, max |D|)
+    in max norm; an item that misses it is refined once with the same
+    factors and checked again.  Only 2x2 items are accepted.
     Returns (solutions, failures): failures[k] is None, or the message of
-    the check item k failed, in which case its solution is NaN.
+    the check item k failed, in which case its solution is NaN.  A
+    non-finite item fails its checks like any other, without a NumPy
+    warning.
     """
     w_mat = np.asarray(drift, dtype=complex)
     d_mat = np.asarray(diffusion, dtype=complex)
-    if w_mat.ndim != 3 or w_mat.shape[1] != w_mat.shape[2]:
+    if w_mat.ndim != 3 or w_mat.shape[1:] != (2, 2):
         raise ValueError(
-            f"drift must be a stack of square matrices, got shape {w_mat.shape}"
+            f"drift must be a stack of 2x2 matrices, got shape {w_mat.shape}"
         )
     if d_mat.shape != w_mat.shape:
         raise ValueError("drift and diffusion shapes differ")
-    n = w_mat.shape[1]
-    worst = np.max(np.linalg.eigvals(w_mat).real, axis=1)
-    ok = worst < HURWITZ_TOL
+    with np.errstate(all="ignore"):
+        lam1, lam2, q, r = _schur(_entries(w_mat))
+        worst = np.maximum(lam1.real, lam2.real)
+        ok = worst < HURWITZ_TOL
+        lam1, lam2, r = lam1[ok], lam2[ok], r[ok]
+        q = tuple(e[ok] for e in q)
+        q_adj = _adjoint(q)
+        w = _entries(w_mat[ok])
+        w_adj = _adjoint(w)
+        d = _entries(d_mat[ok])
+
+        def solve(rhs):
+            f = _product(q_adj, _product(rhs, q))
+            return _product(q, _product(_triangular_solve(lam1, lam2, r, f), q_adj))
+
+        def residual(c):
+            return tuple(u + v + e for u, v, e in
+                         zip(_product(w, c), _product(c, w_adj), d))
+
+        c = solve(d)
+        res = residual(c)
+        res_max = _max_abs(res)
+        limit = 1e-12 * np.maximum(1.0, _max_abs(d))
+        bad = ~(res_max <= limit)
+        if bad.any():
+            step = solve(res)
+            c = tuple(np.where(bad, u + v, u) for u, v in zip(c, step))
+            res_max = np.where(bad, _max_abs(residual(c)), res_max)
+            bad = ~(res_max <= limit)
     failures = [
         None if good
         else f"drift matrix is not Hurwitz (max Re eigenvalue = {x:.3e})"
-        for good, x in zip(ok, worst)
+        for good, x in zip(ok.tolist(), worst.tolist())
     ]
-    w_ok = w_mat[ok]
-    d_ok = d_mat[ok]
-    eye = np.eye(n, dtype=complex)
-    system = kron(eye, w_ok) + kron(w_ok.conj(), eye)
-    rhs = -d_ok.swapaxes(1, 2).reshape(-1, n * n, 1)
-    vec_c = np.linalg.solve(system, rhs)
-    c_ok = vec_c.reshape(-1, n, n).swapaxes(1, 2)
-    residual = np.max(np.abs(
-        w_ok @ c_ok + c_ok @ w_ok.conj().swapaxes(1, 2) + d_ok
-    ), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(d_ok), axis=(1, 2)))
     solutions = np.full(w_mat.shape, np.nan, dtype=complex)
-    solutions[ok] = c_ok
-    bad = residual > 1e-12 * scale
-    for k, res in zip(np.flatnonzero(ok)[bad], residual[bad]):
-        failures[k] = f"Lyapunov residual {res:.3e} exceeds tolerance"
+    solutions[ok] = np.stack(c, axis=-1).reshape(-1, 2, 2)
+    for k, value in zip(np.flatnonzero(ok)[bad], res_max[bad].tolist()):
+        failures[k] = f"Lyapunov residual {value:.3e} exceeds tolerance"
         solutions[k] = np.nan
     return solutions, failures
 

@@ -16,7 +16,8 @@ Seven scenario kinds cover the package's standard numerical experiments:
 Every scenario runs in one process.  The three steady-state sweeps build
 no per-point system: ``gaussian.chain_stack`` takes the swept parameters as
 arrays and gives the rates, drift and diffusion of every point at once, the
-points' Lyapunov equations are solved as one stack and the heat currents
+points' 2x2 Lyapunov equations are solved as one stack, in closed form
+and elementwise (`linalg.lyapunov_solve_stack`), and the heat currents
 come from the covariance stack (one T-ratio row at a time for the boundary
 grid, whose hot bath changes by row).  Relaxation runs point after point.
 CSV rows are written with one ``%`` format per row.  A sweep point

@@ -4,7 +4,9 @@ scalar oracles of the array kernels.
 The long integrations are session-scoped so the acceptance tests and the
 unit tests reuse the same runs.  ``rk4_step``, ``scalar_coefficients`` and
 the scalar rate formulas are the per-step, per-time and per-frequency paths
-that the package's array kernels replaced, kept here as references.  The
+that the package's array kernels replaced, and ``kronecker_lyapunov_stack``
+the dense LAPACK Lyapunov solve that the closed-form 2x2 kernel replaced,
+kept here as references.  The
 terminal-summary hook prints one [PASS]/[FAIL] line per acceptance
 criterion after the run.
 """
@@ -28,7 +30,7 @@ from lmesim import (
 )
 from lmesim.baths import ZERO_FREQ_FACTOR, spectral_density_derivative
 from lmesim.dynamics import TRACE_RENORM_TOL
-from lmesim.linalg import hermitian_part
+from lmesim.linalg import HURWITZ_TOL, hermitian_part, kron
 
 
 def make_system(eps1=10.0, eps2=5.0, t1=15.0, t2=10.0, coupling=0.5,
@@ -204,6 +206,34 @@ def scalar_coefficients(t, cfg):
         coeffs += [cfg.zeta2 * (g * h) for g in rates for h in harmonics]
         negative = negative or min(rates) < 0.0
     return np.array(coeffs), negative
+
+
+def kronecker_lyapunov_stack(drift, diffusion):
+    """W_k C_k + C_k W_k† + D_k = 0 for an (m, n, n) stack with LAPACK: the
+    Hurwitz check on ``np.linalg.eigvals``, the column-major Kronecker system
+    (I ⊗ W + conj(W) ⊗ I) vec(C) = -vec(D) and the 1e-12 residual check, as
+    ``lyapunov_solve_stack`` did before its closed form.  Returns
+    (solutions, passed): failed items are NaN and not passed."""
+    w_mat = np.asarray(drift, dtype=complex)
+    d_mat = np.asarray(diffusion, dtype=complex)
+    n = w_mat.shape[1]
+    ok = np.max(np.linalg.eigvals(w_mat).real, axis=1) < HURWITZ_TOL
+    w_ok = w_mat[ok]
+    d_ok = d_mat[ok]
+    eye = np.eye(n, dtype=complex)
+    system = kron(eye, w_ok) + kron(w_ok.conj(), eye)
+    rhs = -d_ok.swapaxes(1, 2).reshape(-1, n * n, 1)
+    c_ok = np.linalg.solve(system, rhs).reshape(-1, n, n).swapaxes(1, 2)
+    residual = np.max(np.abs(
+        w_ok @ c_ok + c_ok @ w_ok.conj().swapaxes(1, 2) + d_ok
+    ), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(d_ok), axis=(1, 2)))
+    passed = ok.copy()
+    passed[ok] = residual <= 1e-12 * scale
+    solutions = np.full(w_mat.shape, np.nan, dtype=complex)
+    solutions[ok] = c_ok
+    solutions[~passed] = np.nan
+    return solutions, passed
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,79 @@ def test_memory_correction_series_joins_full_formula():
         assert memory_correction_rate(w, BATH_HOT).imag == pytest.approx(series_side, rel=1e-6)
 
 
+# a cold bath: β|ω| beyond the overflow of math.expm1 (and, at twice that,
+# of math.sinh), where each rate takes its finite limit
+
+# β = 1 exactly, so βω is the frequency itself
+BATH_UNIT_BETA = BathParams(temperature=1.0, kappa=10.0, cutoff=1.0)
+
+
+def last_finite_argument(fn):
+    """The largest float at which ``fn`` does not raise OverflowError."""
+    lo, hi = 1.0, 1e4
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        try:
+            fn(mid)
+            lo = mid
+        except OverflowError:
+            hi = mid
+    return lo
+
+
+EXPM1_LAST = last_finite_argument(math.expm1)     # about 709.78
+SINH_LAST = last_finite_argument(math.sinh)       # about 710.48
+
+
+@pytest.mark.filterwarnings("error")
+def test_decay_rate_at_and_beyond_the_expm1_overflow():
+    bath = BATH_UNIT_BETA
+    at, beyond = EXPM1_LAST, math.nextafter(EXPM1_LAST, math.inf)
+    with pytest.raises(OverflowError):
+        scalar_decay_rate(-beyond, bath)
+    # up to the threshold the bits of the scalar formula, beyond it the limit
+    assert decay_rate(-at, bath) == scalar_decay_rate(-at, bath) > 0.0
+    assert decay_rate(-beyond, bath) == 0.0
+    # detailed balance γ(ω) = e^{βω} γ(-ω): at the threshold γ(-ω) is
+    # subnormal, so compare logarithms; beyond it the true γ(-ω) is below
+    # 1e-300 and the limit is zero
+    down, up = decay_rate(at, bath), decay_rate(-at, bath)
+    assert abs(math.log(down) - math.log(up) - at) <= 1e-12 * at
+    assert decay_rate(beyond, bath) * math.exp(-beyond) < 1e-300
+
+
+@pytest.mark.filterwarnings("error")
+def test_memory_correction_rate_at_and_beyond_the_overflows():
+    # Γ¹ overflows math.expm1 first for ω < 0 and math.sinh(βω/2) for
+    # ω > 0; on each side the value just beyond the threshold is finite and
+    # joins the value at it, which has the bits of the scalar formula
+    bath = BATH_UNIT_BETA
+    for at, beyond in ((-EXPM1_LAST, -math.nextafter(EXPM1_LAST, math.inf)),
+                       (2.0 * SINH_LAST, 2.0 * math.nextafter(SINH_LAST, math.inf))):
+        with pytest.raises(OverflowError):
+            scalar_memory_correction_rate(beyond, bath)
+        assert memory_correction_rate(at, bath) == scalar_memory_correction_rate(at, bath)
+        far = memory_correction_rate(beyond, bath)
+        assert np.isfinite(far)
+        assert abs(far - memory_correction_rate(at, bath)) <= 1e-12 * abs(far)
+    assert memory_correction_rate(-1e4, bath).imag == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_rates_keep_the_bits_of_every_argument_that_does_not_overflow():
+    # one overflowing element sends the array through the per-element
+    # fallback; every other element keeps its bits
+    bath = BATH_UNIT_BETA
+    w = np.array([-3.0, -EXPM1_LAST, -1e4, 0.0, 2.5, 2.0 * SINH_LAST, 1e5])
+    gamma = decay_rate(w, bath)
+    gamma1 = memory_correction_rate(w, bath)
+    assert gamma[2] == 0.0 and np.all(np.isfinite(gamma1))
+    for k in (0, 1, 3, 4, 5, 6):
+        assert gamma[k] == scalar_decay_rate(w[k], bath)
+    for k in (0, 1, 3, 4, 5):
+        assert gamma1[k] == scalar_memory_correction_rate(w[k], bath)
+
+
 # ---------------------------------------------------------------------------
 # correlation function
 

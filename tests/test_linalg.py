@@ -3,20 +3,31 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import make_system, undriven_systems
+from conftest import kronecker_lyapunov_stack, make_system, undriven_systems
 from hypothesis import given, settings
 
-from lmesim import PositivityError, StabilityError, drift_diffusion, liouvillian_matrix
-from lmesim.gaussian import _augmented_generator
+from lmesim import (
+    BathParams,
+    PositivityError,
+    StabilityError,
+    drift_diffusion,
+    liouvillian_matrix,
+)
+from lmesim.gaussian import _augmented_generator, chain_stack
 from lmesim.linalg import (
     PADE_THETA_13,
+    _entries,
+    _schur,
     embed_qubit_op,
     expm,
     hermitian_part,
+    kron,
     lyapunov_solve,
     lyapunov_solve_stack,
     matrix_log_hermitian,
 )
+
+U = np.finfo(float).eps
 
 
 def random_stable(rng, n):
@@ -25,6 +36,36 @@ def random_stable(rng, n):
     w = a - (np.max(np.linalg.eigvals(a).real) + 1.0) * np.eye(n)
     b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return w, b @ b.conj().T
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def shifted_stable(w, margin):
+    """w shifted so that its largest eigenvalue real part is -margin."""
+    top = np.max(np.linalg.eigvals(w).real, axis=1)
+    return w - (top + margin)[:, None, None] * np.eye(2)
+
+
+def nearly_defective(rng, m, gap=1e-8):
+    """Hurwitz 2x2 drifts U [[λ, t], [0, λ + δ]] U† with |δ| ~ gap: each
+    eigenvalue's condition number is about |t|/|δ|."""
+    t = np.zeros((m, 2, 2), dtype=complex)
+    t[:, 0, 0] = -rng.uniform(0.1, 1.0, m) + 1j * rng.normal(size=m)
+    t[:, 1, 1] = t[:, 0, 0] + gap * complex_normal(rng, m)
+    t[:, 0, 1] = 3.0 * complex_normal(rng, m)
+    q = np.linalg.qr(complex_normal(rng, m, 2, 2))[0]
+    return q @ t @ q.conj().swapaxes(1, 2)
+
+
+def psd_stack(rng, m):
+    b = complex_normal(rng, m, 2, 2)
+    return b @ b.conj().swapaxes(1, 2)
+
+
+def one_norm(w):
+    return np.max(np.sum(np.abs(w), axis=1), axis=1)
 
 
 def test_hermitian_part_is_hermitian_and_idempotent(rng):
@@ -112,19 +153,22 @@ def test_embed_qubit_op_rejects_bad_input():
 
 
 def test_lyapunov_solve_scalar_case():
-    # 1x1: w c + c w* + d = 0  =>  c = d / (2 |Re w|)
-    w = np.array([[-0.7 + 2.0j]])
-    d = np.array([[0.3]])
-    c = lyapunov_solve(w, d)
-    assert np.allclose(c, 0.3 / 1.4)
+    # the solve is 2x2 only: a 1x1 equation is rejected, not solved
+    with pytest.raises(ValueError, match="2x2"):
+        lyapunov_solve(np.array([[-0.7 + 2.0j]]), np.array([[0.3]]))
+    with pytest.raises(ValueError, match="2x2"):
+        lyapunov_solve_stack(np.full((3, 1, 1), -1.0), np.ones((3, 1, 1)))
 
 
 def test_lyapunov_solve_random_stable(rng):
     for _ in range(25):
-        w, d = random_stable(rng, int(rng.integers(2, 5)))
+        w, d = random_stable(rng, 2)
         c = lyapunov_solve(w, d)
         resid = np.max(np.abs(w @ c + c @ w.conj().T + d))
         assert resid < 1e-10 * max(1.0, np.max(np.abs(d)))
+    for n in (3, 4):
+        with pytest.raises(ValueError, match="2x2"):
+            lyapunov_solve(*random_stable(rng, n))
 
 
 def test_lyapunov_solve_rejects_unstable_drift():
@@ -140,14 +184,18 @@ def test_lyapunov_solve_rejects_shape_mismatch():
 
 
 def test_lyapunov_solve_stack_matches_single_solves_bitwise(rng):
-    for n in (1, 2, 3):
-        pairs = [random_stable(rng, n) for _ in range(12)]
-        drift = np.array([w for w, _ in pairs])
-        diffusion = np.array([d for _, d in pairs])
-        solutions, failures = lyapunov_solve_stack(drift, diffusion)
-        assert failures == [None] * len(pairs)
-        for (w, d), c in zip(pairs, solutions):
-            assert np.array_equal(c, lyapunov_solve(w, d))
+    pairs = [random_stable(rng, 2) for _ in range(12)]
+    drift = np.array([w for w, _ in pairs])
+    diffusion = np.array([d for _, d in pairs])
+    solutions, failures = lyapunov_solve_stack(drift, diffusion)
+    assert failures == [None] * len(pairs)
+    for (w, d), c in zip(pairs, solutions):
+        assert np.array_equal(c, lyapunov_solve(w, d))
+    for n in (1, 3):
+        pairs = [random_stable(rng, n) for _ in range(3)]
+        with pytest.raises(ValueError, match="2x2"):
+            lyapunov_solve_stack(np.array([w for w, _ in pairs]),
+                                 np.array([d for _, d in pairs]))
 
 
 def test_lyapunov_solve_stack_isolates_a_failed_item(rng):
@@ -166,11 +214,131 @@ def test_lyapunov_solve_stack_isolates_a_failed_item(rng):
         assert np.array_equal(solutions[k], lyapunov_solve(*pairs[k]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lyapunov_solve_stack_fails_a_non_finite_item_alone(rng, bad):
+    pairs = [random_stable(rng, 2) for _ in range(5)]
+    drift = np.array([w for w, _ in pairs])
+    diffusion = np.array([d for _, d in pairs])
+    drift[2, 0, 1] = bad
+    diffusion[3, 1, 1] = bad
+    solutions, failures = lyapunov_solve_stack(drift, diffusion)
+    assert "not Hurwitz" in failures[2]
+    assert "residual" in failures[3]
+    assert np.all(np.isnan(solutions[2:4]))
+    for k in (0, 1, 4):
+        assert failures[k] is None
+        assert np.array_equal(solutions[k], lyapunov_solve(*pairs[k]))
+    for k in (2, 3):
+        with pytest.raises(StabilityError) as err:
+            lyapunov_solve(drift[k], diffusion[k])
+        assert str(err.value) == failures[k]
+
+
 def test_lyapunov_solve_stack_rejects_bad_shapes():
     with pytest.raises(ValueError):
         lyapunov_solve_stack(-np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         lyapunov_solve_stack(-np.ones((3, 2, 2)), np.ones((2, 2, 2)))
+
+
+def closed_form_eigenvalue_error(w):
+    """Distance of the closed-form eigenvalue pair of each item from
+    LAPACK's, under the better of the two pairings."""
+    lam1, lam2, _, _ = _schur(_entries(w))
+    ref = np.linalg.eigvals(w)
+    straight = np.maximum(np.abs(lam1 - ref[:, 0]), np.abs(lam2 - ref[:, 1]))
+    crossed = np.maximum(np.abs(lam1 - ref[:, 1]), np.abs(lam2 - ref[:, 0]))
+    return np.minimum(straight, crossed)
+
+
+def test_closed_form_eigenvalues_match_lapack(rng):
+    # well-separated eigenvalues agree to roundoff: the largest difference
+    # over 20 000 random items was 5.1 u‖W‖₁
+    w = complex_normal(rng, 5000, 2, 2)
+    assert np.all(closed_form_eigenvalue_error(w) <= 16 * U * one_norm(w))
+
+
+def test_closed_form_eigenvalues_match_lapack_when_nearly_defective(rng):
+    # a double eigenvalue moves by √(u‖W‖) under a perturbation of u‖W‖, so
+    # neither method can do better than c·√u·‖W‖₁ there (the largest
+    # difference over 20 000 items was 1.2 √u‖W‖₁)
+    w = nearly_defective(rng, 5000)
+    err = closed_form_eigenvalue_error(w)
+    assert np.all(err <= 4 * np.sqrt(U) * one_norm(w))
+    assert np.max(err) > 16 * U * np.max(one_norm(w))
+
+
+def weakly_damped_chains():
+    """Drift and diffusion of the workhorse chain, uncoupled and at λ = 0.5,
+    from ζ² = 1e-8 to 1: the smaller ζ², the closer the drift eigenvalues
+    to the imaginary axis."""
+    chain = chain_stack(10.0, 5.0, np.logspace(-8.0, 0.0, 400), [[0.0], [0.5]],
+                        BathParams(15.0, 10.0, 1.0), BathParams(10.0, 10.0, 1.0))
+    return chain.drift.reshape(-1, 2, 2), chain.diffusion.reshape(-1, 2, 2)
+
+
+def nearly_triangular(rng, m):
+    """Hurwitz drifts whose lower entry is zero or tiny against the diagonal
+    split: p + s cancels unless s takes the sign of p."""
+    w = shifted_stable(complex_normal(rng, m, 2, 2), rng.uniform(0.1, 1.0, m))
+    w[:, 1, 0] *= np.where(rng.random(m) < 0.2, 0.0, 10.0 ** rng.uniform(-14.0, -6.0, m))
+    return w
+
+
+def lyapunov_cases(rng, m=1500):
+    return {
+        "nearly triangular": (nearly_triangular(rng, m), psd_stack(rng, m)),
+        "random": (shifted_stable(complex_normal(rng, m, 2, 2),
+                                  rng.uniform(0.01, 1.0, m)), psd_stack(rng, m)),
+        "nearly defective": (nearly_defective(rng, m), psd_stack(rng, m)),
+        "weakly damped": (shifted_stable(complex_normal(rng, m, 2, 2),
+                                         10.0 ** rng.uniform(-8.0, -2.0, m)),
+                          psd_stack(rng, m)),
+        "weakly damped chains": weakly_damped_chains(),
+    }
+
+
+def operator_condition(w):
+    """1-norm condition number of the Lyapunov operator C ↦ W C + C W†."""
+    eye = np.eye(2)
+    return np.linalg.cond(kron(eye, w) + kron(w.conj(), eye), 1)
+
+
+def test_lyapunov_solve_stack_matches_the_kronecker_and_scipy_solves(rng):
+    # the forward error of any backward-stable solve is of order
+    # u·cond(L)·‖C‖; the largest measured against either reference, over
+    # five draws of these cases, was 7.0 u·cond(L)·max|C|
+    for name, (w, d) in lyapunov_cases(rng).items():
+        solutions, failures = lyapunov_solve_stack(w, d)
+        oracle, passed = kronecker_lyapunov_stack(w, d)
+        both = passed & np.array([f is None for f in failures])
+        assert np.count_nonzero(both) >= len(w) // 4, name
+        scipy_ref = np.array([scipy.linalg.solve_continuous_lyapunov(a, -b)
+                              for a, b in zip(w[both], d[both])])
+        bound = 16 * U * operator_condition(w[both])
+        for ref in (oracle[both], scipy_ref):
+            err = np.max(np.abs(solutions[both] - ref), axis=(1, 2))
+            assert np.all(err <= bound * np.max(np.abs(ref), axis=(1, 2))), name
+
+
+def test_lyapunov_solve_stack_passes_its_checks_as_often_as_the_oracle(rng):
+    # on the hard cases some items miss the 1e-12 residual either way; the
+    # closed form (with its one refinement step) may not miss more of them
+    for name, (w, d) in lyapunov_cases(rng).items():
+        _, failures = lyapunov_solve_stack(w, d)
+        _, passed = kronecker_lyapunov_stack(w, d)
+        assert failures.count(None) >= np.count_nonzero(passed), name
+
+
+def test_lyapunov_solve_stack_handles_triangular_and_scalar_drifts():
+    # W already upper triangular with a double eigenvalue (the eigenvector
+    # (p + s, c) vanishes) and W = -I (every vector is an eigenvector)
+    d = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    for w in (np.array([[-1.0 + 1j, 3.0], [0.0, -1.0 + 1j]]), -np.eye(2)):
+        c = lyapunov_solve(w, d)
+        ref = scipy.linalg.solve_continuous_lyapunov(w, -d)
+        assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_matrix_log_diagonal():

@@ -638,6 +638,23 @@ def test_cli_sweep_subcommand_is_hyphenated(tmp_path, capsys):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["steady", "sweep-boundary"])
+def test_cli_runs_with_a_cold_bath(tmp_path, capsys, kind):
+    # β₂ · 2ε₂ = 1000: the bath-2 rates take their finite limits, where
+    # math.expm1 and math.sinh overflow
+    body = BASE.replace("temperature = 10.0", "temperature = 0.01")
+    extra = SMALL_BOUNDARY if kind == "sweep-boundary" else ""
+    out = tmp_path / "cold.csv"
+    rc = main([kind, "--config", write_config(tmp_path, extra, base=body), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    _, *rows = (line.split(",") for line in out.read_text().splitlines())
+    values = np.array([[float(x) for x in row if x != "ok"] for row in rows])
+    assert np.all(np.isfinite(values))
+    if kind == "sweep-boundary":
+        assert len(rows) == 9 and all(row[-1] == "ok" for row in rows)
+
+
 def test_cli_reports_config_violations(tmp_path, capsys):
     body = BASE.replace("temperature = 15.0", "temperature = -5.0")
     rc = main(["evolve", "--config", write_config(tmp_path, base=body)])
