@@ -5,7 +5,6 @@ covariance fast path, and reproducible scenario sweeps.
 
 from .baths import (
     BathParams,
-    QuadratureConfig,
     correlation_function,
     decay_rate,
     decay_rate_quadrature,

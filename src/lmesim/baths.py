@@ -15,7 +15,9 @@ eigenbasis.  Two routes to the rates are provided and kept strictly separate:
   They are the package's only use of SciPy (the ``quadrature`` extra) and
   load ``scipy.integrate`` on first use: no scenario calls them, and
   importing it (with the ``scipy.special``/``scipy.optimize`` stack it pulls
-  in) would otherwise dominate the start-up of every CLI run.
+  in) would otherwise dominate the start-up of every CLI run.  Their
+  tolerance, subdivision cap and horizons are fixed: QUAD_RTOL, QUAD_LIMIT,
+  `_s_max` and `_omega_max`.
 
 The closed-form decay rate γ(ω) = π J(ω)(coth(βω/2)+1) is exact for this
 spectral density; the Lamb-shift and memory-correction forms assume
@@ -40,6 +42,11 @@ REG_EPS_FACTOR = 1e-3
 
 #: |ω| below this (in units of Ω) switches rate formulas to their ω→0 limits
 ZERO_FREQ_FACTOR = 1e-9
+
+#: relative tolerance of the quadrature oracles' frequency integrals
+QUAD_RTOL = 1e-8
+#: QUADPACK subdivision cap of every quadrature-oracle integral
+QUAD_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -68,39 +75,6 @@ class BathParams:
     def high_temperature(self) -> bool:
         """Whether k_B T >= Ω, the regime assumed by the closed-form S and Γ¹."""
         return self.k_B * self.temperature >= self.cutoff
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls for the quadrature oracles.
-
-    `s_max` and `omega_max` default to 40/Ω and 50·max(Ω, k_B T) when left
-    unset; `rtol` is the adaptive relative tolerance, `limit` the QUADPACK
-    subdivision cap.
-    """
-
-    s_max: float | None = None
-    omega_max: float | None = None
-    rtol: float = 1e-8
-    limit: int = 200
-
-    def __post_init__(self):
-        if self.s_max is not None and not self.s_max > 0:
-            raise ValueError(f"s_max must be positive, got {self.s_max}")
-        if self.omega_max is not None and not self.omega_max > 0:
-            raise ValueError(f"omega_max must be positive, got {self.omega_max}")
-        if not 0 < self.rtol <= 1e-2:
-            raise ValueError(f"rtol must lie in (0, 1e-2], got {self.rtol}")
-        if self.limit < 10:
-            raise ValueError(f"limit must be at least 10, got {self.limit}")
-
-    def resolved_s_max(self, bath: BathParams) -> float:
-        return self.s_max if self.s_max is not None else 40.0 / bath.cutoff
-
-    def resolved_omega_max(self, bath: BathParams) -> float:
-        if self.omega_max is not None:
-            return self.omega_max
-        return 50.0 * max(bath.cutoff, bath.k_B * bath.temperature)
 
 
 def spectral_density(omega, bath: BathParams):
@@ -155,18 +129,29 @@ def _thermal_weight(omega: float, bath: BathParams) -> float:
     return spectral_density(omega, bath) / math.tanh(0.5 * beta * omega)
 
 
-def _checked_quad(func, lo, hi, *, rtol, limit, scale, weight=None, wvar=None):
-    """scipy quad with non-convergence turned into QuadratureError."""
+def _s_max(bath: BathParams) -> float:
+    """Horizon 40/Ω of the regularized time integrals."""
+    return 40.0 / bath.cutoff
+
+
+def _omega_max(bath: BathParams) -> float:
+    """Frequency cutoff 50·max(Ω, k_B T) of the C(0) integral."""
+    return 50.0 * max(bath.cutoff, bath.k_B * bath.temperature)
+
+
+def _checked_quad(func, lo, hi, *, rtol, scale, weight=None, wvar=None):
+    """scipy quad, capped at QUAD_LIMIT subdivisions, with non-convergence
+    turned into QuadratureError."""
     from scipy.integrate import quad
 
-    kwargs = dict(epsabs=rtol * scale, epsrel=rtol, limit=limit, full_output=1)
+    kwargs = dict(epsabs=rtol * scale, epsrel=rtol, limit=QUAD_LIMIT, full_output=1)
     if weight is not None:
         kwargs["weight"] = weight
         kwargs["wvar"] = wvar
         if hi == math.inf:
             # Fourier integral over a half-line: the tail is summed cycle by
             # cycle and extrapolated, with limlst capping the cycle count.
-            kwargs["limlst"] = max(50, limit)
+            kwargs["limlst"] = max(50, QUAD_LIMIT)
     ret = quad(func, lo, hi, **kwargs)
     value, abserr = ret[0], ret[1]
     if len(ret) > 3:
@@ -179,7 +164,7 @@ def _checked_quad(func, lo, hi, *, rtol, limit, scale, weight=None, wvar=None):
     return value
 
 
-def correlation_function(s: float, bath: BathParams, quad_cfg: QuadratureConfig | None = None) -> complex:
+def correlation_function(s: float, bath: BathParams) -> complex:
     """Bath correlation function C(s) by adaptive frequency quadrature.
 
     C(s) = ∫_0^∞ dω J(ω) [coth(βω/2) cos(ωs) - i sin(ωs)].
@@ -189,28 +174,27 @@ def correlation_function(s: float, bath: BathParams, quad_cfg: QuadratureConfig 
     omega_max would leave an O(1/(s·omega_max)) ringing error that swamps
     the small large-s values.  At s = 0 the real part grows only
     logarithmically with the frequency cutoff, so the value returned there
-    is the integral truncated at omega_max — a regularized quantity,
+    is the integral truncated at `_omega_max` — a regularized quantity,
     meaningful relative to a stated cutoff.
     """
     if s < 0.0:
         raise ValueError(f"s must be non-negative, got {s}")
-    q = quad_cfg or QuadratureConfig()
     scale = 4.0 * bath.kappa * max(bath.cutoff, bath.k_B * bath.temperature)
 
     if s == 0.0:
         real = _checked_quad(
-            lambda w: _thermal_weight(w, bath), 0.0, q.resolved_omega_max(bath),
-            rtol=q.rtol, limit=q.limit, scale=scale,
+            lambda w: _thermal_weight(w, bath), 0.0, _omega_max(bath),
+            rtol=QUAD_RTOL, scale=scale,
         )
         return complex(real, 0.0)
 
     real = _checked_quad(
         lambda w: _thermal_weight(w, bath), 0.0, math.inf,
-        rtol=q.rtol, limit=q.limit, scale=scale, weight="cos", wvar=s,
+        rtol=QUAD_RTOL, scale=scale, weight="cos", wvar=s,
     )
     imag = _checked_quad(
         lambda w: spectral_density(w, bath), 0.0, math.inf,
-        rtol=q.rtol, limit=q.limit, scale=scale, weight="sin", wvar=s,
+        rtol=QUAD_RTOL, scale=scale, weight="sin", wvar=s,
     )
     return complex(real, -imag)
 
@@ -278,7 +262,7 @@ def memory_correction_rate(freq, bath: BathParams):
     return out if isinstance(freq, np.ndarray) else complex(out)
 
 
-def _regularized_time_integral(freq, bath, q, combine):
+def _regularized_time_integral(freq, bath, combine):
     """∫_0^smax ds e^{-εs} combine(C(s), s) with two-point Richardson in ε.
 
     `combine` picks out the cos/sin projection of C(s) onto the transition
@@ -286,7 +270,7 @@ def _regularized_time_integral(freq, bath, q, combine):
     first since it decays; the convergence factor regularizes the slowly
     oscillating tail of the time integral and is extrapolated away.
     """
-    s_max = q.resolved_s_max(bath)
+    s_max = _s_max(bath)
     eps0 = REG_EPS_FACTOR * bath.cutoff
     scale = 4.0 * bath.kappa * bath.k_B * bath.temperature
     cache: dict[float, complex] = {}
@@ -294,30 +278,30 @@ def _regularized_time_integral(freq, bath, q, combine):
     def corr(s: float) -> complex:
         c = cache.get(s)
         if c is None:
-            c = correlation_function(s, bath, q)
+            c = correlation_function(s, bath)
             cache[s] = c
         return c
 
     # s-integral tolerance: the oracle targets percent-level agreement, so a
     # fixed 1e-7 relative request is comfortable without being fragile
-    s_rtol = max(1e-7, q.rtol)
+    s_rtol = 1e-7
 
     def value(eps: float) -> float:
         if freq == 0.0:
             return _checked_quad(
                 lambda s: math.exp(-eps * s) * combine(corr(s), 0.0, 1.0),
-                0.0, s_max, rtol=s_rtol, limit=q.limit, scale=scale,
+                0.0, s_max, rtol=s_rtol, scale=scale,
             )
         wabs = abs(freq)
         sgn = 1.0 if freq > 0 else -1.0
         cos_part = _checked_quad(
             lambda s: math.exp(-eps * s) * combine(corr(s), 0.0, 1.0),
-            0.0, s_max, rtol=s_rtol, limit=q.limit, scale=scale,
+            0.0, s_max, rtol=s_rtol, scale=scale,
             weight="cos", wvar=wabs,
         )
         sin_part = _checked_quad(
             lambda s: math.exp(-eps * s) * combine(corr(s), 1.0, 0.0),
-            0.0, s_max, rtol=s_rtol, limit=q.limit, scale=scale,
+            0.0, s_max, rtol=s_rtol, scale=scale,
             weight="sin", wvar=wabs,
         )
         return cos_part + sgn * sin_part
@@ -325,27 +309,23 @@ def _regularized_time_integral(freq, bath, q, combine):
     return 2.0 * value(eps0) - value(2.0 * eps0)
 
 
-def decay_rate_quadrature(freq: float, bath: BathParams, quad_cfg: QuadratureConfig | None = None) -> float:
+def decay_rate_quadrature(freq: float, bath: BathParams) -> float:
     """Decay rate by direct double quadrature, γ(ω) = 2 Re ∫_0^∞ ds e^{iωs} C(s).
 
     Independent oracle for decay_rate; agreement is at the percent level
     for k_B T ≳ Ω.
     """
-    q = quad_cfg or QuadratureConfig()
-
     def combine(c: complex, sin_w: float, cos_w: float) -> float:
         # Re[e^{iωs} C(s)] = Re C · cos(ωs) + (-Im C) · sin(ωs)
         return cos_w * c.real - sin_w * c.imag
 
-    return 2.0 * _regularized_time_integral(freq, bath, q, combine)
+    return 2.0 * _regularized_time_integral(freq, bath, combine)
 
 
-def lamb_shift_quadrature(freq: float, bath: BathParams, quad_cfg: QuadratureConfig | None = None) -> float:
+def lamb_shift_quadrature(freq: float, bath: BathParams) -> float:
     """Lamb-shift rate by direct double quadrature, S(ω) = Im ∫_0^∞ ds e^{iωs} C(s)."""
-    q = quad_cfg or QuadratureConfig()
-
     def combine(c: complex, sin_w: float, cos_w: float) -> float:
         # Im[e^{iωs} C(s)] = Re C · sin(ωs) + Im C · cos(ωs)
         return sin_w * c.real + cos_w * c.imag
 
-    return _regularized_time_integral(freq, bath, q, combine)
+    return _regularized_time_integral(freq, bath, combine)

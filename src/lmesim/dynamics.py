@@ -43,6 +43,8 @@ logger = logging.getLogger(__name__)
 
 TRACE_RENORM_TOL = 1e-12
 FRAME_TRACE_TOL = 1e-10
+#: `integrate` rejects an undriven frame whose smallest eigenvalue is below -POSITIVITY_TOL
+POSITIVITY_TOL = 1e-8
 DEFAULT_FRAME_SPACING = 5e-3
 STEP_SAFETY = 1e-3
 #: RK4 steps of a driven run whose stage generators are built together
@@ -56,7 +58,7 @@ def _is_stride(value) -> bool:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step, frame spacing and positivity tolerance of a propagation run.
+    """Step and frame spacing of a propagation run.
 
     ``step`` is the RK4 step of driven runs; undriven runs are propagated
     exactly and use it only to lay out the frame grid.  ``step=None``
@@ -66,7 +68,6 @@ class IntegratorConfig:
 
     step: float | None = None
     record_stride: int | None = None
-    positivity_tol: float = 1e-8
 
     def __post_init__(self):
         problems = []
@@ -75,9 +76,6 @@ class IntegratorConfig:
         if self.record_stride is not None and not _is_stride(self.record_stride):
             problems.append(
                 f"record_stride must be an integer >= 1, got {self.record_stride}")
-        if not 0 < self.positivity_tol < math.inf:
-            problems.append(
-                f"positivity_tol must be positive and finite, got {self.positivity_tol}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -183,7 +181,7 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     spacing); driven frames come from fixed-step RK4.  The recorded frames
     are validated together, with the error naming the first bad frame: the
     trace must stay within 1e-10 of one, and for undriven configurations
-    the smallest eigenvalue must stay above -positivity_tol (driven runs
+    the smallest eigenvalue must stay above -POSITIVITY_TOL (driven runs
     only record it, since the time-dependent generator is not guaranteed
     completely positive).  A driven run stops at the first frame whose
     trace drifted.
@@ -230,20 +228,20 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     return Trajectory(
         times=times,
         states=states,
-        min_eigenvalues=_check_frame(states, times, icfg, driven),
+        min_eigenvalues=_check_frame(states, times, driven),
         rate_negative=np.array(rate_flags, dtype=bool),
         step=h,
         record_stride=stride,
     )
 
 
-def _check_frame(states, times, icfg: IntegratorConfig, driven: bool) -> np.ndarray:
+def _check_frame(states, times, driven: bool) -> np.ndarray:
     """Check frames in order and return their smallest eigenvalues.
 
     ``states`` is one frame or a stack of them at ``times``.  Raises
     IntegrationError at the first frame whose trace drifted (a NaN trace
     counts as drift) or, undriven, whose smallest eigenvalue is below
-    -positivity_tol.  The traces are checked first, and one eigenvalue
+    -POSITIVITY_TOL.  The traces are checked first, and one eigenvalue
     solve then covers the frames before the first drift.
     """
     states = np.asarray(states).reshape(-1, 4, 4)
@@ -252,11 +250,11 @@ def _check_frame(states, times, icfg: IntegratorConfig, driven: bool) -> np.ndar
     drifted = np.flatnonzero(~(np.abs(traces - 1.0) <= FRAME_TRACE_TOL))
     end = drifted[0] if drifted.size else len(states)
     lows = np.linalg.eigvalsh(states[:end])[:, 0]
-    negative = np.flatnonzero(lows < -icfg.positivity_tol)
+    negative = np.flatnonzero(lows < -POSITIVITY_TOL)
     if not driven and negative.size:
         k = negative[0]
         raise IntegrationError(
-            f"state eigenvalue {lows[k]:.3e} below -{icfg.positivity_tol:.1e}",
+            f"state eigenvalue {lows[k]:.3e} below -{POSITIVITY_TOL:.1e}",
             time=float(times[k]),
         )
     if drifted.size:

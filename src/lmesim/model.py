@@ -157,15 +157,15 @@ def drive(i: int, t, cfg: SystemConfig):
     return _drive_fields(t, cfg)[0][i - 1].reshape(np.shape(t))[()]
 
 
-def _drive_fields(t, cfg: SystemConfig, static: bool = False):
+def _drive_fields(t, cfg: SystemConfig):
     """f_i and ḟ_i at the time or times t, two (2, m) arrays; exact zeros
-    (not signed zeros from 0.0 * sin) for an undriven qubit, or for both
-    with ``static``, so that the drive-off generators coincide bitwise."""
+    (not signed zeros from 0.0 * sin) for an undriven qubit, so that the
+    drive-off generators coincide bitwise."""
     times = np.asarray(t, dtype=float).reshape(-1)
     f = np.zeros((2, times.size))
     fdot = np.zeros((2, times.size))
     for i, q in enumerate((cfg.qubit1, cfg.qubit2)):
-        if not static and q.drive_amplitude != 0.0 and q.drive_frequency != 0.0:
+        if q.drive_amplitude != 0.0 and q.drive_frequency != 0.0:
             phase = q.drive_frequency * times
             f[i] = q.drive_amplitude * np.sin(phase)
             fdot[i] = q.drive_amplitude * q.drive_frequency * np.cos(phase)
@@ -238,11 +238,15 @@ def _bath_rates(i: int, cfg: SystemConfig, f: np.ndarray, fdot: np.ndarray):
     return rates, (rates.T[:, :, None] * harmonics.T[:, None, :]).reshape(-1, 15)
 
 
-def coefficient_table(times, cfg: SystemConfig, static: bool = False):
+def coefficient_table(times, cfg: SystemConfig):
     """(m, 33) weights of the basis at the m times, rows (1, f_1, f_2, ζ² ×
     bath-1 weights, ζ² × bath-2 weights), and the (m,) flags of a negative
-    rate.  ``static`` forces both drive fields to zero."""
-    f, fdot = _drive_fields(times, cfg, static)
+    rate."""
+    return _weights(*_drive_fields(times, cfg), cfg)
+
+
+def _weights(f: np.ndarray, fdot: np.ndarray, cfg: SystemConfig):
+    """`coefficient_table` at the (2, m) drive values f and ḟ."""
     (r1, w1), (r2, w2) = (_bath_rates(i, cfg, f, fdot) for i in (1, 2))
     table = np.concatenate([np.ones((len(w1), 1)), f.T, cfg.zeta2 * w1, cfg.zeta2 * w2],
                            axis=1)
@@ -287,18 +291,24 @@ def _basis(cfg: SystemConfig) -> np.ndarray:
     return np.vstack([comm.reshape(3, 256).view(float), *_dissipator_basis()])
 
 
-def generator_stack(times, cfg: SystemConfig, static: bool = False):
+def generator_stack(times, cfg: SystemConfig):
     """16x16 generators (row-major vec) at each of the m times, and the (m,)
-    negative-rate flags.  Each table row is contracted with the basis on its
-    own, so it has the bits of a one-time call."""
-    table, neg = coefficient_table(times, cfg, static)
-    return (table[:, None] @ _basis(cfg)).view(complex).reshape(-1, 16, 16), neg
+    negative-rate flags."""
+    table, neg = coefficient_table(times, cfg)
+    return _contract(table, cfg), neg
 
 
-def generator(t: float, cfg: SystemConfig, static: bool = False):
+def _contract(table: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Generators of the (m, 33) weight rows, (m, 16, 16).  Each row is
+    contracted with the basis on its own, so it has the bits of a one-time
+    call."""
+    return (table[:, None] @ _basis(cfg)).view(complex).reshape(-1, 16, 16)
+
+
+def generator(t: float, cfg: SystemConfig):
     """16x16 generator at time t (row-major vec), and whether any rate is
-    negative there.  ``static`` forces both drive fields to zero."""
-    gens, neg = generator_stack(t, cfg, static)
+    negative there."""
+    gens, neg = generator_stack(t, cfg)
     return gens[0], bool(neg[0])
 
 
@@ -338,8 +348,11 @@ def _undriven_dissipator(i: int, cfg: SystemConfig) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def liouvillian_matrix(cfg: SystemConfig) -> np.ndarray:
-    """16x16 generator matrix of the static master equation (row-major vec)."""
-    return generator(0.0, cfg, static=True)[0]
+    """16x16 generator matrix of the static master equation (row-major vec):
+    the generator with both drive fields set to zero, also for a driven
+    configuration."""
+    zero = np.zeros((2, 1))
+    return _contract(_weights(zero, zero, cfg)[0], cfg)[0]
 
 
 def gibbs_product_state(cfg: SystemConfig) -> np.ndarray:

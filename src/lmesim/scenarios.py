@@ -124,7 +124,8 @@ class _Reader:
         self.seen: dict = {}
 
     def _raw(self, section, key, required, default):
-        self.seen.setdefault(section, set()).add(key)
+        # the parser lower-cases the keys it reads (k_B is stored as k_b)
+        self.seen.setdefault(section, set()).add(self.parser.optionxform(key))
         if not self.parser.has_option(section, key):
             if required:
                 self.problems.append(f"missing required key {section}.{key}")
@@ -267,7 +268,6 @@ def load_config(path) -> ScenarioConfig:
     relax = _grid(reader, "relax_zeta2", 0.1, 1.0, 7, spacing="log")
 
     step = record_stride = None
-    positivity_tol = 1e-8
     if parser.has_section("integrator"):
         step = reader.positive("integrator", "step")
         record_stride = reader.intval("integrator", "record_stride")
@@ -276,9 +276,6 @@ def load_config(path) -> ScenarioConfig:
                 f"integrator.record_stride must be >= 1, got {record_stride}"
             )
             record_stride = None
-        positivity_tol = reader.positive(
-            "integrator", "positivity_tol", default=1e-8
-        )
     reader.check_unknown_keys()
 
     if eps2 is not None and detuning and eps2 + min(detuning) <= 0:
@@ -305,10 +302,7 @@ def load_config(path) -> ScenarioConfig:
     return ScenarioConfig(
         kind=kind,
         system=system,
-        integrator=IntegratorConfig(
-            step=step, record_stride=record_stride,
-            positivity_tol=positivity_tol,
-        ),
+        integrator=IntegratorConfig(step=step, record_stride=record_stride),
         horizon=horizon,
         out=out,
         t_ratio_grid=t_ratio,
@@ -350,7 +344,7 @@ def _relaxation_point(zeta2: float, cfg: ScenarioConfig):
         tau_r = relaxation_time(drift_diffusion(system))
         span = 8.0 * tau_r if cfg.horizon is None else cfg.horizon
         traj = integrate(maximum_entropy_state(), span, system, cfg.integrator)
-        res = find_tau0(traj, system, cfg.integrator)
+        res = find_tau0(traj, system)
         if not res.found:
             return (zeta2, math.nan, tau_r, math.nan, f"error:{res.reason}")
         return (zeta2, res.tau0, tau_r, res.tau0 / tau_r, "ok")

@@ -25,7 +25,7 @@ one-frame views, and `find_tau0` scans Σ̇ from it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -160,17 +160,21 @@ def trajectory_observables(times, states, cfg: SystemConfig,
                            check: bool = True) -> FrameColumns:
     """Heat currents, entropy and Σ̇ of every frame of a trajectory at once.
 
-    ``states`` is the (n, 4, 4) stack of the frames at ``times``.  The
-    currents are linear in ρ: each bath's dissipator is applied to the whole
-    stack (one 16x16 superoperator when undriven, one per frame when
-    driven).  One ``eigh`` over the Hermitian parts gives S, the clamped
-    ln ρ and each frame's smallest eigenvalue.  The frames are taken
-    FRAME_BLOCK at a time, which bounds the temporaries of a long run.
-    With ``check`` the frames get the matrix logarithm's checks
-    (`_check_log_spectrum`).
+    ``states`` is the (n, 4, 4) stack of the frames at the n ``times``;
+    any other shape raises ValueError.  The currents are linear in ρ: each
+    bath's dissipator is applied to the whole stack (one 16x16
+    superoperator when undriven, one per frame when driven).  One ``eigh``
+    over the Hermitian parts gives S, the clamped ln ρ and each frame's
+    smallest eigenvalue.  The frames are taken FRAME_BLOCK at a time, which
+    bounds the temporaries of a long run.  With ``check`` the frames get
+    the matrix logarithm's checks (`_check_log_spectrum`).
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
+    if times.ndim != 1 or states.shape != (len(times), 4, 4):
+        raise ValueError(f"states must have shape (n, 4, 4) for n = len(times); "
+                         f"got times of shape {times.shape} and states of shape "
+                         f"{states.shape}")
     blocks = [_block_observables(times[k:k + FRAME_BLOCK],
                                  states[k:k + FRAME_BLOCK], cfg)
               for k in range(0, len(times), FRAME_BLOCK)]
@@ -231,18 +235,16 @@ def effective_temperature_check(i: int, t, cfg: SystemConfig):
     return abs(gm / gp - target) / target
 
 
-def find_tau0(traj: Trajectory, cfg: SystemConfig,
-              integrator: IntegratorConfig | None = None) -> CrossingResult:
+def find_tau0(traj: Trajectory, cfg: SystemConfig) -> CrossingResult:
     """Locate the first downward zero of Σ̇ along a trajectory.
 
     The coarse bracket is the first sign change of Σ̇ over the recorded
     frames, all computed in one `trajectory_observables` pass (its checks
     apply only to the frames up to that change, as a scan in order would);
     the root is then bisected to 1e-6 in time, with each probe obtained by
-    a fresh short integration from the last stored frame before the
-    bracket (no interpolation of Σ̇ samples).
+    a fresh short integration at the trajectory's step from the last
+    stored frame before the bracket (no interpolation of Σ̇ samples).
     """
-    icfg = integrator or IntegratorConfig()
     cols = trajectory_observables(traj.times, traj.states, cfg, check=False)
     sigmas = cols.sigma_dot
     down = np.flatnonzero((sigmas[:-1] > 0.0) & (sigmas[1:] <= 0.0))
@@ -259,8 +261,7 @@ def find_tau0(traj: Trajectory, cfg: SystemConfig,
     cross = int(down[0])
     base_t = float(traj.times[cross])
     base_state = traj.states[cross]
-    probe_cfg = replace(icfg, step=icfg.step or traj.step,
-                        record_stride=1_000_000_000)
+    probe_cfg = IntegratorConfig(step=traj.step, record_stride=1_000_000_000)
 
     def sigma_at(t: float) -> float:
         if t == base_t:
@@ -289,6 +290,8 @@ def fit_power_law(xs, ys) -> PowerLawFit:
         raise ValueError("xs and ys must be 1-d arrays of equal length")
     if xs.size < 3:
         raise ValueError(f"need at least 3 points, got {xs.size}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("power-law fit requires finite data")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise ValueError("power-law fit requires strictly positive data")
     lx = np.log(xs)

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from lmesim import (
     BathParams,
-    QuadratureConfig,
     QuadratureError,
     correlation_function,
     decay_rate,
@@ -37,7 +36,8 @@ from lmesim import (
     one_sided_rate,
     spectral_density,
 )
-from lmesim.baths import ZERO_FREQ_FACTOR, spectral_density_derivative
+from lmesim import baths
+from lmesim.baths import ZERO_FREQ_FACTOR, _omega_max, _s_max, spectral_density_derivative
 
 BATH_HOT = BathParams(temperature=10.0, kappa=10.0, cutoff=1.0)
 BATH_WARM = BathParams(temperature=2.0, kappa=10.0, cutoff=1.0)
@@ -82,17 +82,9 @@ def test_bath_params_beta_and_regime():
     assert not BathParams(temperature=1.0, kappa=1.0, cutoff=2.0).high_temperature
 
 
-def test_quadrature_config_defaults_and_validation():
-    q = QuadratureConfig()
-    assert q.resolved_s_max(BATH_HOT) == pytest.approx(40.0)
-    assert q.resolved_omega_max(BATH_HOT) == pytest.approx(500.0)
-    assert QuadratureConfig(omega_max=7.0).resolved_omega_max(BATH_HOT) == 7.0
-    with pytest.raises(ValueError):
-        QuadratureConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(limit=3)
-    with pytest.raises(ValueError):
-        QuadratureConfig(s_max=-1.0)
+def test_quadrature_default_horizons():
+    assert _s_max(BATH_HOT) == pytest.approx(40.0)
+    assert _omega_max(BATH_HOT) == pytest.approx(500.0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +396,9 @@ def test_lamb_shift_quadrature_vs_closed_form_in_validity_window():
             <= 0.02 * abs(lamb_shift(w, BATH_WARM))
 
 
-def test_quadrature_error_reports_achieved_tolerance():
+def test_quadrature_error_reports_achieved_tolerance(monkeypatch):
     # starve the subdivision budget on a fast-oscillating transform
-    cheap = QuadratureConfig(limit=10, rtol=1e-8)
+    monkeypatch.setattr(baths, "QUAD_LIMIT", 10)
     with pytest.raises(QuadratureError) as err:
-        decay_rate_quadrature(200.0, BATH_HOT, cheap)
+        decay_rate_quadrature(200.0, BATH_HOT)
     assert err.value.achieved is None or err.value.achieved > 0.0

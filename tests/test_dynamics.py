@@ -33,6 +33,7 @@ from lmesim import (
 from lmesim.dynamics import (
     DRIVEN_BLOCK,
     FRAME_TRACE_TOL,
+    POSITIVITY_TOL,
     _check_frame,
     _driven_steps,
     _frame_plan,
@@ -42,16 +43,16 @@ from lmesim.model import _basis
 
 def test_integrator_config_validation_collects_problems():
     with pytest.raises(ValueError) as err:
-        IntegratorConfig(step=-1.0, record_stride=0, positivity_tol=0.0)
+        IntegratorConfig(step=-1.0, record_stride=0)
     msg = str(err.value)
-    assert "step" in msg and "record_stride" in msg and "positivity_tol" in msg
+    assert "step" in msg and "record_stride" in msg
     # a fractional stride would only fail later, in the frame layout
     with pytest.raises(ValueError, match="record_stride must be an integer"):
         IntegratorConfig(record_stride=2.5)
     assert IntegratorConfig(record_stride=np.int64(3)).record_stride == 3
 
 
-@pytest.mark.parametrize("field", ["step", "positivity_tol"])
+@pytest.mark.parametrize("field", ["step"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_integrator_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
@@ -64,7 +65,7 @@ def test_check_frame_treats_nan_trace_as_drift():
     rho = np.full((4, 4), np.nan, dtype=complex)
     for driven in (False, True):
         with pytest.raises(IntegrationError, match="trace drifted to nan"):
-            _check_frame(rho, 0.5, IntegratorConfig(), driven)
+            _check_frame(rho, 0.5, driven)
 
 
 def test_check_frame_reports_the_first_failing_frame_of_a_stack():
@@ -72,15 +73,14 @@ def test_check_frame_reports_the_first_failing_frame_of_a_stack():
     negative = np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6]).astype(complex)
     states = np.array([good, negative, 2.0 * good, good])
     times = [0.0, 0.1, 0.2, 0.3]
-    icfg = IntegratorConfig()
     with pytest.raises(IntegrationError, match="state eigenvalue") as err:
-        _check_frame(states, times, icfg, False)
+        _check_frame(states, times, False)
     assert err.value.time == 0.1
     # driven runs only record the eigenvalue, so the drift is the failure
     with pytest.raises(IntegrationError, match="trace drifted to 2.0") as err:
-        _check_frame(states, times, icfg, True)
+        _check_frame(states, times, True)
     assert err.value.time == 0.2
-    lows = _check_frame(states[:2], times[:2], icfg, True)
+    lows = _check_frame(states[:2], times[:2], True)
     assert np.array_equal(lows, [np.linalg.eigvalsh(s)[0] for s in states[:2]])
 
 
@@ -219,7 +219,7 @@ def test_trajectory_frames_stay_physical(cfg, steps, stride, seed):
     assert np.array_equal(states, states.conj().transpose(0, 2, 1))
     assert np.array_equal(traj.min_eigenvalues, np.linalg.eigvalsh(states)[:, 0])
     if not cfg.is_driven:
-        assert np.all(traj.min_eigenvalues >= -icfg.positivity_tol)
+        assert np.all(traj.min_eigenvalues >= -POSITIVITY_TOL)
 
 
 def test_integrate_rejects_unstable_step(driven_system):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -190,10 +191,23 @@ def test_load_config_missing_required_key(tmp_path):
 
 
 def test_load_config_unknown_key(tmp_path):
-    body = BASE + "mystery = 3\n"  # lands in [bath2]
-    with pytest.raises(ConfigError) as err:
-        load_config(write_config(tmp_path, base=body))
-    assert any("unknown key bath2.mystery" in m for m in err.value.violations)
+    for extra, key in [
+        ("mystery = 3\n", "bath2.mystery"),     # lands in [bath2]
+        ("\n[integrator]\npositivity_tol = 1e-8\n", "integrator.positivity_tol"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, extra))
+        assert any(f"unknown key {key}" in m for m in err.value.violations)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        example = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    cfg = load_config(write_config(tmp_path, base=example))
+    assert cfg.kind == "evolve" and cfg.horizon == 12.0
+    assert cfg.system.bath1.k_B == 1.0 and cfg.system.is_driven
+    assert cfg.integrator == IntegratorConfig(step=5e-5, record_stride=100)
 
 
 def test_load_config_rejects_non_finite_and_log_grid_zero(tmp_path):
@@ -763,8 +777,8 @@ for kind in cli.KINDS:
     if cli.main([kind.replace("_", "-"), "--config", path, "--out", out]) != 0:
         sys.exit(f"{kind} failed")
     after_cli[kind] = scipy_modules()
-from lmesim import BathParams, QuadratureConfig, decay_rate_quadrature
-decay_rate_quadrature(10.0, BathParams(15.0, 10.0, 1.0), QuadratureConfig(rtol=1e-4))
+from lmesim import BathParams, decay_rate_quadrature
+decay_rate_quadrature(10.0, BathParams(15.0, 10.0, 1.0))
 print(json.dumps([after_cli, scipy_modules()]))
 """
 

@@ -256,6 +256,18 @@ def test_trajectory_observables_reject_a_negative_frame(base_system):
             trajectory_observables([0.0, 0.1, 0.2], states, base_system)
 
 
+def test_trajectory_observables_reject_mismatched_shapes(base_trajectory, base_system):
+    # one time beside every frame of a run would give a one-row t column
+    # beside full-length currents
+    states = base_trajectory.states
+    for times, frames in [([0.0], states), (base_trajectory.times, states[0]),
+                          (np.zeros((len(states), 1)), states)]:
+        with pytest.raises(ValueError, match=r"states must have shape \(n, 4, 4\)") as err:
+            trajectory_observables(times, frames, base_system)
+        assert str(np.shape(frames)) in str(err.value)
+        assert str(np.shape(times)) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # effective-temperature diagnostic
 
@@ -415,3 +427,9 @@ def test_fit_power_law_rejects_bad_input():
         fit_power_law([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0])
+    # a failed sweep point leaves NaN in its column
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law([1.0, bad, 3.0], [1.0, 2.0, 3.0])
