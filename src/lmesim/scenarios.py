@@ -123,17 +123,17 @@ class _Reader:
         self.problems: list = []
         self.seen: dict = {}
 
-    def _raw(self, section, key, required, default):
+    def _raw(self, section, key, required):
         # the parser lower-cases the keys it reads (k_B is stored as k_b)
         self.seen.setdefault(section, set()).add(self.parser.optionxform(key))
         if not self.parser.has_option(section, key):
             if required:
                 self.problems.append(f"missing required key {section}.{key}")
-            return None if required else default
+            return None
         return self.parser.get(section, key)
 
     def floatval(self, section, key, required=False, default=None):
-        raw = self._raw(section, key, required, None)
+        raw = self._raw(section, key, required)
         if raw is None:
             return default
         try:
@@ -147,7 +147,7 @@ class _Reader:
         return val
 
     def intval(self, section, key, required=False, default=None):
-        raw = self._raw(section, key, required, None)
+        raw = self._raw(section, key, required)
         if raw is None:
             return default
         try:
@@ -157,7 +157,7 @@ class _Reader:
             return default
 
     def strval(self, section, key, required=False, default=None):
-        raw = self._raw(section, key, required, None)
+        raw = self._raw(section, key, required)
         return default if raw is None else raw.strip()
 
     def positive(self, section, key, required=False, default=None):

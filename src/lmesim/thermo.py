@@ -160,7 +160,7 @@ def trajectory_observables(times, states, cfg: SystemConfig,
                            check: bool = True) -> FrameColumns:
     """Heat currents, entropy and Σ̇ of every frame of a trajectory at once.
 
-    ``states`` is the (n, 4, 4) stack of the frames at the n ``times``;
+    ``states`` is the (n, 4, 4) stack of the frames at the n >= 1 ``times``;
     any other shape raises ValueError.  The currents are linear in ρ: each
     bath's dissipator is applied to the whole stack (one 16x16
     superoperator when undriven, one per frame when driven).  One ``eigh``
@@ -175,6 +175,8 @@ def trajectory_observables(times, states, cfg: SystemConfig,
         raise ValueError(f"states must have shape (n, 4, 4) for n = len(times); "
                          f"got times of shape {times.shape} and states of shape "
                          f"{states.shape}")
+    if not len(times):
+        raise ValueError("trajectory_observables needs at least one frame")
     blocks = [_block_observables(times[k:k + FRAME_BLOCK],
                                  states[k:k + FRAME_BLOCK], cfg)
               for k in range(0, len(times), FRAME_BLOCK)]
@@ -228,11 +230,21 @@ def effective_temperature_check(i: int, t, cfg: SystemConfig):
     """Relative deviation of γ⁻/γ⁺ from the thermal ratio e^{2β E_e(t)}.
 
     Zero (to rounding) when undriven; stays small while the drive is slow
-    against the bath memory.  ``t`` may be an array of times.
+    against the bath memory.  ``t`` may be an array of times.  Where a cold
+    bath takes γ⁻/γ⁺ or the thermal ratio past the float range, the two are
+    compared in log space, and a γ⁺ of 0 is thermal if γ⁻ e^{-2βE} rounds
+    to 0 as well.
     """
     _, gm, gp = dissipation_rates(i, t, cfg)
-    target = np.exp(2.0 * cfg.bath(i).beta * instantaneous_gap(i, t, cfg))
-    return abs(gm / gp - target) / target
+    x = 2.0 * cfg.bath(i).beta * instantaneous_gap(i, t, cfg)
+    with np.errstate(all="ignore"):
+        ratio, target = gm / gp, np.exp(x)
+        log_thermal = np.log(abs(gm)) - x            # ln|γ⁻ e^{-2βE}|
+        rel = np.copysign(np.exp(log_thermal - np.log(abs(gp))), gm * gp)
+        far = np.where(gp == 0.0, np.where(np.exp(log_thermal) == 0.0, 0.0, np.inf),
+                       abs(rel - 1.0))
+        near = np.isfinite(ratio) & np.isfinite(target)
+        return np.where(near, abs(ratio - target) / target, far)[()]
 
 
 def find_tau0(traj: Trajectory, cfg: SystemConfig) -> CrossingResult:

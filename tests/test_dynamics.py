@@ -1,6 +1,7 @@
 """Propagation: stepping plan, accuracy against RK4, recording, steady state."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from lmesim import (
     maximum_entropy_state,
     steady_state,
 )
+from lmesim import dynamics
 from lmesim.dynamics import (
     DRIVEN_BLOCK,
     FRAME_TRACE_TOL,
@@ -38,7 +40,7 @@ from lmesim.dynamics import (
     _driven_steps,
     _frame_plan,
 )
-from lmesim.model import _basis
+from lmesim.model import _basis, generator_stack
 
 
 def test_integrator_config_validation_collects_problems():
@@ -247,20 +249,70 @@ def test_integrate_rejects_initial_state_of_wrong_shape(base_system, rho0):
         integrate(rho0, 1.0, base_system)
 
 
-def test_driven_and_static_steps_agree_bitwise_without_drive(base_system):
-    # the blocked time-dependent kernel on an undriven configuration
-    # reproduces the static generator's floats exactly, across a block
-    # boundary and through a tail step
+def test_driven_and_static_steps_agree_without_drive(base_system):
+    # the blocked time-dependent kernel's step propagators on an undriven
+    # configuration reproduce RK4 on the static generator to rounding,
+    # across a block boundary and through a tail step
     rho = maximum_entropy_state()
+    v = rho.reshape(16)
     h = 1e-3
     n_full, tail = DRIVEN_BLOCK + 3, 0.4 * h
-    steps = list(_driven_steps(rho.reshape(16), 0.0, h, n_full, tail, base_system))
+    steps = list(_driven_steps(0.0, h, n_full, tail, base_system))
     assert len(steps) == n_full + 1
-    for k, (via_td, neg) in enumerate(steps):
+    for k, (step, neg) in enumerate(steps):
         rho = rk4_step(rho, k * h, h if k < n_full else tail,
                        lambda r, u: lme_rhs(r, base_system))
+        v = step @ v
         assert not neg
-        assert np.array_equal(via_td.reshape(4, 4), rho)
+        assert np.max(np.abs(v.reshape(4, 4) - rho)) <= 1e-14
+
+
+def _generator_calls(t0, h, n_full, tail, cfg):
+    """(times, generators, flags) of each `generator_stack` call that the
+    driven kernel makes over a run."""
+    calls = []
+
+    def recording(times, cfg):
+        out = generator_stack(times, cfg)
+        calls.append((times, *out))
+        return out
+
+    with mock.patch.object(dynamics, "generator_stack", recording):
+        for _ in _driven_steps(t0, h, n_full, tail, cfg):
+            pass
+    return calls
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(cfg=driven_systems, t0=st.floats(0.0, 50.0), n_full=st.integers(1, 300),
+       tail_frac=st.floats(0.1, 0.9))
+def test_driven_generators_from_distinct_stage_times_keep_their_bits(
+        cfg, t0, n_full, tail_frac):
+    # each block builds its generators once per distinct stage time; indexed
+    # back onto the stages they equal a call over every stage time bit for bit
+    h = default_step(cfg)
+    tail = tail_frac * h
+    calls = _generator_calls(t0, h, n_full, tail, cfg)
+    n = n_full + 1
+    assert len(calls) == -(-n // DRIVEN_BLOCK)
+    for start, (times, gens, neg) in zip(range(0, n, DRIVEN_BLOCK), calls):
+        k = np.arange(start, min(start + DRIVEN_BLOCK, n))
+        sizes = np.where(k < n_full, h, tail)
+        t = t0 + k * h
+        stages = np.concatenate([t, t + 0.5 * sizes, t + sizes])
+        distinct, where = np.unique(stages, return_inverse=True)
+        assert np.array_equal(times, distinct)
+        want_gens, want_neg = generator_stack(stages, cfg)
+        assert np.array_equal(gens[where].view(np.uint64), want_gens.view(np.uint64))
+        assert np.array_equal(neg[where], want_neg)
+
+
+def test_driven_blocks_share_stage_times(driven_system):
+    # on the criterion-6 run, stage t + h of a step and stage t of the next
+    # are mostly the same float, so a block has fewer than 3 rows per step
+    calls = _generator_calls(0.0, 5e-4, 4 * DRIVEN_BLOCK, 0.0, driven_system)
+    assert len(calls) == 4
+    assert all(len(times) < 3 * DRIVEN_BLOCK for times, _, _ in calls)
 
 
 def _scalar_generator(t, cfg):

@@ -268,6 +268,11 @@ def test_trajectory_observables_reject_mismatched_shapes(base_trajectory, base_s
         assert str(np.shape(times)) in str(err.value)
 
 
+def test_trajectory_observables_need_a_frame(base_system):
+    with pytest.raises(ValueError, match="at least one frame"):
+        trajectory_observables([], np.zeros((0, 4, 4)), base_system)
+
+
 # ---------------------------------------------------------------------------
 # effective-temperature diagnostic
 
@@ -285,6 +290,22 @@ def test_effective_temperature_check_takes_an_array_of_times(driven_system):
         assert devs.shape == times.shape
         assert np.array_equal(devs, one_by_one)
         assert np.ndim(one_by_one[0]) == 0
+
+
+def test_effective_temperature_check_is_finite_for_a_cold_bath():
+    # at T = 0.01 the thermal ratio e^{2βE} overflows; γ⁺ is 0 at t = 0,
+    # where the memory correction vanishes, and that correction elsewhere
+    with pytest.warns(UserWarning, match="high-temperature closed forms"):
+        cfg = make_system(t2=0.01, amp=(2.0, 2.0), freq=(0.2, 0.2))
+    times = np.linspace(0.0, 1.0, 201)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        devs = effective_temperature_check(2, times, cfg)
+        one_by_one = [effective_temperature_check(2, float(t), cfg) for t in times]
+    assert np.all(np.isfinite(devs))
+    assert np.array_equal(devs, one_by_one)
+    assert devs[0] == 0.0        # γ⁺ and γ⁻ e^{-2βE} both round to 0
+    assert np.all(devs[1:] == 1.0)    # |γ⁺| ≫ γ⁻ e^{-2βE}
 
 
 def test_effective_temperature_check_grows_with_drive_frequency():
