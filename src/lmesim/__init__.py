@@ -30,7 +30,6 @@ from .errors import (
     UnsupportedConfigError,
 )
 from .gaussian import (
-    DriftDiffusion,
     covariance_from_density,
     drift_diffusion,
     integrate_covariance,
@@ -65,7 +64,6 @@ from .scenarios import (
 from .thermo import (
     CrossingResult,
     PowerLawFit,
-    ThermoRecord,
     effective_temperature_check,
     entropy,
     entropy_production_rate,

@@ -10,7 +10,8 @@ one `model.generator_stack` call over its distinct stage times, then three
 batched 16x16 products give each step's RK4 propagator, so a step is one
 matrix-vector product.  Both kernels carry the state as its row-major
 16-vector; every recorded frame is re-Hermitized and its trace renormalized
-(and the event logged) when it drifts beyond 1e-12.  The steady state of an
+(and the event logged) when it drifts beyond 1e-12, and a run stops at a
+frame whose trace drifted beyond DENSITY_TRACE_TOL.  The steady state of an
 undriven configuration is the trace-one null vector of L.
 
 Recorded frames carry the smallest eigenvalue of the state and a flag that
@@ -32,6 +33,8 @@ import numpy as np
 from .errors import IntegrationError, StabilityError, UnsupportedConfigError
 from .linalg import expm, hermitian_part
 from .model import (
+    DENSITY_EIG_TOL,
+    DENSITY_TRACE_TOL,
     SystemConfig,
     dissipation_rates,
     generator_stack,
@@ -42,18 +45,10 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 TRACE_RENORM_TOL = 1e-12
-FRAME_TRACE_TOL = 1e-10
-#: `integrate` rejects an undriven frame whose smallest eigenvalue is below -POSITIVITY_TOL
-POSITIVITY_TOL = 1e-8
 DEFAULT_FRAME_SPACING = 5e-3
 STEP_SAFETY = 1e-3
 #: RK4 steps of a driven run whose stage generators are built together
 DRIVEN_BLOCK = 128
-
-
-def _is_stride(value) -> bool:
-    """Whether value can be a frame stride: an integer (NumPy's too) >= 1."""
-    return isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -73,9 +68,10 @@ class IntegratorConfig:
         problems = []
         if self.step is not None and not 0 < self.step < math.inf:
             problems.append(f"step must be positive and finite, got {self.step}")
-        if self.record_stride is not None and not _is_stride(self.record_stride):
-            problems.append(
-                f"record_stride must be an integer >= 1, got {self.record_stride}")
+        stride = self.record_stride
+        # an integer (NumPy's too) >= 1
+        if stride is not None and not (isinstance(stride, numbers.Integral) and stride >= 1):
+            problems.append(f"record_stride must be an integer >= 1, got {stride}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -124,16 +120,19 @@ def _max_rate(cfg: SystemConfig) -> float:
 _TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(16)
 
 
-def _normalize(v: np.ndarray, t: float) -> np.ndarray:
-    """Hermitian part of the row-major vectorized state v, renormalized to
-    unit trace (and the event logged) when its trace drifted beyond
-    TRACE_RENORM_TOL."""
+def _normalize(v: np.ndarray, t: float):
+    """(state, drifted): the Hermitian part of the row-major vectorized state
+    v, renormalized to unit trace (and the event logged) when its trace
+    drifted beyond TRACE_RENORM_TOL; or v as it is, with drifted True, when
+    its complex trace drifted beyond DENSITY_TRACE_TOL."""
+    tr = v[::5].sum()
+    if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
+        return v, True
     v = 0.5 * (v + v[_TRANSPOSED].conj())
-    tr = float(v[::5].sum().real)
-    if abs(tr - 1.0) > TRACE_RENORM_TOL:
-        logger.debug("renormalizing trace %.16f at t=%.6f", tr, t)
-        v = v / tr
-    return v
+    if abs(tr.real - 1.0) > TRACE_RENORM_TOL:
+        logger.debug("renormalizing trace %.16f at t=%.6f", tr.real, t)
+        v = v / tr.real
+    return v, False
 
 
 def _time_span(t_span):
@@ -178,13 +177,13 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     time); an initial state or span of any other shape raises ValueError.
 
     Undriven frames are exact (one matrix exponential per distinct frame
-    spacing); driven frames come from fixed-step RK4.  The recorded frames
-    are validated together, with the error naming the first bad frame: the
-    trace must stay within 1e-10 of one, and for undriven configurations
-    the smallest eigenvalue must stay above -POSITIVITY_TOL (driven runs
-    only record it, since the time-dependent generator is not guaranteed
-    completely positive).  A driven run stops at the first frame whose
-    trace drifted.
+    spacing); driven frames come from fixed-step RK4.  A run stops at the
+    first frame whose complex trace, before renormalization, is not within
+    DENSITY_TRACE_TOL of one, and records that frame as computed.  The
+    recorded frames are validated together, with the error naming the first
+    bad frame: that drifted trace, or for undriven configurations a smallest
+    eigenvalue below -DENSITY_EIG_TOL (driven runs only record it, since
+    the time-dependent generator is not guaranteed completely positive).
     """
     icfg = integrator or IntegratorConfig()
     if np.shape(rho0) != (4, 4):
@@ -218,12 +217,12 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
                 neg_seen = neg_seen or neg
         else:
             v = propagator(span) @ v
-        v = _normalize(v, t)
+        v, drifted = _normalize(v, t)
         times.append(t)
         states.append(v)
         rate_flags.append(neg_seen)
-        if driven and not abs(v[::5].sum().real - 1.0) <= FRAME_TRACE_TOL:
-            break    # RK4 blew up; the frame check below reports it
+        if drifted:
+            break    # the frame check below reports it
 
     times = np.array(times)
     states = np.array(states).reshape(-1, 4, 4)
@@ -241,26 +240,27 @@ def _check_frame(states, times, driven: bool) -> np.ndarray:
     """Check frames in order and return their smallest eigenvalues.
 
     ``states`` is one frame or a stack of them at ``times``.  Raises
-    IntegrationError at the first frame whose trace drifted (a NaN trace
-    counts as drift) or, undriven, whose smallest eigenvalue is below
-    -POSITIVITY_TOL.  The traces are checked first, and one eigenvalue
-    solve then covers the frames before the first drift.
+    IntegrationError at the first frame whose complex trace drifted beyond
+    DENSITY_TRACE_TOL (NaN counts as drift) or, undriven, whose smallest
+    eigenvalue is below -DENSITY_EIG_TOL.  The traces are checked first, and
+    one eigenvalue solve then covers the frames before the first drift.
     """
     states = np.asarray(states).reshape(-1, 4, 4)
     times = np.atleast_1d(times)
-    traces = np.trace(states, axis1=1, axis2=2).real
-    drifted = np.flatnonzero(~(np.abs(traces - 1.0) <= FRAME_TRACE_TOL))
+    traces = np.trace(states, axis1=1, axis2=2)
+    drifted = np.flatnonzero(~(np.abs(traces - 1.0) <= DENSITY_TRACE_TOL))
     end = drifted[0] if drifted.size else len(states)
     lows = np.linalg.eigvalsh(states[:end])[:, 0]
-    negative = np.flatnonzero(lows < -POSITIVITY_TOL)
+    negative = np.flatnonzero(lows < -DENSITY_EIG_TOL)
     if not driven and negative.size:
         k = negative[0]
         raise IntegrationError(
-            f"state eigenvalue {lows[k]:.3e} below -{POSITIVITY_TOL:.1e}",
+            f"state eigenvalue {lows[k]:.3e} below -{DENSITY_EIG_TOL:.1e}",
             time=float(times[k]),
         )
     if drifted.size:
-        raise IntegrationError(f"trace drifted to {float(traces[end])!r}",
+        tr = complex(traces[end])
+        raise IntegrationError(f"trace drifted to {tr.real!r}{tr.imag:+}j",
                                time=float(times[end]))
     return lows
 

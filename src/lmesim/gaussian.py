@@ -21,7 +21,7 @@ eigenvalues), and the steady heat currents are linear in C.
 
 `chain_stack` is the one place the rates, W, D and the currents are
 computed: over arrays of (ε₁, ε₂, ζ², λ) for chains that share two baths,
-which is how the steady sweeps run.  `drift_diffusion` and
+which is how the steady sweeps run.  `drift_diffusion` (its 0-d case) and
 `steady_heat_currents` are its single-configuration views, so a sweep
 point and its own scalar solve give the same bits.
 """
@@ -34,21 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baths import BathParams, decay_rate
-from .dynamics import _frame_plan, _is_stride, _time_span
+from .dynamics import IntegratorConfig, _frame_plan, _time_span
 from .errors import StabilityError, UnsupportedConfigError
 from .linalg import expm, hermitian_part, lyapunov_solve
 from .model import SM, SP, SystemConfig
 
 # C_ij = tr(σ_i^+ σ_j^- ρ); correlator operators in the fixed product basis
 _CORR_OPS = np.array([[SP[i] @ SM[j] for j in (0, 1)] for i in (0, 1)])
-
-
-@dataclass(frozen=True, eq=False)
-class DriftDiffusion:
-    """Drift W (2x2 complex) and diffusion D (2x2 real diagonal PSD)."""
-
-    drift: np.ndarray
-    diffusion: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,17 +106,16 @@ def _chain(cfg: SystemConfig) -> ChainStack:
                        cfg.coupling, cfg.bath1, cfg.bath2)
 
 
-def drift_diffusion(cfg: SystemConfig) -> DriftDiffusion:
-    """Assemble (W, D) from the static rates.  Undriven configurations only."""
+def drift_diffusion(cfg: SystemConfig) -> ChainStack:
+    """The 0-d `ChainStack` (2x2 W and D) of an undriven configuration."""
     if cfg.is_driven:
         raise UnsupportedConfigError(
             "covariance dynamics require an undriven configuration"
         )
-    chain = _chain(cfg)
-    return DriftDiffusion(drift=chain.drift, diffusion=chain.diffusion)
+    return _chain(cfg)
 
 
-def steady_covariance(dd: DriftDiffusion) -> np.ndarray:
+def steady_covariance(dd: ChainStack) -> np.ndarray:
     """Steady C from the Lyapunov equation; Hermitian with populations in [0,1]."""
     return hermitian_part(lyapunov_solve(dd.drift, dd.diffusion))
 
@@ -134,7 +125,7 @@ def covariance_from_density(rho: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,lk->ij", _CORR_OPS, rho)
 
 
-def _augmented_generator(dd: DriftDiffusion) -> np.ndarray:
+def _augmented_generator(dd: ChainStack) -> np.ndarray:
     """The constant 5x5 generator M = [[W⊗I + I⊗W̄, vec D], [0, 0]] of
     [vec C; 1] (row-major vec)."""
     eye = np.eye(2)
@@ -144,10 +135,10 @@ def _augmented_generator(dd: DriftDiffusion) -> np.ndarray:
     return gen
 
 
-def integrate_covariance(cov0: np.ndarray, dd: DriftDiffusion, t_span,
+def integrate_covariance(cov0: np.ndarray, dd: ChainStack, t_span,
                          step: float, record_stride: int = 1):
-    """Covariance trajectory from the 2x2 cov0, exact at every recorded
-    frame; t_span is (t0, t1) or a bare final time, as for `integrate`.
+    """Exact covariance trajectory from the 2x2 cov0 under the W and D of
+    ``dd``; t_span, step and record_stride are checked as for `integrate`.
 
     Records frames on the density-matrix integrator's grid (same step
     layout and final partial step) so times line up frame for frame.  Each
@@ -155,10 +146,7 @@ def integrate_covariance(cov0: np.ndarray, dd: DriftDiffusion, t_span,
     `_augmented_generator`, which needs no stability of W.  Returns (times,
     covariances).
     """
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not _is_stride(record_stride):
-        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride}")
+    icfg = IntegratorConfig(step=step, record_stride=record_stride)
     if np.shape(cov0) != (2, 2):
         raise ValueError(f"cov0 must be a 2x2 covariance, got shape {np.shape(cov0)}")
     t0, t1 = _time_span(t_span)
@@ -169,7 +157,7 @@ def integrate_covariance(cov0: np.ndarray, dd: DriftDiffusion, t_span,
     cov = np.array(cov0, dtype=complex)
     times = [t0]
     covs = [cov]
-    _, _, frames = _frame_plan(t0, t1, step, record_stride)
+    _, _, frames = _frame_plan(t0, t1, icfg.step, icfg.record_stride)
     for _, _, t, span in frames:
         vec = propagator(span) @ np.append(cov.reshape(4), 1.0)
         cov = hermitian_part(vec[:4].reshape(2, 2))
@@ -178,7 +166,7 @@ def integrate_covariance(cov0: np.ndarray, dd: DriftDiffusion, t_span,
     return np.array(times), np.array(covs)
 
 
-def relaxation_time(dd: DriftDiffusion) -> float:
+def relaxation_time(dd: ChainStack) -> float:
     """τ_r = 1/|2 max Re w| over drift eigenvalues w (slowest decay of C)."""
     ws = np.linalg.eigvals(dd.drift)
     top = float(np.max(ws.real))

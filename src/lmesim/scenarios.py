@@ -115,6 +115,30 @@ def kind_violations(kind: str, system: SystemConfig) -> list:
     return []
 
 
+def _value_violations(cfg: ScenarioConfig) -> list:
+    """What `load_config` rejects that a hand-built scenario can hold: an
+    unknown scaling axis, a horizon, T-ratio, ε-ratio or ε₁ = ε₂ + Δε that is
+    not positive and finite, or a ζ² or λ² grid point that is negative or
+    not finite (0 gives a valid system, though the loader's log grids skip it)."""
+    eps2 = cfg.system.qubit2.epsilon
+    problems = [] if cfg.scaling_axis in SCALING_AXES else [
+        f"scenario.scaling_axis must be one of {', '.join(SCALING_AXES)}; "
+        f"got {cfg.scaling_axis!r}"]
+    for name, values, positive in (
+        ("horizon", [] if cfg.horizon is None else [cfg.horizon], True),
+        ("t_ratio_grid", cfg.t_ratio_grid, True),
+        ("eps_ratio_grid", cfg.eps_ratio_grid, True),
+        ("epsilon2 + detuning_grid", [eps2 + d for d in cfg.detuning_grid], True),
+        ("scaling_grid", cfg.scaling_grid, False),
+        ("relaxation_grid", cfg.relaxation_grid, False),
+    ):
+        bad = [x for x in values if not ((0 < x if positive else 0 <= x) and x < math.inf)]
+        if bad:
+            want = "positive" if positive else "non-negative"
+            problems.append(f"scenario.{name} must be {want} and finite, got {bad}")
+    return problems
+
+
 class _Reader:
     """Typed key access over a parsed config that records every problem."""
 
@@ -442,7 +466,7 @@ def _relaxation_table(cfg: ScenarioConfig) -> CsvTable:
 
 def run_scenario(cfg: ScenarioConfig) -> CsvTable:
     """Execute the scenario and return its table (nothing is written here)."""
-    bad = kind_violations(cfg.kind, cfg.system)
+    bad = kind_violations(cfg.kind, cfg.system) + _value_violations(cfg)
     if bad:
         raise ConfigError(bad)
     if cfg.kind == "evolve":

@@ -18,8 +18,8 @@ J_i^I = ζ² Tr(H_int 𝓛_i[ρ]); the identity holds to rounding by linearity.
 in one pass over its (n, 4, 4) state stack: the currents are linear in ρ,
 so each bath's dissipator is applied to the stack at once, and one batched
 ``eigh`` gives the entropy, the clamped ln ρ and the positivity margin.
-`thermo_record`, `heat_current` and `entropy_production_rate` are its
-one-frame views, and `find_tau0` scans Σ̇ from it.
+`thermo_record` (a one-frame `FrameColumns`), `heat_current` and
+`entropy_production_rate` are its one-frame views; `find_tau0` scans Σ̇.
 """
 
 from __future__ import annotations
@@ -56,21 +56,6 @@ FRAME_BLOCK = 128
 
 
 @dataclass(frozen=True)
-class ThermoRecord:
-    """Observables of one trajectory frame."""
-
-    t: float
-    j1: float
-    j2: float
-    js1: float
-    ji1: float
-    js2: float
-    ji2: float
-    entropy: float
-    sigma_dot: float
-
-
-@dataclass(frozen=True)
 class CrossingResult:
     """First downward zero crossing of Σ̇(t), if one was found.
 
@@ -92,9 +77,10 @@ class PowerLawFit(NamedTuple):
 
 
 class FrameColumns(NamedTuple):
-    """Observables of every frame of a trajectory: one array per field of
-    `ThermoRecord`, in its order, then the smallest eigenvalue of each
-    frame's Hermitian part (the one the matrix logarithm clamps)."""
+    """Observables of every frame of a trajectory, one array per field;
+    ``lowest`` is the smallest eigenvalue of each frame's Hermitian part
+    (the one the matrix logarithm clamps).  `thermo_record` gives one
+    frame's, with a float in each field."""
 
     t: np.ndarray
     j1: np.ndarray
@@ -219,11 +205,11 @@ def entropy_production_rate(rho: np.ndarray, t: float, cfg: SystemConfig) -> flo
     return float(trajectory_observables([t], np.asarray(rho)[None], cfg).sigma_dot[0])
 
 
-def thermo_record(rho: np.ndarray, t: float, cfg: SystemConfig) -> ThermoRecord:
-    """All observables of one frame (the one-frame case of
-    `trajectory_observables`)."""
+def thermo_record(rho: np.ndarray, t: float, cfg: SystemConfig) -> FrameColumns:
+    """All observables of one frame: the `FrameColumns` of the one-frame
+    case of `trajectory_observables`, with floats in place of arrays."""
     cols = trajectory_observables([t], np.asarray(rho)[None], cfg)
-    return ThermoRecord(t, *(float(col[0]) for col in cols[1:-1]))
+    return FrameColumns(*(float(col[0]) for col in cols))
 
 
 def effective_temperature_check(i: int, t, cfg: SystemConfig):

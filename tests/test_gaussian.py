@@ -24,7 +24,6 @@ import pytest
 from conftest import make_system
 
 from lmesim import (
-    DriftDiffusion,
     StabilityError,
     UnsupportedConfigError,
     covariance_from_density,
@@ -167,8 +166,9 @@ def test_integrate_covariance_time_grid_matches_density_layout():
     assert times[0] == 0.0
     assert times[-1] == 0.123
     assert len(times) == len(covs)
-    with pytest.raises(ValueError):
-        integrate_covariance(0.5 * np.eye(2, dtype=complex), dd, 1.0, step=-1.0)
+    for step in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            integrate_covariance(0.5 * np.eye(2, dtype=complex), dd, 1.0, step=step)
     with pytest.raises(ValueError, match="record_stride must be an integer"):
         integrate_covariance(0.5 * np.eye(2, dtype=complex), dd, 1.0, step=1e-3,
                              record_stride=2.5)
@@ -226,8 +226,8 @@ def test_relaxation_time_invariant_under_relabeling(base_system):
     )
 
 
-def test_relaxation_time_rejects_non_decaying_drift():
-    dd = DriftDiffusion(drift=np.eye(2, dtype=complex), diffusion=np.eye(2, dtype=complex))
+def test_relaxation_time_rejects_non_decaying_drift(base_system):
+    dd = replace(drift_diffusion(base_system), drift=np.eye(2, dtype=complex))
     with pytest.raises(StabilityError):
         relaxation_time(dd)
 

@@ -307,6 +307,31 @@ def test_run_scenario_rejects_kind_mismatch(driven_system):
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize("kind, field, value, message", [
+    ("sweep_scaling", "scaling_axis", "zeta", "scenario.scaling_axis must be one of"),
+    ("sweep_detuning", "detuning_grid", (-20.0,), "scenario.epsilon2 + detuning_grid must be positive"),
+    ("sweep_boundary", "eps_ratio_grid", (-1.0,), "scenario.eps_ratio_grid must be positive"),
+    ("sweep_boundary", "t_ratio_grid", (0.0,), "scenario.t_ratio_grid must be positive"),
+    ("sweep_scaling", "scaling_grid", (math.nan,), "scenario.scaling_grid must be non-negative"),
+    ("relaxation", "relaxation_grid", (-0.1,), "scenario.relaxation_grid must be non-negative"),
+    ("evolve", "horizon", 0.0, "scenario.horizon must be positive and finite"),
+    ("evolve", "horizon", -1.0, "scenario.horizon must be positive and finite"),
+    ("relaxation", "horizon", math.inf, "scenario.horizon must be positive and finite"),
+    ("evolve", "horizon", math.nan, "scenario.horizon must be positive and finite"),
+])
+def test_run_scenario_rejects_values_the_loader_rejects(base_system, kind, field,
+                                                        value, message):
+    # values a ScenarioConfig built without load_config can carry
+    grids = {"t_ratio_grid": (1.0,), "eps_ratio_grid": (2.0,), "detuning_grid": (1.0,),
+             "scaling_grid": (0.5,), "relaxation_grid": (1.0,)}
+    cfg = ScenarioConfig(kind=kind, system=base_system, integrator=IntegratorConfig(),
+                         **{**grids, field: value})
+    with pytest.raises(ConfigError) as err:
+        run_scenario(cfg)
+    assert len(err.value.violations) == 1
+    assert err.value.violations[0].startswith(message)
+
+
 def test_run_scenario_steady_table(base_system):
     cfg = ScenarioConfig(
         kind="steady", system=base_system,
