@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ConfigError, QuadratureError
 
 #: convergence-factor scale for the regularized time integrals, in units of Ω
 REG_EPS_FACTOR = 1e-3
@@ -65,7 +65,7 @@ class BathParams:
             if not 0 < (value := getattr(self, name)) < math.inf
         ]
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError(problems)
 
     @property
     def beta(self) -> float:

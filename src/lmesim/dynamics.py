@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, StabilityError, UnsupportedConfigError
+from .errors import ConfigError, IntegrationError, StabilityError, UnsupportedConfigError
 from .linalg import expm, hermitian_part
 from .model import (
     DENSITY_EIG_TOL,
@@ -73,7 +73,7 @@ class IntegratorConfig:
         if stride is not None and not (isinstance(stride, numbers.Integral) and stride >= 1):
             problems.append(f"record_stride must be an integer >= 1, got {stride}")
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError(problems)
 
 
 @dataclass

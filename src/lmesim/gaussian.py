@@ -36,7 +36,7 @@ import numpy as np
 from .baths import BathParams, decay_rate
 from .dynamics import IntegratorConfig, _frame_plan, _time_span
 from .errors import StabilityError, UnsupportedConfigError
-from .linalg import expm, hermitian_part, lyapunov_solve
+from .linalg import HURWITZ_TOL, expm, hermitian_part, lyapunov_solve
 from .model import SM, SP, SystemConfig
 
 # C_ij = tr(σ_i^+ σ_j^- ρ); correlator operators in the fixed product basis
@@ -167,10 +167,11 @@ def integrate_covariance(cov0: np.ndarray, dd: ChainStack, t_span,
 
 
 def relaxation_time(dd: ChainStack) -> float:
-    """τ_r = 1/|2 max Re w| over drift eigenvalues w (slowest decay of C)."""
+    """τ_r = 1/|2 max Re w| over drift eigenvalues w (slowest decay of C); a
+    drift with max Re w >= HURWITZ_TOL, the Lyapunov solve's rule, fails."""
     ws = np.linalg.eigvals(dd.drift)
     top = float(np.max(ws.real))
-    if top >= 0.0:
+    if not top < HURWITZ_TOL:
         raise StabilityError(
             f"drift matrix is not Hurwitz (max Re eigenvalue {top:.3e})"
         )

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .baths import BathParams, decay_rate, memory_correction_rate
-from .errors import PositivityError
+from .errors import ConfigError, PositivityError
 from .linalg import embed_qubit_op, kron
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -95,7 +95,7 @@ class QubitParams:
         for name in ("drive_amplitude", "drive_frequency"):
             problems += _non_negative_violations(name, getattr(self, name))
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError(problems)
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class SystemConfig:
         for name in ("zeta2", "coupling"):
             problems += _non_negative_violations(name, getattr(self, name))
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError(problems)
         min_gap = 2.0 * min(self.qubit1.epsilon, self.qubit2.epsilon)
         if abs(self.coupling) > 0.5 * min_gap:
             warnings.warn(
@@ -356,12 +356,14 @@ def liouvillian_matrix(cfg: SystemConfig) -> np.ndarray:
 
 
 def gibbs_product_state(cfg: SystemConfig) -> np.ndarray:
-    """Product of single-qubit thermal states exp(-β_i ε_i σ_z)/Z_i."""
+    """Product of single-qubit thermal states exp(-β_i ε_i σ_z)/Z_i; the
+    populations e^{∓x}/Z are formed in log space, ln Z = x + ln(1 + e^{-2x})
+    for x = β_i ε_i > 0, so that a cold bath gives its qubit's ground state."""
     factors = []
     for i in (1, 2):
         x = cfg.bath(i).beta * cfg.qubit(i).epsilon
-        z = 2.0 * math.cosh(x)
-        factors.append(np.diag([math.exp(-x) / z, math.exp(x) / z]).astype(complex))
+        log_z = x + math.log1p(math.exp(-2.0 * x))
+        factors.append(np.diag([math.exp(-x - log_z), math.exp(x - log_z)]).astype(complex))
     return np.kron(factors[0], factors[1])
 
 

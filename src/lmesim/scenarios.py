@@ -50,7 +50,7 @@ from .gaussian import (
     steady_heat_currents,
 )
 from .linalg import hermitian_part, lyapunov_solve_stack
-from .model import QubitParams, SystemConfig, maximum_entropy_state
+from .model import QubitParams, SystemConfig, _non_negative_violations, maximum_entropy_state
 from .thermo import effective_temperature_check, find_tau0, trajectory_observables
 # unused here since the table is computed in one batched pass, but the
 # benchmark's tracer (perfbench/tracer.py) wraps this name on this module
@@ -115,27 +115,30 @@ def kind_violations(kind: str, system: SystemConfig) -> list:
     return []
 
 
-def _value_violations(cfg: ScenarioConfig) -> list:
-    """What `load_config` rejects that a hand-built scenario can hold: an
-    unknown scaling axis, a horizon, T-ratio, ε-ratio or ε₁ = ε₂ + Δε that is
-    not positive and finite, or a ζ² or λ² grid point that is negative or
-    not finite (0 gives a valid system, though the loader's log grids skip it)."""
-    eps2 = cfg.system.qubit2.epsilon
-    problems = [] if cfg.scaling_axis in SCALING_AXES else [
+def _value_violations(fields: dict, eps2: float | None) -> list:
+    """The rules on a scenario's own fields (`ScenarioConfig` names to values):
+    a known scaling axis; a positive, finite horizon, T-ratio, ε-ratio and
+    ε₁ = ε₂ + Δε (skipped for ε₂ None); a non-negative, finite ζ² or λ² grid
+    (0 is valid, though the loader's log grids skip it).  A message names
+    the first bad value and how many more there are."""
+    problems = [] if fields["scaling_axis"] in SCALING_AXES else [
         f"scenario.scaling_axis must be one of {', '.join(SCALING_AXES)}; "
-        f"got {cfg.scaling_axis!r}"]
+        f"got {fields['scaling_axis']!r}"]
+    horizon = fields["horizon"]
+    eps1 = [] if eps2 is None else [eps2 + d for d in fields["detuning_grid"]]
     for name, values, positive in (
-        ("horizon", [] if cfg.horizon is None else [cfg.horizon], True),
-        ("t_ratio_grid", cfg.t_ratio_grid, True),
-        ("eps_ratio_grid", cfg.eps_ratio_grid, True),
-        ("epsilon2 + detuning_grid", [eps2 + d for d in cfg.detuning_grid], True),
-        ("scaling_grid", cfg.scaling_grid, False),
-        ("relaxation_grid", cfg.relaxation_grid, False),
+        ("horizon", [] if horizon is None else [horizon], True),
+        ("t_ratio_grid", fields["t_ratio_grid"], True),
+        ("eps_ratio_grid", fields["eps_ratio_grid"], True),
+        ("epsilon2 + detuning_grid", eps1, True),
+        ("scaling_grid", fields["scaling_grid"], False),
+        ("relaxation_grid", fields["relaxation_grid"], False),
     ):
         bad = [x for x in values if not ((0 < x if positive else 0 <= x) and x < math.inf)]
         if bad:
             want = "positive" if positive else "non-negative"
-            problems.append(f"scenario.{name} must be {want} and finite, got {bad}")
+            more = f" and {len(bad) - 1} more" if len(bad) > 1 else ""
+            problems.append(f"scenario.{name} must be {want} and finite, got {bad[0]}{more}")
     return problems
 
 
@@ -184,13 +187,6 @@ class _Reader:
         raw = self._raw(section, key, required)
         return default if raw is None else raw.strip()
 
-    def positive(self, section, key, required=False, default=None):
-        val = self.floatval(section, key, required, default)
-        if val is not None and not val > 0:
-            self.problems.append(f"{section}.{key} must be positive, got {val}")
-            return default
-        return val
-
     def check_unknown_keys(self):
         for section in self.parser.sections():
             known = self.seen.get(section)
@@ -203,7 +199,7 @@ class _Reader:
 
 
 def _grid(reader: _Reader, prefix: str, lo_default, hi_default, n_default,
-          spacing: str = "linear", positive: bool = False):
+          log: bool = False):
     lo = reader.floatval("scenario", f"{prefix}_min", default=lo_default)
     hi = reader.floatval("scenario", f"{prefix}_max", default=hi_default)
     n = reader.intval("scenario", f"{prefix}_count", default=n_default)
@@ -217,19 +213,34 @@ def _grid(reader: _Reader, prefix: str, lo_default, hi_default, n_default,
             f"scenario.{prefix}_max must be >= scenario.{prefix}_min"
         )
         return ()
-    if (positive or spacing == "log") and lo <= 0:
-        why = " for a log grid" if spacing == "log" else ""
+    if log and lo <= 0:
         reader.problems.append(
-            f"scenario.{prefix}_min must be positive{why}, got {lo}"
+            f"scenario.{prefix}_min must be positive for a log grid, got {lo}"
         )
         return ()
-    if spacing == "log":
-        return tuple(float(x) for x in np.geomspace(lo, hi, n))
-    return tuple(float(x) for x in np.linspace(lo, hi, n))
+    return tuple(float(x) for x in (np.geomspace if log else np.linspace)(lo, hi, n))
+
+
+def _build(problems: list, where: str, cls, *args):
+    """``cls(*args)``, or None after adding its violations as ``<where>.<field> …``."""
+    try:
+        return cls(*args)
+    except ConfigError as exc:
+        problems += [f"{where}.{v}" for v in exc.violations]
+        return None
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario file, reporting every violation at once."""
+    """Parse a scenario file and validate it, reporting every violation at once.
+
+    The loader checks the file's form: missing sections and required keys,
+    values that are not numbers, integers or finite, unknown sections and
+    keys, and how each grid is built (``_count >= 1``, ``_max >= _min``,
+    ``_min > 0`` for a log grid), named by the INI key.  Each value rule
+    belongs to the type holding the value and names its field:
+    ``qubit1.epsilon``, ``bath2.kappa``, ``integrator.record_stride``,
+    ``system.coupling``, ``scenario.horizon``, ``scenario.t_ratio_grid``.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
@@ -242,100 +253,49 @@ def load_config(path) -> ScenarioConfig:
     if problems:
         raise ConfigError(problems)
 
-    eps1 = reader.positive("system", "epsilon1", required=True)
-    eps2 = reader.positive("system", "epsilon2", required=True)
+    # a missing [drive], [integrator] or [scenario] section reads as defaults
+    qubits = []
+    for i in (1, 2):
+        eps = reader.floatval("system", f"epsilon{i}", required=True)
+        drive = [reader.floatval("drive", f"{key}{i}", default=0.0)
+                 for key in ("amplitude", "frequency")]
+        qubits.append(None if eps is None
+                      else _build(problems, f"qubit{i}", QubitParams, eps, *drive))
     coupling = reader.floatval("system", "coupling", required=True)
     zeta2 = reader.floatval("system", "zeta2", required=True)
-    if coupling is not None and coupling < 0:
-        problems.append(f"system.coupling must be non-negative, got {coupling}")
-    if zeta2 is not None and zeta2 < 0:
-        problems.append(f"system.zeta2 must be non-negative, got {zeta2}")
-
     baths = []
     for name in ("bath1", "bath2"):
-        t = reader.positive(name, "temperature", required=True)
-        kappa = reader.positive(name, "kappa", required=True)
-        cutoff = reader.positive(name, "cutoff", required=True)
-        k_b = reader.positive(name, "k_B", default=1.0)
-        baths.append((t, kappa, cutoff, k_b))
-
-    amp = [0.0, 0.0]
-    freq = [0.0, 0.0]
-    if parser.has_section("drive"):
-        for i in (0, 1):
-            amp[i] = reader.floatval("drive", f"amplitude{i + 1}", default=0.0)
-            freq[i] = reader.floatval("drive", f"frequency{i + 1}", default=0.0)
-            if amp[i] < 0:
-                problems.append(
-                    f"drive.amplitude{i + 1} must be non-negative, got {amp[i]}"
-                )
-            if freq[i] < 0:
-                problems.append(
-                    f"drive.frequency{i + 1} must be non-negative, got {freq[i]}"
-                )
-
-    # a missing [scenario] section reads as all defaults
-    kind = reader.strval("scenario", "kind", default="evolve")
-    horizon = reader.positive("scenario", "horizon")
-    out = reader.strval("scenario", "out")
-    scaling_axis = reader.strval("scenario", "scaling_axis", default="zeta2")
-    if scaling_axis not in SCALING_AXES:
-        problems.append(
-            f"scenario.scaling_axis must be one of {', '.join(SCALING_AXES)};"
-            f" got {scaling_axis!r}"
-        )
-        scaling_axis = "zeta2"
-    t_ratio = _grid(reader, "t_ratio", 1.0, 3.0, 41, positive=True)
-    eps_ratio = _grid(reader, "eps_ratio", 0.5, 3.0, 41, positive=True)
-    detuning = _grid(reader, "delta", 0.0, 10.0, 101)
-    scaling = _grid(reader, "scaling", 1e-4, 1.0, 13, spacing="log")
-    relax = _grid(reader, "relax_zeta2", 0.1, 1.0, 7, spacing="log")
-
-    step = record_stride = None
-    if parser.has_section("integrator"):
-        step = reader.positive("integrator", "step")
-        record_stride = reader.intval("integrator", "record_stride")
-        if record_stride is not None and record_stride < 1:
-            problems.append(
-                f"integrator.record_stride must be >= 1, got {record_stride}"
-            )
-            record_stride = None
+        values = [reader.floatval(name, key, required=True)
+                  for key in ("temperature", "kappa", "cutoff")]
+        values.append(reader.floatval(name, "k_B", default=1.0))
+        baths.append(None if None in values else _build(problems, name, BathParams, *values))
+    integrator = _build(problems, "integrator", IntegratorConfig,
+                        reader.floatval("integrator", "step"),
+                        reader.intval("integrator", "record_stride"))
+    fields = dict(
+        kind=reader.strval("scenario", "kind", default="evolve"),
+        horizon=reader.floatval("scenario", "horizon"),
+        out=reader.strval("scenario", "out"),
+        t_ratio_grid=_grid(reader, "t_ratio", 1.0, 3.0, 41),
+        eps_ratio_grid=_grid(reader, "eps_ratio", 0.5, 3.0, 41),
+        detuning_grid=_grid(reader, "delta", 0.0, 10.0, 101),
+        scaling_axis=reader.strval("scenario", "scaling_axis", default="zeta2"),
+        scaling_grid=_grid(reader, "scaling", 1e-4, 1.0, 13, log=True),
+        relaxation_grid=_grid(reader, "relax_zeta2", 0.1, 1.0, 7, log=True),
+    )
     reader.check_unknown_keys()
+    problems += _value_violations(fields, None if qubits[1] is None else qubits[1].epsilon)
 
-    if eps2 is not None and detuning and eps2 + min(detuning) <= 0:
-        problems.append(
-            "scenario.delta_min would make epsilon1 = epsilon2 + delta non-positive"
-        )
-
+    parts = (*qubits, *baths, coupling, zeta2)
     system = None
-    if not problems:
-        try:
-            system = SystemConfig(
-                qubit1=QubitParams(eps1, amp[0], freq[0]),
-                qubit2=QubitParams(eps2, amp[1], freq[1]),
-                bath1=BathParams(*baths[0]),
-                bath2=BathParams(*baths[1]),
-                coupling=coupling,
-                zeta2=zeta2,
-            )
-        except ValueError as exc:
-            problems.append(str(exc))
+    if all(p is not None for p in parts):
+        system = _build(problems, "system", SystemConfig, *parts)
+    else:   # without its parts, check λ and ζ² by SystemConfig's rule
+        for name, value in (("coupling", coupling), ("zeta2", zeta2)):
+            problems += [] if value is None else _non_negative_violations(f"system.{name}", value)
     if problems:
         raise ConfigError(problems)
-
-    return ScenarioConfig(
-        kind=kind,
-        system=system,
-        integrator=IntegratorConfig(step=step, record_stride=record_stride),
-        horizon=horizon,
-        out=out,
-        t_ratio_grid=t_ratio,
-        eps_ratio_grid=eps_ratio,
-        detuning_grid=detuning,
-        scaling_axis=scaling_axis,
-        scaling_grid=scaling,
-        relaxation_grid=relax,
-    )
+    return ScenarioConfig(system=system, integrator=integrator, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +426,8 @@ def _relaxation_table(cfg: ScenarioConfig) -> CsvTable:
 
 def run_scenario(cfg: ScenarioConfig) -> CsvTable:
     """Execute the scenario and return its table (nothing is written here)."""
-    bad = kind_violations(cfg.kind, cfg.system) + _value_violations(cfg)
+    bad = (kind_violations(cfg.kind, cfg.system)
+           + _value_violations(vars(cfg), cfg.system.qubit2.epsilon))
     if bad:
         raise ConfigError(bad)
     if cfg.kind == "evolve":

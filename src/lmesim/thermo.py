@@ -262,8 +262,6 @@ def find_tau0(traj: Trajectory, cfg: SystemConfig) -> CrossingResult:
     probe_cfg = IntegratorConfig(step=traj.step, record_stride=1_000_000_000)
 
     def sigma_at(t: float) -> float:
-        if t == base_t:
-            return float(sigmas[cross])
         sub = integrate(base_state, (base_t, t), cfg, probe_cfg)
         return entropy_production_rate(sub.final_state, t, cfg)
 

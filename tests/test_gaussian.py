@@ -227,9 +227,14 @@ def test_relaxation_time_invariant_under_relabeling(base_system):
 
 
 def test_relaxation_time_rejects_non_decaying_drift(base_system):
-    dd = replace(drift_diffusion(base_system), drift=np.eye(2, dtype=complex))
-    with pytest.raises(StabilityError):
-        relaxation_time(dd)
+    for drift in (
+        np.eye(2, dtype=complex),
+        # decays, but slower than the Lyapunov solve's HURWITZ_TOL allows
+        np.diag([-1e-15, -1.0]).astype(complex),
+    ):
+        dd = replace(drift_diffusion(base_system), drift=drift)
+        with pytest.raises(StabilityError):
+            relaxation_time(dd)
 
 
 def test_steady_heat_currents_vanish_without_coupling():

@@ -445,6 +445,21 @@ def test_gibbs_product_state_structure(base_system):
         eps = base_system.qubit(i).epsilon
         want = 1.0 / (1.0 + math.exp(2.0 * beta * eps))
         assert np.trace(op @ rho).real == pytest.approx(want, rel=1e-12)
+    # the log-space populations keep the cosh formula's values
+    factors = []
+    for i in (1, 2):
+        x = base_system.bath(i).beta * base_system.qubit(i).epsilon
+        z = 2.0 * math.cosh(x)
+        factors.append(np.diag([math.exp(-x) / z, math.exp(x) / z]))
+    assert np.max(np.abs(rho - np.kron(*factors))) <= 1e-15
+
+
+def test_gibbs_product_state_of_cold_baths_is_the_ground_state():
+    # beta * epsilon = 500 and 1000: cosh overflows past about 710
+    rho = gibbs_product_state(make_system(t1=0.01, t2=0.01))
+    ground = np.zeros((4, 4), dtype=complex)
+    ground[3, 3] = 1.0
+    assert np.array_equal(rho, ground)
 
 
 def test_maximum_entropy_state():

@@ -169,7 +169,7 @@ x = 1
     with pytest.raises(ConfigError) as err:
         load_config(path)
     msgs = err.value.violations
-    assert any("bath1.temperature must be positive, got -5.0" in m for m in msgs)
+    assert any("bath1.temperature must be positive and finite, got -5.0" in m for m in msgs)
     assert any("system.coupling is not a number" in m for m in msgs)
     assert any("unknown key scenario.threads" in m for m in msgs)
     assert any("unknown section [weird]" in m for m in msgs)
@@ -215,12 +215,52 @@ def test_load_config_rejects_non_finite_and_log_grid_zero(tmp_path):
     extra = """
 [scenario]
 scaling_min = 0.0
+t_ratio_count = 0
+delta_max = -1.0
+
+[integrator]
+record_stride = 1.5
 """
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, extra, base=body))
     msgs = err.value.violations
     assert any("system.epsilon1 must be finite" in m for m in msgs)
     assert any("scenario.scaling_min must be positive for a log grid" in m for m in msgs)
+    assert "scenario.t_ratio_count must be >= 1, got 0" in msgs
+    assert "scenario.delta_max must be >= scenario.delta_min" in msgs
+    assert "integrator.record_stride is not an integer: '1.5'" in msgs
+    assert len(msgs) == 5
+
+
+def test_load_config_reports_every_level_at_once(tmp_path):
+    # one violation per owner: the parser, a qubit, a bath, the integrator,
+    # the system and the scenario, all in one ConfigError
+    body = (BASE.replace("epsilon1 = 10.0", "epsilon1 = -1.0")
+            .replace("coupling = 0.5", "coupling = -0.5")
+            .replace("kappa = 10.0\ncutoff = 1.0\n\n[bath2]",
+                     "kappa = 0.0\ncutoff = 1.0\n\n[bath2]"))
+    extra = """
+[drive]
+frequency2 = x
+
+[integrator]
+record_stride = 0
+
+[scenario]
+horizon = -3.0
+scaling_axis = zeta
+"""
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, extra, base=body))
+    assert sorted(err.value.violations) == sorted([
+        "drive.frequency2 is not a number: 'x'",
+        "qubit1.epsilon must be positive and finite, got -1.0",
+        "bath1.kappa must be positive and finite, got 0.0",
+        "integrator.record_stride must be an integer >= 1, got 0",
+        "system.coupling must be non-negative, got -0.5",
+        "scenario.horizon must be positive and finite, got -3.0",
+        "scenario.scaling_axis must be one of zeta2, lambda2; got 'zeta'",
+    ])
 
 
 def test_load_config_rejects_kind_drive_mismatch(tmp_path):
@@ -248,8 +288,8 @@ eps_ratio_min = -1.0
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, extra))
     msgs = err.value.violations
-    assert any("scenario.t_ratio_min must be positive, got 0.0" in m for m in msgs)
-    assert any("scenario.eps_ratio_min must be positive, got -1.0" in m for m in msgs)
+    assert any("scenario.t_ratio_grid" in m and "got 0.0" in m for m in msgs)
+    assert any("scenario.eps_ratio_grid" in m and "got -1.0" in m for m in msgs)
 
 
 def test_load_config_rejects_detuning_that_breaks_positivity(tmp_path):
@@ -261,7 +301,8 @@ delta_max = 1.0
 """
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, extra))
-    assert any("delta_min" in m and "non-positive" in m for m in err.value.violations)
+    assert any("scenario.epsilon2 + detuning_grid must be positive" in m
+               for m in err.value.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +419,13 @@ def test_sweep_records_numerical_failures_as_status(base_system):
     rows = run_scenario(cfg).rows
     assert [r[3] for r in rows] == ["error:StabilityError"] * 2
     assert all(math.isnan(r[2]) for r in rows)
+    # a relaxation point's StabilityError, from its τ_r, becomes its row too
+    cfg = ScenarioConfig(kind="relaxation", system=base_system,
+                         integrator=IntegratorConfig(), relaxation_grid=(0.0, 1.0))
+    rows = run_scenario(cfg).rows
+    assert rows[0][0] == 0.0 and rows[0][4] == "error:StabilityError"
+    assert all(math.isnan(v) for v in rows[0][1:4])
+    assert rows[1][4] == "ok"
 
 
 def test_sweep_lets_programming_errors_propagate(base_system, monkeypatch):
@@ -699,7 +747,14 @@ def test_cli_reports_config_violations(tmp_path, capsys):
     rc = main(["evolve", "--config", write_config(tmp_path, base=body)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "config error: bath1.temperature must be positive, got -5.0" in err
+    assert "config error: bath1.temperature must be positive and finite, got -5.0" in err
+    # a file that loads but does not fit the subcommand: run_scenario rejects it
+    out = tmp_path / "a.csv"
+    rc = main(["driven", "--config", write_config(tmp_path, SHORT_EVOLVE), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario.kind=driven requires nonzero drive")
+    assert not out.exists()
 
 
 def test_cli_reports_missing_and_malformed_files(tmp_path, capsys):
