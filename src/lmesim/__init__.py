@@ -5,13 +5,8 @@ covariance fast path, and reproducible scenario sweeps.
 
 from .baths import (
     BathParams,
-    correlation_function,
     decay_rate,
-    decay_rate_quadrature,
-    lamb_shift,
-    lamb_shift_quadrature,
     memory_correction_rate,
-    one_sided_rate,
     spectral_density,
 )
 from .dynamics import (
@@ -25,7 +20,6 @@ from .errors import (
     ConfigError,
     IntegrationError,
     PositivityError,
-    QuadratureError,
     StabilityError,
     UnsupportedConfigError,
 )

@@ -5,27 +5,16 @@ The bath is Ohmic with a Lorentz-Drude cutoff,
     J(ω) = (2κ/π) ω Ω² / (Ω² + ω²),
 
 and couples to a qubit through jump operators evaluated in the instantaneous
-eigenbasis.  Two routes to the rates are provided and kept strictly separate:
-
-* closed forms -- the zero-Matsubara (high-temperature) expressions for the
-  decay rate γ(ω), the Lamb-shift rate S(ω), and the first-order
-  memory-correction rate Γ¹(ω);
-* quadrature oracles -- direct numerical evaluation of the defining
-  time/frequency double integrals, used to cross-check the closed forms.
-  They are the package's only use of SciPy (the ``quadrature`` extra) and
-  load ``scipy.integrate`` on first use: no scenario calls them, and
-  importing it (with the ``scipy.special``/``scipy.optimize`` stack it pulls
-  in) would otherwise dominate the start-up of every CLI run.  Their
-  tolerance, subdivision cap and horizons are fixed: QUAD_RTOL, QUAD_LIMIT,
-  `_s_max` and `_omega_max`.
+eigenbasis.  The rates are closed forms: the decay rate γ(ω) and the
+first-order memory-correction rate Γ¹(ω).  The test suite cross-checks them
+against quadrature of the defining time/frequency double integrals.
 
 The closed-form decay rate γ(ω) = π J(ω)(coth(βω/2)+1) is exact for this
-spectral density; the Lamb-shift and memory-correction forms assume
-k_B T ≳ Ω.
+spectral density; the memory-correction form assumes k_B T ≳ Ω.
 
 `spectral_density`, `decay_rate` and `memory_correction_rate` also take an
 ndarray of frequencies, which the steady sweeps and the driven generator use
-to compute many rates in one call; the other closed forms take scalars.
+to compute many rates in one call.
 """
 
 from __future__ import annotations
@@ -35,18 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
-
-#: convergence-factor scale for the regularized time integrals, in units of Ω
-REG_EPS_FACTOR = 1e-3
+from .errors import ConfigError
 
 #: |ω| below this (in units of Ω) switches rate formulas to their ω→0 limits
 ZERO_FREQ_FACTOR = 1e-9
-
-#: relative tolerance of the quadrature oracles' frequency integrals
-QUAD_RTOL = 1e-8
-#: QUADPACK subdivision cap of every quadrature-oracle integral
-QUAD_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -73,7 +54,7 @@ class BathParams:
 
     @property
     def high_temperature(self) -> bool:
-        """Whether k_B T >= Ω, the regime assumed by the closed-form S and Γ¹."""
+        """Whether k_B T >= Ω, the regime assumed by the closed-form Γ¹."""
         return self.k_B * self.temperature >= self.cutoff
 
 
@@ -119,86 +100,6 @@ def _split_zero_frequency(freq, bath: BathParams):
     return freq, small, np.where(small, 1.0, freq)
 
 
-def _thermal_weight(omega: float, bath: BathParams) -> float:
-    """J(ω) coth(βω/2); finite at ω = 0 where it tends to 4κ k_B T / π."""
-    beta = bath.beta
-    if abs(omega) < 1e-6 * bath.cutoff:
-        cut2 = bath.cutoff * bath.cutoff
-        lorentz = cut2 / (cut2 + omega * omega)
-        return (2.0 * bath.kappa / math.pi) * lorentz * (2.0 / beta + beta * omega * omega / 6.0)
-    return spectral_density(omega, bath) / math.tanh(0.5 * beta * omega)
-
-
-def _s_max(bath: BathParams) -> float:
-    """Horizon 40/Ω of the regularized time integrals."""
-    return 40.0 / bath.cutoff
-
-
-def _omega_max(bath: BathParams) -> float:
-    """Frequency cutoff 50·max(Ω, k_B T) of the C(0) integral."""
-    return 50.0 * max(bath.cutoff, bath.k_B * bath.temperature)
-
-
-def _checked_quad(func, lo, hi, *, rtol, scale, weight=None, wvar=None):
-    """scipy quad, capped at QUAD_LIMIT subdivisions, with non-convergence
-    turned into QuadratureError."""
-    from scipy.integrate import quad
-
-    kwargs = dict(epsabs=rtol * scale, epsrel=rtol, limit=QUAD_LIMIT, full_output=1)
-    if weight is not None:
-        kwargs["weight"] = weight
-        kwargs["wvar"] = wvar
-        if hi == math.inf:
-            # Fourier integral over a half-line: the tail is summed cycle by
-            # cycle and extrapolated, with limlst capping the cycle count.
-            kwargs["limlst"] = max(50, QUAD_LIMIT)
-    ret = quad(func, lo, hi, **kwargs)
-    value, abserr = ret[0], ret[1]
-    if len(ret) > 3:
-        # quad appended an explanation: the requested tolerance was not met
-        tol_ok = max(50.0 * rtol * scale, 50.0 * rtol * abs(value))
-        if abserr > tol_ok:
-            raise QuadratureError(
-                f"quadrature failed to converge: {ret[3]}", achieved=abserr
-            )
-    return value
-
-
-def correlation_function(s: float, bath: BathParams) -> complex:
-    """Bath correlation function C(s) by adaptive frequency quadrature.
-
-    C(s) = ∫_0^∞ dω J(ω) [coth(βω/2) cos(ωs) - i sin(ωs)].
-
-    For s > 0 the oscillatory integrals are taken over the full half-line
-    with cycle-wise extrapolation of the tail; truncating at a finite
-    omega_max would leave an O(1/(s·omega_max)) ringing error that swamps
-    the small large-s values.  At s = 0 the real part grows only
-    logarithmically with the frequency cutoff, so the value returned there
-    is the integral truncated at `_omega_max` — a regularized quantity,
-    meaningful relative to a stated cutoff.
-    """
-    if s < 0.0:
-        raise ValueError(f"s must be non-negative, got {s}")
-    scale = 4.0 * bath.kappa * max(bath.cutoff, bath.k_B * bath.temperature)
-
-    if s == 0.0:
-        real = _checked_quad(
-            lambda w: _thermal_weight(w, bath), 0.0, _omega_max(bath),
-            rtol=QUAD_RTOL, scale=scale,
-        )
-        return complex(real, 0.0)
-
-    real = _checked_quad(
-        lambda w: _thermal_weight(w, bath), 0.0, math.inf,
-        rtol=QUAD_RTOL, scale=scale, weight="cos", wvar=s,
-    )
-    imag = _checked_quad(
-        lambda w: spectral_density(w, bath), 0.0, math.inf,
-        rtol=QUAD_RTOL, scale=scale, weight="sin", wvar=s,
-    )
-    return complex(real, -imag)
-
-
 def decay_rate(freq, bath: BathParams):
     """Closed-form decay rate γ(ω) = π J(ω) (coth(βω/2) + 1).
 
@@ -215,21 +116,6 @@ def decay_rate(freq, bath: BathParams):
         math.expm1, -bath.beta * safe)
     rate = np.where(small, 4.0 * bath.kappa * bath.k_B * bath.temperature, rate)
     return rate if isinstance(freq, np.ndarray) else float(rate)
-
-
-def lamb_shift(freq: float, bath: BathParams) -> float:
-    """Closed-form Lamb-shift rate S(ω) = κΩ (2 k_B T ω - Ω²)/(ω² + Ω²).
-
-    High-temperature (single Matsubara term) approximation.
-    """
-    cut = bath.cutoff
-    num = 2.0 * bath.k_B * bath.temperature * freq - cut * cut
-    return bath.kappa * cut * num / (freq * freq + cut * cut)
-
-
-def one_sided_rate(freq: float, bath: BathParams) -> complex:
-    """Γ(ω) = γ(ω)/2 + i S(ω), the one-sided Fourier transform of C(s)."""
-    return complex(0.5 * decay_rate(freq, bath), lamb_shift(freq, bath))
 
 
 def memory_correction_rate(freq, bath: BathParams):
@@ -260,72 +146,3 @@ def memory_correction_rate(freq, bath: BathParams):
                         0.5 * math.pi * (spectral_density_derivative(safe, bath) * coth_plus_one
                                          - thermal))
     return out if isinstance(freq, np.ndarray) else complex(out)
-
-
-def _regularized_time_integral(freq, bath, combine):
-    """∫_0^smax ds e^{-εs} combine(C(s), s) with two-point Richardson in ε.
-
-    `combine` picks out the cos/sin projection of C(s) onto the transition
-    frequency.  The frequency integral (inside correlation_function) is done
-    first since it decays; the convergence factor regularizes the slowly
-    oscillating tail of the time integral and is extrapolated away.
-    """
-    s_max = _s_max(bath)
-    eps0 = REG_EPS_FACTOR * bath.cutoff
-    scale = 4.0 * bath.kappa * bath.k_B * bath.temperature
-    cache: dict[float, complex] = {}
-
-    def corr(s: float) -> complex:
-        c = cache.get(s)
-        if c is None:
-            c = correlation_function(s, bath)
-            cache[s] = c
-        return c
-
-    # s-integral tolerance: the oracle targets percent-level agreement, so a
-    # fixed 1e-7 relative request is comfortable without being fragile
-    s_rtol = 1e-7
-
-    def value(eps: float) -> float:
-        if freq == 0.0:
-            return _checked_quad(
-                lambda s: math.exp(-eps * s) * combine(corr(s), 0.0, 1.0),
-                0.0, s_max, rtol=s_rtol, scale=scale,
-            )
-        wabs = abs(freq)
-        sgn = 1.0 if freq > 0 else -1.0
-        cos_part = _checked_quad(
-            lambda s: math.exp(-eps * s) * combine(corr(s), 0.0, 1.0),
-            0.0, s_max, rtol=s_rtol, scale=scale,
-            weight="cos", wvar=wabs,
-        )
-        sin_part = _checked_quad(
-            lambda s: math.exp(-eps * s) * combine(corr(s), 1.0, 0.0),
-            0.0, s_max, rtol=s_rtol, scale=scale,
-            weight="sin", wvar=wabs,
-        )
-        return cos_part + sgn * sin_part
-
-    return 2.0 * value(eps0) - value(2.0 * eps0)
-
-
-def decay_rate_quadrature(freq: float, bath: BathParams) -> float:
-    """Decay rate by direct double quadrature, γ(ω) = 2 Re ∫_0^∞ ds e^{iωs} C(s).
-
-    Independent oracle for decay_rate; agreement is at the percent level
-    for k_B T ≳ Ω.
-    """
-    def combine(c: complex, sin_w: float, cos_w: float) -> float:
-        # Re[e^{iωs} C(s)] = Re C · cos(ωs) + (-Im C) · sin(ωs)
-        return cos_w * c.real - sin_w * c.imag
-
-    return 2.0 * _regularized_time_integral(freq, bath, combine)
-
-
-def lamb_shift_quadrature(freq: float, bath: BathParams) -> float:
-    """Lamb-shift rate by direct double quadrature, S(ω) = Im ∫_0^∞ ds e^{iωs} C(s)."""
-    def combine(c: complex, sin_w: float, cos_w: float) -> float:
-        # Im[e^{iωs} C(s)] = Re C · sin(ωs) + Im C · cos(ωs)
-        return sin_w * c.real + cos_w * c.imag
-
-    return _regularized_time_integral(freq, bath, combine)

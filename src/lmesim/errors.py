@@ -13,14 +13,6 @@ class UnsupportedConfigError(ValueError):
     """Operation does not apply to this configuration (e.g. driven system)."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class IntegrationError(RuntimeError):
     """Trajectory integration failed a state-validity check."""
 
@@ -40,4 +32,4 @@ class ConfigError(ValueError):
 
 
 #: failures of the numerics on valid input; anything else is a bug
-NUMERICAL_ERRORS = (IntegrationError, StabilityError, PositivityError, QuadratureError)
+NUMERICAL_ERRORS = (IntegrationError, StabilityError, PositivityError)

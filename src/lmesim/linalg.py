@@ -3,11 +3,10 @@
 All matrices are plain numpy arrays of complex dtype, sized for the 2x2
 covariance, 4x4 density, 5x5 covariance-generator and 16x16 Liouvillian
 matrices used elsewhere in the package.  The matrix exponential is Higham's
-scaling-and-squaring Padé method in NumPy alone, so the package needs no
-SciPy to propagate.  The Lyapunov solve takes 2x2 equations only (every
-drift the package builds is 2x2) and solves a stack of them in closed form,
-elementwise over the stack, with no LAPACK call; the matrix logarithm wraps
-numpy's Hermitian eigensolver.
+scaling-and-squaring Padé method in NumPy alone.  The Lyapunov solve takes
+2x2 equations only (every drift the package builds is 2x2) and solves a
+stack of them in closed form, elementwise over the stack, with no LAPACK
+call; the matrix logarithm wraps numpy's Hermitian eigensolver.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ and elementwise (`linalg.lyapunov_solve_stack`), and the heat currents
 come from the covariance stack (one T-ratio row at a time for the boundary
 grid, whose hot bath changes by row).  Relaxation runs point after point.
 CSV rows are written with one ``%`` format per row.  A sweep point
-whose numerics fail (an error from ``errors.NUMERICAL_ERRORS``; for the
+whose numerics fail (one of the three ``errors.NUMERICAL_ERRORS``:
+``IntegrationError``, ``StabilityError`` or ``PositivityError``; for the
 steady sweeps a drift that fails the Lyapunov checks) becomes a row with
 NaN values and an ``error:<Type>`` status instead of aborting the sweep;
 any other exception is a bug and propagates.  Steady states come from
@@ -241,7 +242,10 @@ def load_config(path) -> ScenarioConfig:
     ``qubit1.epsilon``, ``bath2.kappa``, ``integrator.record_stride``,
     ``system.coupling``, ``scenario.horizon``, ``scenario.t_ratio_grid``.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no section header can name the empty section, so [DEFAULT] is an
+    # ordinary section (reported as unknown) instead of leaking its keys
+    # into every other section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
 

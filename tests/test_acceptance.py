@@ -8,7 +8,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_system, random_density
+from conftest import (
+    decay_rate_quadrature,
+    lamb_shift,
+    lamb_shift_quadrature,
+    make_system,
+    one_sided_rate,
+    random_density,
+)
 
 from lmesim import (
     BathParams,
@@ -16,7 +23,6 @@ from lmesim import (
     ScenarioConfig,
     covariance_from_density,
     decay_rate,
-    decay_rate_quadrature,
     drift_diffusion,
     effective_temperature_check,
     entropy_production_rate,
@@ -25,12 +31,9 @@ from lmesim import (
     heat_current,
     integrate,
     integrate_covariance,
-    lamb_shift,
-    lamb_shift_quadrature,
     lme_rhs,
     maximum_entropy_state,
     memory_correction_rate,
-    one_sided_rate,
     run_scenario,
     steady_covariance,
     steady_heat_currents,

@@ -12,32 +12,37 @@ with nu_n = 2 pi n / beta (thermal poles of coth), which gives
                + sum_n B_n (nu_n + i w)/(nu_n^2 + w^2)
 
 for the one-sided transform.  The series is summed directly here, so the
-quadrature routes and the high-temperature closed forms are both tested
-against a third, independent route.
+quadrature oracles and the high-temperature closed forms are both tested
+against a third, independent route.  The quadrature oracles
+(``correlation_function``, ``decay_rate_quadrature``,
+``lamb_shift_quadrature``) and the closed forms that only they use
+(``lamb_shift``, ``one_sided_rate``) live in ``tests/conftest.py``; the
+package's own rates are ``decay_rate`` and ``memory_correction_rate``.
 """
 
 import math
 
+import conftest
 import numpy as np
 import pytest
-from conftest import driven_systems, scalar_decay_rate, scalar_memory_correction_rate
+from conftest import (
+    QuadratureError,
+    _omega_max,
+    _s_max,
+    correlation_function,
+    decay_rate_quadrature,
+    driven_systems,
+    lamb_shift,
+    lamb_shift_quadrature,
+    one_sided_rate,
+    scalar_decay_rate,
+    scalar_memory_correction_rate,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmesim import (
-    BathParams,
-    QuadratureError,
-    correlation_function,
-    decay_rate,
-    decay_rate_quadrature,
-    lamb_shift,
-    lamb_shift_quadrature,
-    memory_correction_rate,
-    one_sided_rate,
-    spectral_density,
-)
-from lmesim import baths
-from lmesim.baths import ZERO_FREQ_FACTOR, _omega_max, _s_max, spectral_density_derivative
+from lmesim import BathParams, decay_rate, memory_correction_rate, spectral_density
+from lmesim.baths import ZERO_FREQ_FACTOR, spectral_density_derivative
 
 BATH_HOT = BathParams(temperature=10.0, kappa=10.0, cutoff=1.0)
 BATH_WARM = BathParams(temperature=2.0, kappa=10.0, cutoff=1.0)
@@ -80,11 +85,6 @@ def test_bath_params_beta_and_regime():
     assert b.beta == pytest.approx(1.0 / 2.0)
     assert b.high_temperature  # k_B T = 2 equals the cutoff
     assert not BathParams(temperature=1.0, kappa=1.0, cutoff=2.0).high_temperature
-
-
-def test_quadrature_default_horizons():
-    assert _s_max(BATH_HOT) == pytest.approx(40.0)
-    assert _omega_max(BATH_HOT) == pytest.approx(500.0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,12 @@ def test_rates_keep_the_bits_of_every_argument_that_does_not_overflow():
 
 
 # ---------------------------------------------------------------------------
-# correlation function
+# correlation function (quadrature oracle)
+
+
+def test_quadrature_default_horizons():
+    assert _s_max(BATH_HOT) == pytest.approx(40.0)
+    assert _omega_max(BATH_HOT) == pytest.approx(500.0)
 
 
 def test_correlation_function_rejects_negative_time():
@@ -398,7 +403,7 @@ def test_lamb_shift_quadrature_vs_closed_form_in_validity_window():
 
 def test_quadrature_error_reports_achieved_tolerance(monkeypatch):
     # starve the subdivision budget on a fast-oscillating transform
-    monkeypatch.setattr(baths, "QUAD_LIMIT", 10)
+    monkeypatch.setattr(conftest, "QUAD_LIMIT", 10)
     with pytest.raises(QuadratureError) as err:
         decay_rate_quadrature(200.0, BATH_HOT)
     assert err.value.achieved is None or err.value.achieved > 0.0

@@ -1,5 +1,6 @@
 """Config parsing, scenario tables, CSV emission and the command line."""
 
+import ast
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -757,6 +759,16 @@ def test_cli_reports_config_violations(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_a_default_section(tmp_path, capsys):
+    # configparser copies [DEFAULT]'s keys into every section by default, and
+    # the loader then named keys that the file never wrote (system.kappa)
+    out = tmp_path / "a.csv"
+    path = write_config(tmp_path, "\n[scenario]\nkind = steady\n\n[DEFAULT]\nkappa = 10.0\n")
+    assert main(["steady", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: unknown section [DEFAULT]\n"
+    assert not out.exists()
+
+
 def test_cli_reports_missing_and_malformed_files(tmp_path, capsys):
     assert main(["evolve", "--config", str(tmp_path / "nope.ini")]) == 1
     assert "config error:" in capsys.readouterr().err
@@ -842,9 +854,9 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
-# every CLI kind in a fresh interpreter, then one quadrature oracle call; the
-# script prints the SciPy modules loaded after each CLI kind and after the
-# oracle
+# every CLI kind in a fresh interpreter, then an import of the package and
+# of each of its submodules; the script prints the SciPy modules loaded
+# after each CLI kind and after the imports
 FOOTPRINT_SCRIPT = """
 import json, sys
 import lmesim.cli as cli
@@ -857,9 +869,13 @@ for kind in cli.KINDS:
     if cli.main([kind.replace("_", "-"), "--config", path, "--out", out]) != 0:
         sys.exit(f"{kind} failed")
     after_cli[kind] = scipy_modules()
-from lmesim import BathParams, decay_rate_quadrature
-decay_rate_quadrature(10.0, BathParams(15.0, 10.0, 1.0))
-print(json.dumps([after_cli, scipy_modules()]))
+import importlib, pkgutil
+import lmesim
+# __main__ runs the CLI on import; it imports nothing but lmesim.cli
+submodules = [m.name for m in pkgutil.iter_modules(lmesim.__path__) if m.name != "__main__"]
+for name in submodules:
+    importlib.import_module(f"lmesim.{name}")
+print(json.dumps([after_cli, submodules, scipy_modules()]))
 """
 
 TINY_GRIDS = """
@@ -886,10 +902,25 @@ def src_env(**overrides):
     return env
 
 
+def scipy_imports(path):
+    """The ``import scipy…``/``from scipy… import`` statements of a file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [n for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
 def test_cli_runs_load_no_quadrature_stack(tmp_path):
     # importing any of SciPy (scipy.linalg alone takes about 0.2 s) would add
-    # to every CLI start-up; no CLI kind may load it, and the quadrature
-    # oracles load scipy.integrate on first use
+    # to every CLI start-up; no CLI kind may load it, no module of the
+    # package loads it on import, and no module has a SciPy import statement
+    # anywhere (the quadrature oracles that used it live in the tests)
     undriven = write_config(tmp_path, TINY_GRIDS)
     driven = write_config(tmp_path, TINY_GRIDS + "\n[drive]\namplitude1 = 2.0\n"
                           "frequency1 = 0.2\n", name="driven.ini")
@@ -899,6 +930,10 @@ def test_cli_runs_load_no_quadrature_stack(tmp_path):
         capture_output=True, text=True, timeout=300, env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    after_cli, after_oracle = json.loads(proc.stdout.splitlines()[-1])
+    after_cli, submodules, after_import = json.loads(proc.stdout.splitlines()[-1])
     assert after_cli == {kind: [] for kind in cli.KINDS}
-    assert "scipy.integrate" in after_oracle
+    assert after_import == []
+    sources = sorted(Path(scenarios.__file__).parent.glob("*.py"))
+    assert len(sources) == len(submodules) + 2   # plus __init__ and __main__
+    assert {path.name: scipy_imports(path) for path in sources} \
+        == {path.name: [] for path in sources}
