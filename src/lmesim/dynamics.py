@@ -5,13 +5,16 @@ row-major vectorized state, so each recorded frame is computed exactly as
 expm(L·Δt) applied to the previous one; the step only lays out the frame
 grid.  `linalg.expm` is called once per distinct frame span.
 Driven configurations are stepped with classical fourth-order Runge-Kutta
-at a fixed step on the vectorized state, DRIVEN_BLOCK steps at a time:
-one `model.generator_stack` call over its distinct stage times, then three
-batched 16x16 products give each step's RK4 propagator, so a step is one
-matrix-vector product.  Both kernels carry the state as its row-major
-16-vector; every recorded frame is re-Hermitized and its trace renormalized
-(and the event logged) when it drifts beyond 1e-12, and a run stops at a
-frame whose trace drifted beyond DENSITY_TRACE_TOL.  The steady state of an
+at a fixed step in the real coordinates r = U†v of an orthonormal Hermitian
+basis (`model.HERMITIAN_BASIS`), DRIVEN_BLOCK steps at a time: one
+`model.real_generator_stack` call over the block's distinct stage times,
+then three batched real 16x16 products give each step's RK4 increment D,
+so a step is r + D r.  The generators' trace row is exactly zero, so the
+steps keep r_0 = Tr ρ / 2 to the bit.  Both kernels record the state as its
+row-major 16-vector v (driven runs form v = U r at each recorded frame);
+every recorded frame is re-Hermitized and its trace renormalized (and the
+event logged) when it drifts beyond 1e-12, and a run stops at a frame whose
+trace drifted beyond DENSITY_TRACE_TOL.  The steady state of an
 undriven configuration is the trace-one null vector of L.
 
 Recorded frames carry the smallest eigenvalue of the state and a flag that
@@ -35,10 +38,11 @@ from .linalg import expm, hermitian_part
 from .model import (
     DENSITY_EIG_TOL,
     DENSITY_TRACE_TOL,
+    HERMITIAN_BASIS,
     SystemConfig,
     dissipation_rates,
-    generator_stack,
     liouvillian_matrix,
+    real_generator_stack,
     validate_density,
 )
 
@@ -211,10 +215,12 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     for first, end, t, span in frames:
         neg_seen = False
         if driven:
+            r = (v @ HERMITIAN_BASIS.conj()).real     # r = U†v
             for _ in range(first, end):
-                step, neg = next(steps)
-                v = step @ v
+                inc, neg = next(steps)
+                r = r + inc @ r
                 neg_seen = neg_seen or neg
+            v = HERMITIAN_BASIS @ r
         else:
             v = propagator(span) @ v
         v, drifted = _normalize(v, t)
@@ -260,19 +266,24 @@ def _check_frame(states, times, driven: bool) -> np.ndarray:
         )
     if drifted.size:
         tr = complex(traces[end])
-        raise IntegrationError(f"trace drifted to {tr.real!r}{tr.imag:+}j",
-                               time=float(times[end]))
+        msg = (f"trace drifted to {tr.real!r}{tr.imag:+}j, "
+               f"largest |entry| {np.max(np.abs(states[end])):.3e}")
+        if driven:
+            msg += ("; the driven generator keeps the trace exactly, so this is "
+                    "rounding in a state that has grown")
+        raise IntegrationError(msg, time=float(times[end]))
     return lows
 
 
 def _driven_steps(t0: float, h: float, n_full: int, tail: float, cfg: SystemConfig):
-    """RK4 step propagators from t0, each with whether a rate was negative
-    at one of its stage times t, t + h/2, t + h.  Step k starts at t0 + k·h
-    and has size h (``tail`` past the n_full full steps); its propagator is
-    P = I + h/6·(L_lo + 2A₂ + 2A₃ + A₄) with A₂ = L_mid(I + h/2·L_lo),
-    A₃ = L_mid(I + h/2·A₂) and A₄ = L_hi(I + h·A₃).  DRIVEN_BLOCK steps are
-    built together from one `generator_stack` call over their distinct
-    stage times."""
+    """Real RK4 step increments from t0, each with whether a rate was
+    negative at one of its stage times t, t + h/2, t + h.  Step k starts at
+    t0 + k·h and has size h (``tail`` past the n_full full steps); its
+    propagator is I + D with D = h/6·(L_lo + 2A₂ + 2A₃ + A₄),
+    A₂ = L_mid(I + h/2·L_lo), A₃ = L_mid(I + h/2·A₂) and A₄ = L_hi(I + h·A₃).
+    The step is taken as r + D r: applying I + D would round each step
+    against its near-one diagonal.  DRIVEN_BLOCK steps are built together
+    from one `real_generator_stack` call over their distinct stage times."""
     n = n_full + (1 if tail else 0)
     for start in range(0, n, DRIVEN_BLOCK):
         k = np.arange(start, min(start + DRIVEN_BLOCK, n))
@@ -280,7 +291,7 @@ def _driven_steps(t0: float, h: float, n_full: int, tail: float, cfg: SystemConf
         t = t0 + k * h
         stage_times, where = np.unique(np.concatenate([t, t + 0.5 * sizes, t + sizes]),
                                        return_inverse=True)
-        gens, neg = generator_stack(stage_times, cfg)
+        gens, neg = real_generator_stack(stage_times, cfg)
         lo, mid, hi = gens[where].reshape(3, k.size, 16, 16)
         hs = sizes[:, None, None]
         # in place: a fresh (block, 16, 16) temporary costs as much as a term
@@ -289,14 +300,13 @@ def _driven_steps(t0: float, h: float, n_full: int, tail: float, cfg: SystemConf
             a.append(gen @ a[-1])    # L(I + s·A) = L + s·(L @ A)
             a[-1] *= scale
             a[-1] += gen
-        _, props, a3, a4 = a
-        props += a3
-        props *= 2.0
-        props += lo
-        props += a4
-        props *= hs / 6.0
-        props.reshape(-1, 256)[:, ::17] += 1.0     # + I
-        yield from zip(props, neg[where].reshape(3, k.size).any(axis=0).tolist())
+        _, incs, a3, a4 = a
+        incs += a3
+        incs *= 2.0
+        incs += lo
+        incs += a4
+        incs *= hs / 6.0
+        yield from zip(incs, neg[where].reshape(3, k.size).any(axis=0).tolist())
 
 
 def steady_state(cfg: SystemConfig) -> np.ndarray:

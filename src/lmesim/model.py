@@ -31,9 +31,14 @@ vec) is thus one real-weighted sum of 33 fixed superoperators, built once per
 configuration: -i[·, ·] of ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of
 σ_2^x, and 15 dissipator pieces per bath.  ``coefficient_table`` gives the
 weights at an array of times in one NumPy pass and ``generator_stack``
-contracts each row with the basis; the driven RK4 kernel, the right-hand
-sides, the Liouvillian, the rates and the per-bath dissipator are views on
-them.  Undriven weights keep the bits of the scalar formula; driven ones can
+contracts each row with the basis; the right-hand sides, the Liouvillian,
+the rates and the per-bath dissipator are views on them.  Every piece maps
+Hermitian operators to Hermitian ones, so in the orthonormal Hermitian
+basis Q_a = σ_j ⊗ σ_k / 2 (``HERMITIAN_BASIS``; the coherence vector of
+Alicki & Lendi, LNP 286) each piece, and so the generator, is a real 16x16
+matrix whose trace row is exactly zero.  ``real_generator_stack`` contracts
+the same weights with that real, half-size basis for the driven RK4 kernel.
+Undriven weights keep the bits of the scalar formula; driven ones can
 differ in the last bit, where NumPy's arctan and hypot differ from ``math``'s.
 
 Basis ordering: |↑↑⟩, |↑↓⟩, |↓↑⟩, |↓↓⟩.
@@ -53,6 +58,7 @@ from .errors import ConfigError, PositivityError
 from .linalg import embed_qubit_op, kron
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -64,6 +70,10 @@ SM = (embed_qubit_op(SIGMA_MINUS, 1), embed_qubit_op(SIGMA_MINUS, 2))
 HOP = SP[0] @ SM[1] + SM[0] @ SP[1]
 
 IDENTITY4 = np.eye(4, dtype=complex)
+_PAULIS = np.array([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z])
+#: U: column a = 4j + k is the row-major vec of Q_a = σ_j ⊗ σ_k / 2 (σ_0 = I),
+#: an orthonormal Hermitian basis; r = U†v are the real coordinates Tr(Q_a ρ)
+HERMITIAN_BASIS = 0.5 * kron(_PAULIS[:, None], _PAULIS).reshape(16, 16).T.copy()
 _SIGNS = np.array([[1.0], [-1.0]])
 
 #: `validate_density` limits on |ρ - ρ†| entries, |Tr ρ - 1| and -λ_min(ρ)
@@ -303,6 +313,22 @@ def _contract(table: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     contracted with the basis on its own, so it has the bits of a one-time
     call."""
     return (table[:, None] @ _basis(cfg)).view(complex).reshape(-1, 16, 16)
+
+
+@lru_cache(maxsize=128)
+def _real_basis(cfg: SystemConfig) -> np.ndarray:
+    """`_basis` in the Hermitian coordinates: the real U† B U, shape (33, 256)."""
+    pieces = _basis(cfg).view(complex).reshape(33, 16, 16)
+    real = (HERMITIAN_BASIS.conj().T @ pieces @ HERMITIAN_BASIS).real
+    return real.reshape(33, 256).copy()
+
+
+def real_generator_stack(times, cfg: SystemConfig):
+    """Real 16x16 generators G = U† L U at each of the m times, acting on the
+    coordinates r = U†v, and the (m,) negative-rate flags.  Like
+    `generator_stack`, each row is contracted on its own."""
+    table, neg = coefficient_table(times, cfg)
+    return (table[:, None] @ _real_basis(cfg)).reshape(-1, 16, 16), neg
 
 
 def generator(t: float, cfg: SystemConfig):

@@ -39,7 +39,14 @@ from lmesim.dynamics import (
     _driven_steps,
     _frame_plan,
 )
-from lmesim.model import DENSITY_EIG_TOL, DENSITY_TRACE_TOL, _basis, generator_stack
+from lmesim.model import (
+    DENSITY_EIG_TOL,
+    DENSITY_TRACE_TOL,
+    HERMITIAN_BASIS,
+    _basis,
+    generator_stack,
+    real_generator_stack,
+)
 
 
 def test_integrator_config_validation_collects_problems():
@@ -224,15 +231,20 @@ def test_trajectory_frames_stay_physical(cfg, steps, stride, seed):
 
 
 def test_integrate_rejects_unstable_step(driven_system):
-    # far beyond the RK4 stability limit of the stiffest mode: the run stops
-    # at the first frame whose raw trace drifted (1+6.7e-8j at t = 2.5; its
-    # real part alone is within tolerance), before the state can overflow
+    # far beyond the RK4 stability limit of the stiffest mode: the state
+    # grows while its Hermitian trace coordinate stays exact, until rounding
+    # in the grown entries (7.4e21 at t = 4.0) cancels the frame's trace to
+    # 0.0+0.0j; the run stops at that frame, before the state can overflow
     icfg = IntegratorConfig(step=0.5, record_stride=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(IntegrationError) as err:
             integrate(maximum_entropy_state(), 20.0, driven_system, icfg)
-    assert err.value.time == 2.5
+    assert err.value.time == 4.0
+    assert str(err.value) == (
+        "trace drifted to 0.0+0.0j, largest |entry| 7.351e+21; the driven "
+        "generator keeps the trace exactly, so this is rounding in a state "
+        "that has grown")
 
 
 def test_integrate_rejects_invalid_initial_state(base_system):
@@ -254,34 +266,34 @@ def test_integrate_rejects_initial_state_of_wrong_shape(base_system, rho0):
 
 
 def test_driven_and_static_steps_agree_without_drive(base_system):
-    # the blocked time-dependent kernel's step propagators on an undriven
+    # the blocked time-dependent kernel's step increments on an undriven
     # configuration reproduce RK4 on the static generator to rounding,
     # across a block boundary and through a tail step
     rho = maximum_entropy_state()
-    v = rho.reshape(16)
+    r = (HERMITIAN_BASIS.conj().T @ rho.reshape(16)).real
     h = 1e-3
     n_full, tail = DRIVEN_BLOCK + 3, 0.4 * h
     steps = list(_driven_steps(0.0, h, n_full, tail, base_system))
     assert len(steps) == n_full + 1
-    for k, (step, neg) in enumerate(steps):
+    for k, (inc, neg) in enumerate(steps):
         rho = rk4_step(rho, k * h, h if k < n_full else tail,
                        lambda r, u: lme_rhs(r, base_system))
-        v = step @ v
+        r = r + inc @ r
         assert not neg
-        assert np.max(np.abs(v.reshape(4, 4) - rho)) <= 1e-14
+        assert np.max(np.abs((HERMITIAN_BASIS @ r).reshape(4, 4) - rho)) <= 1e-14
 
 
 def _generator_calls(t0, h, n_full, tail, cfg):
-    """(times, generators, flags) of each `generator_stack` call that the
-    driven kernel makes over a run."""
+    """(times, generators, flags) of each `real_generator_stack` call that
+    the driven kernel makes over a run."""
     calls = []
 
     def recording(times, cfg):
-        out = generator_stack(times, cfg)
+        out = real_generator_stack(times, cfg)
         calls.append((times, *out))
         return out
 
-    with mock.patch.object(dynamics, "generator_stack", recording):
+    with mock.patch.object(dynamics, "real_generator_stack", recording):
         for _ in _driven_steps(t0, h, n_full, tail, cfg):
             pass
     return calls
@@ -306,7 +318,7 @@ def test_driven_generators_from_distinct_stage_times_keep_their_bits(
         stages = np.concatenate([t, t + 0.5 * sizes, t + sizes])
         distinct, where = np.unique(stages, return_inverse=True)
         assert np.array_equal(times, distinct)
-        want_gens, want_neg = generator_stack(stages, cfg)
+        want_gens, want_neg = real_generator_stack(stages, cfg)
         assert np.array_equal(gens[where].view(np.uint64), want_gens.view(np.uint64))
         assert np.array_equal(neg[where], want_neg)
 
@@ -317,6 +329,27 @@ def test_driven_blocks_share_stage_times(driven_system):
     calls = _generator_calls(0.0, 5e-4, 4 * DRIVEN_BLOCK, 0.0, driven_system)
     assert len(calls) == 4
     assert all(len(times) < 3 * DRIVEN_BLOCK for times, _, _ in calls)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(cfg=driven_systems, times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40),
+       n_full=st.integers(1, 300), tail_frac=st.floats(0.1, 0.9))
+def test_real_generators_are_the_complex_ones_in_hermitian_coordinates(
+        cfg, times, n_full, tail_frac):
+    # U G U† is the row-major generator; the trace coordinate r_0 = Tr ρ / 2
+    # has an exactly zero row, so every RK4 step increment has one too and
+    # each step propagator's row 0 is exactly e₀
+    times = np.array(times)
+    real_gens, real_neg = real_generator_stack(times, cfg)
+    gens, neg = generator_stack(times, cfg)
+    assert real_gens.dtype == np.float64
+    assert np.array_equal(real_neg, neg)
+    err = np.max(np.abs(HERMITIAN_BASIS @ real_gens @ HERMITIAN_BASIS.conj().T - gens))
+    assert err <= 1e-14 * max(1.0, float(np.max(np.abs(gens))))
+    assert np.all(real_gens[:, 0] == 0.0)
+    h = default_step(cfg)
+    for inc, _ in _driven_steps(times[0], h, n_full, tail_frac * h, cfg):
+        assert np.all(inc[0] == 0.0)
 
 
 def _scalar_generator(t, cfg):
