@@ -14,8 +14,11 @@ steps keep r_0 = Tr ρ / 2 to the bit.  Both kernels record the state as its
 row-major 16-vector v (driven runs form v = U r at each recorded frame);
 every recorded frame is re-Hermitized and its trace renormalized (and the
 event logged) when it drifts beyond 1e-12, and a run stops at a frame whose
-trace drifted beyond DENSITY_TRACE_TOL.  The steady state of an
-undriven configuration is the trace-one null vector of L.
+trace drifted beyond DENSITY_TRACE_TOL or, driven, whose largest |entry|
+exceeds ENTRY_MAX (the driven steps keep the trace exactly, so a driven run
+that leaves the state space is stopped by that bound, not by rounding).
+The steady state of an undriven configuration is the trace-one null vector
+of L.
 
 Recorded frames carry the smallest eigenvalue of the state and a flag that
 marks whether any jump rate went negative since the previous frame (the
@@ -49,6 +52,11 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 TRACE_RENORM_TOL = 1e-12
+#: largest |entry| of a frame above which a run stops as diverged.  No
+#: density matrix has an entry above 1, and a unit-trace Hermitian matrix
+#: with one above 2 has an eigenvalue below -1/3; the bound is loose because
+#: the driven generator is not guaranteed completely positive
+ENTRY_MAX = 2.0
 DEFAULT_FRAME_SPACING = 5e-3
 STEP_SAFETY = 1e-3
 #: RK4 steps of a driven run whose stage generators are built together
@@ -183,9 +191,10 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     Undriven frames are exact (one matrix exponential per distinct frame
     spacing); driven frames come from fixed-step RK4.  A run stops at the
     first frame whose complex trace, before renormalization, is not within
-    DENSITY_TRACE_TOL of one, and records that frame as computed.  The
-    recorded frames are validated together, with the error naming the first
-    bad frame: that drifted trace, or for undriven configurations a smallest
+    DENSITY_TRACE_TOL of one or, driven, whose largest |entry| exceeds
+    ENTRY_MAX, and records that frame as computed.  The recorded frames are
+    validated together, with the error naming the first bad frame: that
+    drifted or diverged frame, or for undriven configurations a smallest
     eigenvalue below -DENSITY_EIG_TOL (driven runs only record it, since
     the time-dependent generator is not guaranteed completely positive).
     """
@@ -227,7 +236,9 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
         times.append(t)
         states.append(v)
         rate_flags.append(neg_seen)
-        if drifted:
+        # a driven run stops before its growth can overflow; undriven frames
+        # are exact, and each gets the eigenvalue check
+        if drifted or driven and np.abs(v).max() > ENTRY_MAX:
             break    # the frame check below reports it
 
     times = np.array(times)
@@ -247,15 +258,18 @@ def _check_frame(states, times, driven: bool) -> np.ndarray:
 
     ``states`` is one frame or a stack of them at ``times``.  Raises
     IntegrationError at the first frame whose complex trace drifted beyond
-    DENSITY_TRACE_TOL (NaN counts as drift) or, undriven, whose smallest
-    eigenvalue is below -DENSITY_EIG_TOL.  The traces are checked first, and
-    one eigenvalue solve then covers the frames before the first drift.
+    DENSITY_TRACE_TOL (NaN counts as drift), whose largest |entry| exceeds
+    ENTRY_MAX (diverged) or, undriven, whose smallest eigenvalue is below
+    -DENSITY_EIG_TOL.  Drift and divergence are checked first, and one
+    eigenvalue solve then covers the frames before the first of them.
     """
     states = np.asarray(states).reshape(-1, 4, 4)
     times = np.atleast_1d(times)
     traces = np.trace(states, axis1=1, axis2=2)
-    drifted = np.flatnonzero(~(np.abs(traces - 1.0) <= DENSITY_TRACE_TOL))
-    end = drifted[0] if drifted.size else len(states)
+    largest = np.abs(states).max(axis=(1, 2))
+    stopped = np.flatnonzero(~(np.abs(traces - 1.0) <= DENSITY_TRACE_TOL)
+                             | (largest > ENTRY_MAX))
+    end = stopped[0] if stopped.size else len(states)
     lows = np.linalg.eigvalsh(states[:end])[:, 0]
     negative = np.flatnonzero(lows < -DENSITY_EIG_TOL)
     if not driven and negative.size:
@@ -264,13 +278,12 @@ def _check_frame(states, times, driven: bool) -> np.ndarray:
             f"state eigenvalue {lows[k]:.3e} below -{DENSITY_EIG_TOL:.1e}",
             time=float(times[k]),
         )
-    if drifted.size:
+    if stopped.size:
         tr = complex(traces[end])
-        msg = (f"trace drifted to {tr.real!r}{tr.imag:+}j, "
-               f"largest |entry| {np.max(np.abs(states[end])):.3e}")
-        if driven:
-            msg += ("; the driven generator keeps the trace exactly, so this is "
-                    "rounding in a state that has grown")
+        if largest[end] > ENTRY_MAX:    # False for NaN, which is drift
+            msg = f"state diverged: largest |entry| {largest[end]:.3e} above {ENTRY_MAX}"
+        else:
+            msg = f"trace drifted to {tr.real!r}{tr.imag:+}j, largest |entry| {largest[end]:.3e}"
         raise IntegrationError(msg, time=float(times[end]))
     return lows
 

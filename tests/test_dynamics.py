@@ -1,6 +1,7 @@
 """Propagation: stepping plan, accuracy against RK4, recording, steady state."""
 
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -35,6 +36,7 @@ from lmesim import (
 from lmesim import dynamics
 from lmesim.dynamics import (
     DRIVEN_BLOCK,
+    ENTRY_MAX,
     _check_frame,
     _driven_steps,
     _frame_plan,
@@ -90,6 +92,22 @@ def test_check_frame_reports_the_first_failing_frame_of_a_stack():
     assert err.value.time == 0.2
     lows = _check_frame(states[:2], times[:2], True)
     assert np.array_equal(lows, [np.linalg.eigvalsh(s)[0] for s in states[:2]])
+
+
+def test_check_frame_stops_at_a_diverged_frame():
+    # a unit-trace frame with an entry past the bound stops the run for
+    # either generator, and its message names that entry rather than the
+    # trace; a driven frame at the bound passes
+    good = maximum_entropy_state()
+    edge = np.diag([ENTRY_MAX, 1.0 - ENTRY_MAX, 0.0, 0.0]).astype(complex)
+    _check_frame(edge, 0.0, True)
+    grown = np.diag([3.0, -2.0, 0.0, 0.0]).astype(complex)
+    times = [0.0, 0.1, 0.2, 0.3]
+    for driven in (False, True):
+        with pytest.raises(IntegrationError) as err:
+            _check_frame(np.array([good, good, grown, good]), times, driven)
+        assert err.value.time == 0.2
+        assert str(err.value) == f"state diverged: largest |entry| 3.000e+00 above {ENTRY_MAX}"
 
 
 def test_default_step_uses_fastest_scale(base_system):
@@ -232,19 +250,21 @@ def test_trajectory_frames_stay_physical(cfg, steps, stride, seed):
 
 def test_integrate_rejects_unstable_step(driven_system):
     # far beyond the RK4 stability limit of the stiffest mode: the state
-    # grows while its Hermitian trace coordinate stays exact, until rounding
-    # in the grown entries (7.4e21 at t = 4.0) cancels the frame's trace to
-    # 0.0+0.0j; the run stops at that frame, before the state can overflow
+    # grows while its Hermitian trace coordinate stays exact, so the entry
+    # bound stops the run at its first frame past it (largest |entry| 0.51
+    # at t = 0.5, 30 at t = 1.0), whatever the horizon and long before
+    # rounding could cancel the trace (at t = 4.0, with entries of 7e21)
     icfg = IntegratorConfig(step=0.5, record_stride=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(IntegrationError) as err:
-            integrate(maximum_entropy_state(), 20.0, driven_system, icfg)
-    assert err.value.time == 4.0
-    assert str(err.value) == (
-        "trace drifted to 0.0+0.0j, largest |entry| 7.351e+21; the driven "
-        "generator keeps the trace exactly, so this is rounding in a state "
-        "that has grown")
+    for horizon in (3.5, 20.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IntegrationError) as err:
+                integrate(maximum_entropy_state(), horizon, driven_system, icfg)
+        assert err.value.time == 1.0
+        largest = re.fullmatch(
+            rf"state diverged: largest \|entry\| (\S+) above {ENTRY_MAX}",
+            str(err.value)).group(1)
+        assert 10.0 < float(largest) < 100.0
 
 
 def test_integrate_rejects_invalid_initial_state(base_system):
@@ -413,11 +433,16 @@ def test_rate_flags_match_a_per_stage_scalar_check(cfg, t0, steps, stride, seed)
 def test_driven_step_flags_negative_rates():
     # fast strong drive: the memory correction sends gamma_z well below zero
     # almost immediately.  Keep the horizon short — with rates this negative
-    # the generator is anti-dissipative and the state grows without bound.
+    # the generator is anti-dissipative and the state grows without bound:
+    # its largest |entry| is 0.32 at t = 0.01 and 6.8 at t = 0.02, where the
+    # run stops.
     cfg = make_system(eps1=1.0, t1=1.5, t2=1.5, amp=(5.0, 0.0), freq=(6.0, 0.0))
     icfg = IntegratorConfig(step=1e-4, record_stride=50)
-    traj = integrate(maximum_entropy_state(), 0.02, cfg, icfg)
-    assert traj.rate_negative.any()
+    traj = integrate(maximum_entropy_state(), 0.01, cfg, icfg)
+    assert traj.rate_negative.tolist() == [False, True, True]
+    with pytest.raises(IntegrationError, match="state diverged") as err:
+        integrate(maximum_entropy_state(), 0.02, cfg, icfg)
+    assert err.value.time == 0.02
 
 
 def test_steady_state_residual_and_uniqueness(base_system, base_steady):
