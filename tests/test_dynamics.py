@@ -87,9 +87,10 @@ def test_check_frame_reports_the_first_failing_frame_of_a_stack():
         _check_frame(states, times, False)
     assert err.value.time == 0.1
     # driven runs only record the eigenvalue, so the drift is the failure
-    with pytest.raises(IntegrationError, match="trace drifted to 2.0") as err:
+    with pytest.raises(IntegrationError) as err:
         _check_frame(states, times, True)
     assert err.value.time == 0.2
+    assert str(err.value) == "trace drifted to 2.0+0.0j, largest |entry| 5.000e-01"
     lows = _check_frame(states[:2], times[:2], True)
     assert np.array_equal(lows, [np.linalg.eigvalsh(s)[0] for s in states[:2]])
 
