@@ -1,24 +1,22 @@
 """Propagation of the two-qubit master equation.
 
-Undriven configurations have a constant 16x16 generator L acting on the
-row-major vectorized state, so each recorded frame is computed exactly as
-expm(L·Δt) applied to the previous one; the step only lays out the frame
-grid.  `linalg.expm` is called once per distinct frame span.
-Driven configurations are stepped with classical fourth-order Runge-Kutta
-at a fixed step in the real coordinates r = U†v of an orthonormal Hermitian
-basis (`model.HERMITIAN_BASIS`), DRIVEN_BLOCK steps at a time: one
-`model.real_generator_stack` call over the block's distinct stage times,
-then three batched real 16x16 products give each step's RK4 increment D,
-so a step is r + D r.  The generators' trace row is exactly zero, so the
-steps keep r_0 = Tr ρ / 2 to the bit.  Both kernels record the state as its
-row-major 16-vector v (driven runs form v = U r at each recorded frame);
-every recorded frame is re-Hermitized and its trace renormalized (and the
-event logged) when it drifts beyond 1e-12, and a run stops at a frame whose
-trace drifted beyond DENSITY_TRACE_TOL or, driven, whose largest |entry|
-exceeds ENTRY_MAX (the driven steps keep the trace exactly, so a driven run
-that leaves the state space is stopped by that bound, not by rounding).
-The steady state of an undriven configuration is the trace-one null vector
-of L.
+Both kinds of run carry the state as its real coordinates r = U†v in the
+orthonormal Hermitian basis U (`model.HERMITIAN_BASIS`; v is the row-major
+vec of ρ), on which every generator G is a real 16x16 matrix with an exactly
+zero trace row.  Undriven runs have a constant G (`model.real_liouvillian`),
+so each recorded frame is exactly expm(G·Δt) applied to the previous one;
+the step only lays out the frame grid, and `linalg.expm` is called once per
+distinct frame span.  Driven runs take fixed RK4 steps, DRIVEN_BLOCK at a
+time: one `model.real_generator_stack` call over the block's distinct stage
+times, then three batched real 16x16 products give each step's increment D,
+so a step is r + D r and keeps r_0 = Tr ρ / 2 to the bit.  Each recorded
+frame renormalizes the trace 2 r_0 (logging the event) when it drifted
+beyond 1e-12 and records v = U r, Hermitian by construction.  A run stops
+at a frame whose trace drifted beyond DENSITY_TRACE_TOL or, driven, whose
+largest |entry| is not within ENTRY_MAX (a driven run keeps its trace
+exactly, so that bound, not rounding, stops one that leaves the state
+space).  The steady state of an undriven configuration is the null vector
+of G with r_0 = ½.
 
 Recorded frames carry the smallest eigenvalue of the state and a flag that
 marks whether any jump rate went negative since the previous frame (the
@@ -37,17 +35,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrationError, StabilityError, UnsupportedConfigError
-from .linalg import expm, hermitian_part
+from .linalg import expm
 from .model import (
     DENSITY_EIG_TOL,
     DENSITY_TRACE_TOL,
     HERMITIAN_BASIS,
     SystemConfig,
     dissipation_rates,
-    liouvillian_matrix,
     real_generator_stack,
+    real_liouvillian,
     validate_density,
 )
+# unused here since undriven runs use the real generator, but the
+# benchmark's tracer (perfbench/tracer.py) wraps this name on this module
+from .model import liouvillian_matrix  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -128,23 +129,17 @@ def _max_rate(cfg: SystemConfig) -> float:
     return max(float(np.max(np.abs(dissipation_rates(i, times, cfg)))) for i in (1, 2))
 
 
-# position in the row-major vectorized state of each entry's transpose
-_TRANSPOSED = np.arange(16).reshape(4, 4).T.reshape(16)
-
-
-def _normalize(v: np.ndarray, t: float):
-    """(state, drifted): the Hermitian part of the row-major vectorized state
-    v, renormalized to unit trace (and the event logged) when its trace
-    drifted beyond TRACE_RENORM_TOL; or v as it is, with drifted True, when
-    its complex trace drifted beyond DENSITY_TRACE_TOL."""
-    tr = v[::5].sum()
+def _normalize(r: np.ndarray, t: float):
+    """(r, drifted): r renormalized to unit trace Tr ρ = 2 r_0 (and the event
+    logged) when the trace drifted beyond TRACE_RENORM_TOL; or r as it is,
+    with drifted True, when it drifted beyond DENSITY_TRACE_TOL."""
+    tr = 2.0 * r[0]
     if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
-        return v, True
-    v = 0.5 * (v + v[_TRANSPOSED].conj())
-    if abs(tr.real - 1.0) > TRACE_RENORM_TOL:
-        logger.debug("renormalizing trace %.16f at t=%.6f", tr.real, t)
-        v = v / tr.real
-    return v, False
+        return r, True
+    if abs(tr - 1.0) > TRACE_RENORM_TOL:
+        logger.debug("renormalizing trace %.16f at t=%.6f", tr, t)
+        r = r / tr
+    return r, False
 
 
 def _time_span(t_span):
@@ -190,8 +185,8 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
 
     Undriven frames are exact (one matrix exponential per distinct frame
     spacing); driven frames come from fixed-step RK4.  A run stops at the
-    first frame whose complex trace, before renormalization, is not within
-    DENSITY_TRACE_TOL of one or, driven, whose largest |entry| exceeds
+    first frame whose trace 2 r_0, before renormalization, is not within
+    DENSITY_TRACE_TOL of one or, driven, whose largest |entry| is not within
     ENTRY_MAX, and records that frame as computed.  The recorded frames are
     validated together, with the error naming the first bad frame: that
     drifted or diverged frame, or for undriven configurations a smallest
@@ -211,12 +206,12 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
 
     driven = cfg.is_driven
     if not driven:
-        liou = liouvillian_matrix(cfg)
-        propagator = functools.cache(lambda span: expm(liou * span))
+        gen = real_liouvillian(cfg)
+        propagator = functools.cache(lambda span: expm(gen * span))
 
-    v = np.array(rho0, dtype=complex).reshape(16)
+    r = (HERMITIAN_BASIS.conj().T @ np.reshape(rho0, 16)).real     # r = U†v
     times = [t0]
-    states = [v]
+    states = [HERMITIAN_BASIS @ r]
     rate_flags = [False]
 
     n_full, tail, frames = _frame_plan(t0, t1, h, stride)
@@ -224,21 +219,20 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     for first, end, t, span in frames:
         neg_seen = False
         if driven:
-            r = (v @ HERMITIAN_BASIS.conj()).real     # r = U†v
             for _ in range(first, end):
                 inc, neg = next(steps)
                 r = r + inc @ r
                 neg_seen = neg_seen or neg
-            v = HERMITIAN_BASIS @ r
         else:
-            v = propagator(span) @ v
-        v, drifted = _normalize(v, t)
+            r = propagator(span) @ r
+        r, drifted = _normalize(r, t)
+        v = HERMITIAN_BASIS @ r
         times.append(t)
         states.append(v)
         rate_flags.append(neg_seen)
         # a driven run stops before its growth can overflow; undriven frames
         # are exact, and each gets the eigenvalue check
-        if drifted or driven and np.abs(v).max() > ENTRY_MAX:
+        if drifted or driven and not np.abs(v).max() <= ENTRY_MAX:
             break    # the frame check below reports it
 
     times = np.array(times)
@@ -258,17 +252,18 @@ def _check_frame(states, times, driven: bool) -> np.ndarray:
 
     ``states`` is one frame or a stack of them at ``times``.  Raises
     IntegrationError at the first frame whose complex trace drifted beyond
-    DENSITY_TRACE_TOL (NaN counts as drift), whose largest |entry| exceeds
-    ENTRY_MAX (diverged) or, undriven, whose smallest eigenvalue is below
-    -DENSITY_EIG_TOL.  Drift and divergence are checked first, and one
-    eigenvalue solve then covers the frames before the first of them.
+    DENSITY_TRACE_TOL (NaN counts as drift), whose largest |entry| is not
+    within ENTRY_MAX (diverged; a NaN entry of a unit-trace frame too) or,
+    undriven, whose smallest eigenvalue is below -DENSITY_EIG_TOL.  Drift and
+    divergence are checked first, and one eigenvalue solve then covers the
+    frames before the first of them.
     """
     states = np.asarray(states).reshape(-1, 4, 4)
     times = np.atleast_1d(times)
     traces = np.trace(states, axis1=1, axis2=2)
     largest = np.abs(states).max(axis=(1, 2))
-    stopped = np.flatnonzero(~(np.abs(traces - 1.0) <= DENSITY_TRACE_TOL)
-                             | (largest > ENTRY_MAX))
+    traced = np.abs(traces - 1.0) <= DENSITY_TRACE_TOL
+    stopped = np.flatnonzero(~traced | ~(largest <= ENTRY_MAX))
     end = stopped[0] if stopped.size else len(states)
     lows = np.linalg.eigvalsh(states[:end])[:, 0]
     negative = np.flatnonzero(lows < -DENSITY_EIG_TOL)
@@ -280,7 +275,7 @@ def _check_frame(states, times, driven: bool) -> np.ndarray:
         )
     if stopped.size:
         tr = complex(traces[end])
-        if largest[end] > ENTRY_MAX:    # False for NaN, which is drift
+        if largest[end] > ENTRY_MAX or traced[end]:    # a NaN trace is drift
             msg = f"state diverged: largest |entry| {largest[end]:.3e} above {ENTRY_MAX}"
         else:
             msg = f"trace drifted to {tr.real!r}{tr.imag:+}j, largest |entry| {largest[end]:.3e}"
@@ -334,22 +329,19 @@ def steady_state(cfg: SystemConfig) -> np.ndarray:
         raise UnsupportedConfigError(
             "steady-state search requires an undriven configuration"
         )
-    liou = liouvillian_matrix(cfg)
-    rank = int(np.linalg.matrix_rank(liou))
+    gen = real_liouvillian(cfg)
+    rank = int(np.linalg.matrix_rank(gen))
     if rank < 15:
         raise StabilityError(
             f"steady state is not unique: the generator has a "
             f"{16 - rank}-dimensional null space"
         )
-    # trace preservation makes the rows of the diagonal entries sum to zero,
-    # so the first is dependent on the others; Tr ρ = 1 takes its place
-    bordered = liou.copy()
-    bordered[0] = np.eye(4).reshape(16)
-    rhs = np.zeros(16, dtype=complex)
-    rhs[0] = 1.0
-    rho = hermitian_part(np.linalg.solve(bordered, rhs).reshape(4, 4))
-    residual = float(np.max(np.abs(liou @ rho.reshape(16))))
-    if residual > 1e-12 * max(1.0, float(np.max(np.abs(liou)))):
+    # the trace row of G is exactly zero; Tr ρ = 2 r_0 = 1 takes its place
+    e0 = np.eye(16)[0]
+    r = np.linalg.solve(np.vstack([e0, gen[1:]]), 0.5 * e0)
+    residual = float(np.max(np.abs(gen @ r)))
+    if residual > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
         raise StabilityError(f"steady-state residual {residual:.3e} exceeds tolerance")
+    rho = (HERMITIAN_BASIS @ r).reshape(4, 4)
     validate_density(rho)
     return rho

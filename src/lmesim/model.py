@@ -26,20 +26,19 @@ The generator applied to ρ is
 
 Every rotated jump operator is linear in (1, cos θ, sin θ), so each channel's
 dissipator is a fixed combination of five superoperators weighted by the
-harmonics 1, cos θ, sin θ, cos 2θ, sin 2θ.  The 16x16 generator (row-major
-vec) is thus one real-weighted sum of 33 fixed superoperators, built once per
-configuration: -i[·, ·] of ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of
-σ_2^x, and 15 dissipator pieces per bath.  ``coefficient_table`` gives the
-weights at an array of times in one NumPy pass and ``generator_stack``
-contracts each row with the basis; the right-hand sides, the Liouvillian,
-the rates and the per-bath dissipator are views on them.  Every piece maps
-Hermitian operators to Hermitian ones, so in the orthonormal Hermitian
-basis Q_a = σ_j ⊗ σ_k / 2 (``HERMITIAN_BASIS``; the coherence vector of
-Alicki & Lendi, LNP 286) each piece, and so the generator, is a real 16x16
-matrix whose trace row is exactly zero.  ``real_generator_stack`` contracts
-the same weights with that real, half-size basis for the driven RK4 kernel.
-Undriven weights keep the bits of the scalar formula; driven ones can
-differ in the last bit, where NumPy's arctan and hypot differ from ``math``'s.
+harmonics 1, cos θ, sin θ, cos 2θ, sin 2θ.  The generator is thus one
+real-weighted sum of 33 fixed superoperators, built once per configuration:
+-i[·, ·] of ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of σ_2^x, and 15
+dissipator pieces per bath.  Each maps Hermitian operators to Hermitian ones,
+so in the orthonormal Hermitian basis Q_a = σ_j ⊗ σ_k / 2 (``HERMITIAN_BASIS``
+U; the coherence vector of Alicki & Lendi, LNP 286) the generator is a real
+16x16 matrix G on the coordinates r = U†v of the row-major vec v, with an
+exactly zero trace row.  ``coefficient_table`` gives the weights at an array
+of times in one NumPy pass, which ``real_generator_stack`` and (drive off)
+``real_liouvillian`` contract with the real basis; the row-major U G U†, the
+right-hand sides, the rates and the per-bath dissipator are views on them.
+Undriven weights keep the bits of the scalar formula; driven ones can differ
+in the last bit, where NumPy's arctan and hypot differ from ``math``'s.
 
 Basis ordering: |↑↑⟩, |↑↓⟩, |↓↑⟩, |↓↓⟩.
 """
@@ -291,28 +290,13 @@ def _dissipator_basis() -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _basis(cfg: SystemConfig) -> np.ndarray:
-    """The 33 fixed superoperators that ``generator`` weights: -i[·, ·] of
-    ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of σ_2^x, then the 15
-    dissipator rows of bath 1 and of bath 2.  Stored as float pairs, shape
-    (33, 512), so that the real weights contract with one real product."""
+    """The 33 fixed superoperators (row-major vec) that the table weights:
+    -i[·, ·] of ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of σ_2^x, then
+    the 15 dissipator rows of bath 1 and of bath 2, as float pairs (33, 512)."""
     h0 = cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1] + interaction_hamiltonian(cfg)
     hams = np.array([h0, *SX])
     comm = -1j * (kron(hams, IDENTITY4) - kron(IDENTITY4, np.swapaxes(hams, -1, -2)))
     return np.vstack([comm.reshape(3, 256).view(float), *_dissipator_basis()])
-
-
-def generator_stack(times, cfg: SystemConfig):
-    """16x16 generators (row-major vec) at each of the m times, and the (m,)
-    negative-rate flags."""
-    table, neg = coefficient_table(times, cfg)
-    return _contract(table, cfg), neg
-
-
-def _contract(table: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Generators of the (m, 33) weight rows, (m, 16, 16).  Each row is
-    contracted with the basis on its own, so it has the bits of a one-time
-    call."""
-    return (table[:, None] @ _basis(cfg)).view(complex).reshape(-1, 16, 16)
 
 
 @lru_cache(maxsize=128)
@@ -325,17 +309,30 @@ def _real_basis(cfg: SystemConfig) -> np.ndarray:
 
 def real_generator_stack(times, cfg: SystemConfig):
     """Real 16x16 generators G = U† L U at each of the m times, acting on the
-    coordinates r = U†v, and the (m,) negative-rate flags.  Like
-    `generator_stack`, each row is contracted on its own."""
+    coordinates r = U†v, and the (m,) negative-rate flags.  Each row is
+    contracted on its own, so it has the bits of a one-time call."""
     table, neg = coefficient_table(times, cfg)
     return (table[:, None] @ _real_basis(cfg)).reshape(-1, 16, 16), neg
+
+
+@lru_cache(maxsize=128)
+def real_liouvillian(cfg: SystemConfig) -> np.ndarray:
+    """Real 16x16 generator of the static master equation: the generator
+    with both drive fields set to zero, also for a driven configuration."""
+    zero = np.zeros((2, 1))
+    return (_weights(zero, zero, cfg)[0] @ _real_basis(cfg)).reshape(16, 16)
+
+
+def _row_major(gen: np.ndarray) -> np.ndarray:
+    """The generator U G U† on the row-major vec of the real generator G."""
+    return HERMITIAN_BASIS @ gen @ HERMITIAN_BASIS.conj().T
 
 
 def generator(t: float, cfg: SystemConfig):
     """16x16 generator at time t (row-major vec), and whether any rate is
     negative there."""
-    gens, neg = generator_stack(t, cfg)
-    return gens[0], bool(neg[0])
+    gens, neg = real_generator_stack(t, cfg)
+    return _row_major(gens[0]), bool(neg[0])
 
 
 def tdlme_rhs(rho: np.ndarray, t: float, cfg: SystemConfig) -> np.ndarray:
@@ -372,13 +369,10 @@ def _undriven_dissipator(i: int, cfg: SystemConfig) -> np.ndarray:
     return _dissipator_superops(i, 0.0, cfg)
 
 
-@lru_cache(maxsize=128)
 def liouvillian_matrix(cfg: SystemConfig) -> np.ndarray:
-    """16x16 generator matrix of the static master equation (row-major vec):
-    the generator with both drive fields set to zero, also for a driven
-    configuration."""
-    zero = np.zeros((2, 1))
-    return _contract(_weights(zero, zero, cfg)[0], cfg)[0]
+    """16x16 generator matrix of the static master equation (row-major vec),
+    the view U G U† of `real_liouvillian`."""
+    return _row_major(real_liouvillian(cfg))
 
 
 def gibbs_product_state(cfg: SystemConfig) -> np.ndarray:

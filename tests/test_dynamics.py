@@ -46,7 +46,6 @@ from lmesim.model import (
     DENSITY_TRACE_TOL,
     HERMITIAN_BASIS,
     _basis,
-    generator_stack,
     real_generator_stack,
 )
 
@@ -109,6 +108,14 @@ def test_check_frame_stops_at_a_diverged_frame():
             _check_frame(np.array([good, good, grown, good]), times, driven)
         assert err.value.time == 0.2
         assert str(err.value) == f"state diverged: largest |entry| 3.000e+00 above {ENTRY_MAX}"
+    # a NaN entry of a unit-trace frame is no smaller than the bound either
+    bad = maximum_entropy_state().astype(complex)
+    bad[0, 1] = bad[1, 0] = np.nan
+    for driven in (False, True):
+        with pytest.raises(IntegrationError) as err:
+            _check_frame(np.array([good, bad]), [0.0, 0.1], driven)
+        assert err.value.time == 0.1
+        assert str(err.value) == f"state diverged: largest |entry| nan above {ENTRY_MAX}"
 
 
 def test_default_step_uses_fastest_scale(base_system):
@@ -357,16 +364,18 @@ def test_driven_blocks_share_stage_times(driven_system):
        n_full=st.integers(1, 300), tail_frac=st.floats(0.1, 0.9))
 def test_real_generators_are_the_complex_ones_in_hermitian_coordinates(
         cfg, times, n_full, tail_frac):
-    # U G U† is the row-major generator; the trace coordinate r_0 = Tr ρ / 2
-    # has an exactly zero row, so every RK4 step increment has one too and
-    # each step propagator's row 0 is exactly e₀
+    # U G U† is the row-major generator assembled from the scalar rate
+    # formula and the complex basis; the trace coordinate r_0 = Tr ρ / 2 has
+    # an exactly zero row, so every RK4 step increment has one too and each
+    # step propagator's row 0 is exactly e₀
     times = np.array(times)
     real_gens, real_neg = real_generator_stack(times, cfg)
-    gens, neg = generator_stack(times, cfg)
     assert real_gens.dtype == np.float64
-    assert np.array_equal(real_neg, neg)
-    err = np.max(np.abs(HERMITIAN_BASIS @ real_gens @ HERMITIAN_BASIS.conj().T - gens))
-    assert err <= 1e-14 * max(1.0, float(np.max(np.abs(gens))))
+    for t, gen, neg in zip(times, real_gens, real_neg):
+        want, want_neg = _scalar_generator(t, cfg)
+        assert neg == want_neg
+        err = np.max(np.abs(HERMITIAN_BASIS @ gen @ HERMITIAN_BASIS.conj().T - want))
+        assert err <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
     assert np.all(real_gens[:, 0] == 0.0)
     h = default_step(cfg)
     for inc, _ in _driven_steps(times[0], h, n_full, tail_frac * h, cfg):

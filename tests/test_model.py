@@ -44,7 +44,8 @@ from lmesim.model import (
     SP,
     SX,
     SZ,
-    _basis,
+    HERMITIAN_BASIS,
+    _real_basis,
     coefficient_table,
     generator,
 )
@@ -334,6 +335,12 @@ def test_basis_assembly_matches_dense_reference(cfg, t, seed):
     assert np.max(np.abs(got - got.conj().T)) <= 1e-12 * scale
 
 
+def _in_row_major(row, cfg):
+    """U (row @ `_real_basis`) U†: the row-major generator of a weight row."""
+    gen = (row @ _real_basis(cfg)).reshape(16, 16)
+    return HERMITIAN_BASIS @ gen @ HERMITIAN_BASIS.conj().T
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(cfg=driven_systems, times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=20))
 def test_coefficient_table_matches_scalar_oracle(cfg, times):
@@ -348,8 +355,7 @@ def test_coefficient_table_matches_scalar_oracle(cfg, times):
     for t, row, neg in zip(times, table, negative):
         coeffs, flag = coefficient_table(t, cfg)
         assert np.array_equal(coeffs[0], row) and flag[0] == neg
-        assert np.array_equal(generator(t, cfg)[0],
-                              (row @ _basis(cfg)).view(complex).reshape(16, 16))
+        assert np.array_equal(generator(t, cfg)[0], _in_row_major(row, cfg))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -361,8 +367,7 @@ def test_static_coefficient_table_is_the_scalar_oracle_bitwise(cfg):
     undriven = replace(cfg, qubit1=QubitParams(cfg.qubit1.epsilon),
                        qubit2=QubitParams(cfg.qubit2.epsilon))
     want, neg = scalar_coefficients(0.0, undriven)
-    assert np.array_equal(liouvillian_matrix(cfg),
-                          (want @ _basis(cfg)).view(complex).reshape(16, 16))
+    assert np.array_equal(liouvillian_matrix(cfg), _in_row_major(want, cfg))
     assert not neg
 
 

@@ -836,6 +836,45 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_cli_driven_run_that_leaves_the_state_space_exits_2(tmp_path, capsys):
+    # a drive fast against the bath memory: a rate turns negative, the state
+    # loses positivity at t ≈ 0.81 while its entries stay below the
+    # divergence bound, and the observables' log-spectrum check stops the run
+    body = """
+[system]
+epsilon1 = 13.435
+epsilon2 = 7.441
+coupling = 0.06
+zeta2 = 0.313
+
+[bath1]
+temperature = 14.338
+kappa = 5.36
+cutoff = 0.781
+
+[bath2]
+temperature = 14.036
+kappa = 5.36
+cutoff = 0.781
+
+[drive]
+amplitude1 = 5.416
+frequency1 = 0.126
+amplitude2 = 4.422
+frequency2 = 0.78
+
+[scenario]
+horizon = 1.0
+"""
+    out = tmp_path / "unphysical.csv"
+    with pytest.warns(RuntimeWarning, match="state eigenvalue"):
+        rc = main(["driven", "--config", write_config(tmp_path, base=body),
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("numerical failure: state at t=0.81")
+    assert not out.exists()
+
+
 def test_cli_unknown_scenario_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["warp", "--config", "x.ini"])
