@@ -20,7 +20,8 @@ eigenvalues), and the steady heat currents are linear in C.
 `relaxation_time` takes the drift eigenvalues from LAPACK.
 
 `chain_stack` is the one place the rates, W, D and the currents are
-computed: over arrays of (ε₁, ε₂, ζ², λ) for chains that share two baths,
+computed: over arrays of (ε₁, ε₂, ζ², λ) for chains that share the cold
+bath and either share the hot bath or take one per row of the stack,
 which is how the steady sweeps run.  `drift_diffusion` (its 0-d case) and
 `steady_heat_currents` are its single-configuration views, so a sweep
 point and its own scalar solve give the same bits.
@@ -45,20 +46,20 @@ _CORR_OPS = np.array([[SP[i] @ SM[j] for j in (0, 1)] for i in (0, 1)])
 
 @dataclass(frozen=True, eq=False)
 class ChainStack:
-    """W and D stacks of undriven chains that share two baths, and the
+    """W and D stacks of undriven chains that share the cold bath, and the
     rates their heat currents need; per point, γ_i⁺ = γ_i(-2ε_i) and
     γ_i⁺ + γ_i⁻ is the total rate of qubit i."""
 
-    epsilon: np.ndarray       # (2, m)
-    zeta2: np.ndarray         # (m,)
-    coupling: np.ndarray      # (m,)
-    gamma_plus: np.ndarray    # (2, m)
-    gamma_total: np.ndarray   # (2, m)
-    drift: np.ndarray         # (m, 2, 2)
-    diffusion: np.ndarray     # (m, 2, 2)
+    epsilon: np.ndarray       # (2, *m), m the shape of the points
+    zeta2: np.ndarray         # m
+    coupling: np.ndarray      # m
+    gamma_plus: np.ndarray    # (2, *m)
+    gamma_total: np.ndarray   # (2, *m)
+    drift: np.ndarray         # (*m, 2, 2)
+    diffusion: np.ndarray     # (*m, 2, 2)
 
     def heat_currents(self, cov: np.ndarray):
-        """Heat currents (J₁, J₂) into the system for an (m, 2, 2) covariance
+        """Heat currents (J₁, J₂) into the system for an (*m, 2, 2) covariance
         stack, linear in the covariance:
 
         J_i = ζ² { -(γ_i⁺+γ_i⁻)/2 · [4 ε_i C_ii + λ (C₁₂+C₂₁)] + 2 ε_i γ_i⁺ }.
@@ -73,20 +74,27 @@ class ChainStack:
         return j[0], j[1]
 
 
-def chain_stack(eps1, eps2, zeta2, coupling, bath1: BathParams,
-                bath2: BathParams) -> ChainStack:
+def chain_stack(eps1, eps2, zeta2, coupling, bath1, bath2: BathParams) -> ChainStack:
     """Rates, W and D at every point of the broadcast (ε₁, ε₂, ζ², λ).
 
-    The four rates γ_i∓ = γ_i(±2ε_i) of a point are computed once, in one
-    `decay_rate` call per bath.  Scalar parameters give a single 2x2 W and D.
+    ``bath1`` is one `BathParams`, or a sequence of them, one per row of
+    ε₁ (the boundary sweep's T-ratio rows).  A bath rates γ_i∓ = γ_i(±2ε_i)
+    in one `decay_rate` call (one per row for a sequence) at ε_i's own
+    shape, so a scalar ε₂ is rated once.  Scalar parameters give a single
+    2x2 W and D.
     """
-    eps1, eps2, z, lam = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (eps1, eps2, zeta2, coupling))
-    )
-    g1 = decay_rate(np.stack([2.0 * eps1, -2.0 * eps1]), bath1)
-    g2 = decay_rate(np.stack([2.0 * eps2, -2.0 * eps2]), bath2)
-    gplus = np.stack([g1[1], g2[1]])
-    gtot = np.stack([g1[0] + g1[1], g2[0] + g2[1]])
+    eps1, eps2, z, lam = (np.asarray(x, dtype=float) for x in (eps1, eps2, zeta2, coupling))
+    shape = np.broadcast_shapes(eps1.shape, eps2.shape, z.shape, lam.shape) + (2,)
+
+    def rates(eps, bath):   # (γ(2ε), γ(-2ε)) along a last axis
+        return decay_rate(np.stack([2.0 * eps, -2.0 * eps], axis=-1), bath)
+
+    g1 = (rates(eps1, bath1) if isinstance(bath1, BathParams)
+          else np.stack([rates(e, b) for e, b in zip(eps1, bath1, strict=True)]))
+    g1, g2 = np.broadcast_to(g1, shape), np.broadcast_to(rates(eps2, bath2), shape)
+    eps1, eps2, z, lam = np.broadcast_arrays(eps1, eps2, z, lam)
+    gplus = np.stack([g1[..., 1], g2[..., 1]])
+    gtot = np.stack([g1[..., 0] + g1[..., 1], g2[..., 0] + g2[..., 1]])
     delta = eps1 - eps2
     drift = np.empty(z.shape + (2, 2), dtype=complex)
     drift[..., 0, 0] = -0.5 * z * gtot[0] + 1j * delta

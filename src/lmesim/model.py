@@ -103,6 +103,10 @@ class QubitParams:
             problems.append(f"epsilon must be positive and finite, got {self.epsilon}")
         for name in ("drive_amplitude", "drive_frequency"):
             problems += _non_negative_violations(name, getattr(self, name))
+        # a subnormal ω overflows the period that the default step scans
+        if self.drive_frequency > 0 and math.isinf(2.0 * math.pi / self.drive_frequency):
+            problems.append("drive_frequency must be 0 or give a finite period 2π/ω, "
+                            f"got {self.drive_frequency}")
         if problems:
             raise ConfigError(problems)
 

@@ -18,9 +18,11 @@ no per-point system: ``gaussian.chain_stack`` takes the swept parameters as
 arrays and gives the rates, drift and diffusion of every point at once, the
 points' 2x2 Lyapunov equations are solved as one stack, in closed form
 and elementwise (`linalg.lyapunov_solve_stack`), and the heat currents
-come from the covariance stack (one T-ratio row at a time for the boundary
-grid, whose hot bath changes by row).  Relaxation runs point after point.
-CSV rows are written with one ``%`` format per row.  A sweep point
+come from the covariance stack (for the boundary grid, whose hot bath
+changes by row, in blocks of whole T-ratio rows of at most
+``BOUNDARY_BLOCK`` points).  Relaxation runs point after point.  CSV
+formats are decided per column (a repeating column is formatted once per
+distinct value) and applied with one ``%`` format per row.  A sweep point
 whose numerics fail (one of the three ``errors.NUMERICAL_ERRORS``:
 ``IntegrationError``, ``StabilityError`` or ``PositivityError``; for the
 steady sweeps a drift that fails the Lyapunov checks) becomes a row with
@@ -33,7 +35,6 @@ generator's null vector for the density matrix.
 from __future__ import annotations
 
 import configparser
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -62,6 +63,8 @@ KINDS = (
     "sweep_scaling", "relaxation", "driven",
 )
 SCALING_AXES = ("zeta2", "lambda2")
+#: most points of one stacked solve in the boundary sweep (whole T-ratio rows)
+BOUNDARY_BLOCK = 4096
 DEFAULT_HORIZONS = {"evolve": 12.0, "driven": 10.0}
 
 EVOLVE_HEADER = (
@@ -305,24 +308,25 @@ def load_config(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # sweep points
 
-def _steady_sigma(bath1: BathParams, bath2: BathParams, j1, j2):
-    return -(bath1.beta * j1 + bath2.beta * j2)
+def _steady_sigma(beta1, beta2: float, j1, j2):   # β₁ may hold one value per point
+    return -(beta1 * j1 + beta2 * j2)
 
 
 def _steady_rows(leads, chain: ChainStack, value) -> list:
-    """Rows ``(*lead, value(J1, J2), "ok")``, one per point of `chain`.
+    """Rows ``(*lead, value(J1, J2), "ok")``, one per point of `chain` (row-major).
 
-    The points' Lyapunov equations are solved as one stack and their heat
-    currents come from the covariance stack.  A point whose drift fails the
+    The points' Lyapunov equations are solved as one flat stack and their
+    heat currents come from the covariance stack.  A point whose drift fails the
     solve's checks gets a NaN value and the status ``error:StabilityError``,
     as `lyapunov_solve` would have raised.
     """
-    covs, failures = lyapunov_solve_stack(chain.drift, chain.diffusion)
-    values = value(*chain.heat_currents(hermitian_part(covs)))
+    covs, failures = lyapunov_solve_stack(chain.drift.reshape(-1, 2, 2),
+                                          chain.diffusion.reshape(-1, 2, 2))
+    values = value(*chain.heat_currents(hermitian_part(covs).reshape(chain.drift.shape)))
     return [
         (*lead, v, "ok") if failure is None
         else (*lead, math.nan, "error:StabilityError")
-        for lead, v, failure in zip(leads, values.tolist(), failures)
+        for lead, v, failure in zip(leads, values.ravel().tolist(), failures)
     ]
 
 
@@ -362,7 +366,7 @@ def _steady_table(cfg: ScenarioConfig) -> CsvTable:
     cov = steady_covariance(drift_diffusion(system))
     rho = steady_state(system)
     j1, j2 = steady_heat_currents(cov, system)
-    sigma = _steady_sigma(system.bath1, system.bath2, j1, j2)
+    sigma = _steady_sigma(system.bath1.beta, system.bath2.beta, j1, j2)
     header = []
     row = []
     for i in (1, 2):
@@ -382,16 +386,20 @@ def _steady_table(cfg: ScenarioConfig) -> CsvTable:
 
 def _boundary_table(cfg: ScenarioConfig) -> CsvTable:
     base = cfg.system
+    bath2 = base.bath2
     eps1 = np.array(cfg.eps_ratio_grid) * base.qubit2.epsilon
     rows = []
-    # one stack per T-ratio row keeps a large grid's memory flat
-    for tr in cfg.t_ratio_grid:
-        bath1 = replace(base.bath1, temperature=tr * base.bath2.temperature)
-        chain = chain_stack(eps1, base.qubit2.epsilon, base.zeta2,
-                            base.coupling, bath1, base.bath2)
-        leads = [(tr, er) for er in cfg.eps_ratio_grid]
+    # blocks of whole T-ratio rows: few stacks, and a large grid's memory stays flat
+    per_block = max(1, BOUNDARY_BLOCK // eps1.size)
+    for start in range(0, len(cfg.t_ratio_grid), per_block):
+        t_ratios = cfg.t_ratio_grid[start:start + per_block]
+        bath1 = [replace(base.bath1, temperature=tr * bath2.temperature) for tr in t_ratios]
+        beta1 = np.array([[b.beta] for b in bath1])
+        chain = chain_stack(np.broadcast_to(eps1, (len(bath1), eps1.size)),
+                            base.qubit2.epsilon, base.zeta2, base.coupling, bath1, bath2)
+        leads = [(tr, er) for tr in t_ratios for er in cfg.eps_ratio_grid]
         rows += _steady_rows(
-            leads, chain, lambda j1, j2: _steady_sigma(bath1, base.bath2, j1, j2)
+            leads, chain, lambda j1, j2: _steady_sigma(beta1, bath2.beta, j1, j2)
         )
     return CsvTable(
         ("T1_over_T2", "eps1_over_eps2", "Sigma_dot_ss", "status"), rows
@@ -452,22 +460,14 @@ def run_scenario(cfg: ScenarioConfig) -> CsvTable:
 # ---------------------------------------------------------------------------
 # CSV emission
 
-@functools.lru_cache(maxsize=64)
-def _row_format(types: tuple) -> tuple:
-    """The ``%`` format of a row whose cells have these types, and the
-    indices of its text cells: bools and ints as integers, floats as
-    ``%.16e``, anything else as its (quoted) text."""
-    specs = []
-    text = []
-    for k, cls in enumerate(types):
-        if issubclass(cls, (bool, np.bool_, int, np.integer)):
-            specs.append("%d")
-        elif issubclass(cls, (float, np.floating)):
-            specs.append("%.16e")
-        else:
-            specs.append("%s")
-            text.append(k)
-    return ",".join(specs), tuple(text)
+def _spec(cls) -> str:
+    """The ``%`` format of a cell of this type: bools and ints as integers,
+    floats as ``%.16e``, anything else as its (quoted) text."""
+    if issubclass(cls, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    if issubclass(cls, (float, np.floating)):
+        return "%.16e"
+    return "%s"
 
 
 def _quote(value) -> str:
@@ -477,15 +477,31 @@ def _quote(value) -> str:
     return text
 
 
+def _column(cells: tuple):
+    """The ``%`` format of one column, and its cells (as text where it is
+    made here).  Plain floats of which at least half repeat, with no zero
+    (0.0 == -0.0 prints two ways), and strings are formatted once per
+    distinct value; a column of mixed formats is formatted cell by cell."""
+    types = set(map(type, cells))
+    specs = {_spec(cls) for cls in types}
+    if types == {float} and 2 * len(distinct := set(cells)) <= len(cells) \
+            and 0.0 not in distinct:
+        text = {v: "%.16e" % v for v in distinct}
+    elif types == {str}:
+        text = {v: _quote(v) for v in set(cells)}
+    elif specs in ({"%d"}, {"%.16e"}):
+        return specs.pop(), cells
+    else:
+        return "%s", [_quote(v) if (f := _spec(type(v))) == "%s" else f % v for v in cells]
+    return "%s", list(map(text.__getitem__, cells))
+
+
 def emit_csv(table: CsvTable, path) -> None:
-    """Write header + rows, LF line endings, floats at 17 significant digits."""
+    """Write header + rows, LF line endings, floats at 17 significant digits;
+    the format is decided per column, then applied with one ``%`` per row."""
+    columns = [_column(cells) for cells in zip(*table.rows)]
+    spec = ",".join(f for f, _ in columns)
     lines = [",".join(table.header)]
-    for row in table.rows:
-        spec, text = _row_format(tuple(map(type, row)))
-        if text:
-            row = list(row)
-            for k in text:
-                row[k] = _quote(row[k])
-        lines.append(spec % tuple(row))
+    lines += [spec % row for row in zip(*(cells for _, cells in columns))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

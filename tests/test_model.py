@@ -108,6 +108,17 @@ def test_parameters_reject_non_finite_values(field, value):
             make_system(**{field: value})
 
 
+@pytest.mark.parametrize("freq", [5e-324, 1e-310, 2.2250738585072014e-308, 3.4e-308])
+def test_qubit_params_reject_a_drive_period_that_overflows(freq):
+    # 2π/ω is inf for every subnormal ω and the smallest normals; the
+    # default step would scan the rates at NaN times over that period
+    with pytest.raises(ValueError) as err:
+        QubitParams(epsilon=1.0, drive_amplitude=2.0, drive_frequency=freq)
+    assert err.value.violations == [
+        f"drive_frequency must be 0 or give a finite period 2π/ω, got {freq}"]
+    QubitParams(epsilon=1.0, drive_amplitude=2.0, drive_frequency=3.5e-308)   # period finite
+
+
 @pytest.mark.parametrize("field", ["epsilon", "temperature", "kappa", "cutoff", "k_B"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_positive_parameters_reject_non_finite_values(field, value):

@@ -650,6 +650,51 @@ def test_emit_csv_writes_the_per_cell_bytes(tmp_path, base_system, driven_system
     assert path.read_bytes() == per_cell_csv(table)
 
 
+def test_emit_csv_formats_repeated_cells_once_with_the_per_cell_bytes(tmp_path):
+    # columns that repeat are formatted once per distinct value; 0.0 == -0.0
+    # and NaN != NaN must not merge or split their texts
+    floats = (0.0, -0.0, math.nan, float("nan"), math.inf, -math.inf, 0.1, 0.1, 1e-300)
+    no_zero = (math.nan, float("nan"), math.inf, -math.inf, 1.0 / 3.0, 2.5)
+    mixed = (np.float64(0.5), np.float32(0.1), True, np.int64(-7), 0.5, -0.0)
+    ints = (True, np.int64(3), False, 3, np.bool_(True))
+    texts = ('error:"quoted", text', "two\nlines", "ok", 'say "hi"', "ok")
+    rows = [(floats[k % 9], no_zero[k % 6], mixed[k % 6], ints[k % 5], texts[k % 5],
+             np.float64(floats[k % 9]), 1.0 / (k + 1))
+            for k in range(45)]
+    table = CsvTable(("a", "b", "c", "d", "e", "f", "g"), rows)
+    path = tmp_path / "t.csv"
+    emit_csv(table, path)
+    assert path.read_bytes() == per_cell_csv(table)
+    # a column with a zero keeps %.16e; the zero-free one is deduplicated
+    columns = list(zip(*rows))
+    assert scenarios._column(columns[0]) == ("%.16e", columns[0])
+    assert scenarios._column(columns[1])[0] == "%s"
+
+
+def test_boundary_blocks_give_the_one_block_table(base_system, monkeypatch):
+    cfg = ScenarioConfig(
+        kind="sweep_boundary", system=base_system,
+        integrator=IntegratorConfig(),
+        t_ratio_grid=(1.0, 2.0, 3.0), eps_ratio_grid=(0.5, 1.5, 2.5),
+    )
+    calls = []
+    stack = scenarios.chain_stack
+    monkeypatch.setattr(scenarios, "chain_stack", lambda *args: calls.append(args) or stack(*args))
+
+    def bits(table):
+        return [(*(x.hex() for x in row[:3]), row[3]) for row in table.rows]
+
+    one_block = bits(run_scenario(cfg))
+    assert len(calls) == 1
+    for block, count in ((9, 1), (6, 2), (3, 3), (1, 3)):
+        calls.clear()
+        monkeypatch.setattr(scenarios, "BOUNDARY_BLOCK", block)
+        assert bits(run_scenario(cfg)) == one_block
+        assert len(calls) == count
+    assert [row[:2] for row in one_block] == [
+        (tr.hex(), er.hex()) for tr in cfg.t_ratio_grid for er in cfg.eps_ratio_grid]
+
+
 def test_csv_table_rejects_ragged_rows():
     with pytest.raises(ValueError):
         CsvTable(("x", "y"), [(1.0,)])
@@ -756,6 +801,19 @@ def test_cli_reports_config_violations(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: scenario.kind=driven requires nonzero drive")
+    assert not out.exists()
+
+
+def test_loader_and_cli_reject_a_drive_period_that_overflows(tmp_path, capsys):
+    path = write_config(tmp_path, "\n[drive]\namplitude1 = 2.0\nfrequency1 = 1e-310\n"
+                        "\n[scenario]\nkind = driven\n")
+    want = "qubit1.drive_frequency must be 0 or give a finite period 2π/ω, got 1e-310"
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.violations == [want]
+    out = tmp_path / "a.csv"
+    assert main(["driven", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {want}\n"
     assert not out.exists()
 
 
@@ -901,20 +959,24 @@ import json, sys
 import lmesim.cli as cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
+def masked_modules():   # numpy.ma, not numpy.matrixlib
+    return sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
 undriven, driven, out = sys.argv[1:]
 after_cli = {}
+masked = {}
 for kind in cli.KINDS:
     path = driven if kind == "driven" else undriven
     if cli.main([kind.replace("_", "-"), "--config", path, "--out", out]) != 0:
         sys.exit(f"{kind} failed")
     after_cli[kind] = scipy_modules()
+    masked[kind] = masked_modules()
 import importlib, pkgutil
 import lmesim
 # __main__ runs the CLI on import; it imports nothing but lmesim.cli
 submodules = [m.name for m in pkgutil.iter_modules(lmesim.__path__) if m.name != "__main__"]
 for name in submodules:
     importlib.import_module(f"lmesim.{name}")
-print(json.dumps([after_cli, submodules, scipy_modules()]))
+print(json.dumps([after_cli, submodules, scipy_modules(), masked]))
 """
 
 TINY_GRIDS = """
@@ -959,7 +1021,9 @@ def test_cli_runs_load_no_quadrature_stack(tmp_path):
     # importing any of SciPy (scipy.linalg alone takes about 0.2 s) would add
     # to every CLI start-up; no CLI kind may load it, no module of the
     # package loads it on import, and no module has a SciPy import statement
-    # anywhere (the quadrature oracles that used it live in the tests)
+    # anywhere (the quadrature oracles that used it live in the tests); nor
+    # may any kind load numpy.ma, which np.unique without return_inverse
+    # imports on its first call (12-24 ms)
     undriven = write_config(tmp_path, TINY_GRIDS)
     driven = write_config(tmp_path, TINY_GRIDS + "\n[drive]\namplitude1 = 2.0\n"
                           "frequency1 = 0.2\n", name="driven.ini")
@@ -969,8 +1033,9 @@ def test_cli_runs_load_no_quadrature_stack(tmp_path):
         capture_output=True, text=True, timeout=300, env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    after_cli, submodules, after_import = json.loads(proc.stdout.splitlines()[-1])
+    after_cli, submodules, after_import, masked = json.loads(proc.stdout.splitlines()[-1])
     assert after_cli == {kind: [] for kind in cli.KINDS}
+    assert masked == {kind: [] for kind in cli.KINDS}
     assert after_import == []
     sources = sorted(Path(scenarios.__file__).parent.glob("*.py"))
     assert len(sources) == len(submodules) + 2   # plus __init__ and __main__
