@@ -41,6 +41,7 @@ from .model import (
     DENSITY_TRACE_TOL,
     HERMITIAN_BASIS,
     SystemConfig,
+    coordinates,
     dissipation_rates,
     real_generator_stack,
     real_liouvillian,
@@ -209,7 +210,7 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
         gen = real_liouvillian(cfg)
         propagator = functools.cache(lambda span: expm(gen * span))
 
-    r = (HERMITIAN_BASIS.conj().T @ np.reshape(rho0, 16)).real     # r = U†v
+    r = coordinates(rho0)     # r = U†v
     times = [t0]
     states = [HERMITIAN_BASIS @ r]
     rate_flags = [False]

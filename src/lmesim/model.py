@@ -32,11 +32,12 @@ real-weighted sum of 33 fixed superoperators, built once per configuration:
 dissipator pieces per bath.  Each maps Hermitian operators to Hermitian ones,
 so in the orthonormal Hermitian basis Q_a = σ_j ⊗ σ_k / 2 (``HERMITIAN_BASIS``
 U; the coherence vector of Alicki & Lendi, LNP 286) the generator is a real
-16x16 matrix G on the coordinates r = U†v of the row-major vec v, with an
-exactly zero trace row.  ``coefficient_table`` gives the weights at an array
-of times in one NumPy pass, which ``real_generator_stack`` and (drive off)
-``real_liouvillian`` contract with the real basis; the row-major U G U†, the
-right-hand sides, the rates and the per-bath dissipator are views on them.
+16x16 matrix G on the coordinates r = U†v (``coordinates``) of the row-major
+vec v, with an exactly zero trace row, and Tr(A B) = a · b.  ``coefficient_table``
+gives the weights at an array of times in one NumPy pass, which
+``real_generator_stack``, (drive off) ``real_liouvillian`` and, for the bath
+rows alone, ``bath_dissipators`` contract with the real basis; the row-major
+U G U†, the right-hand sides, the rates and ``dissipator`` are views on them.
 Undriven weights keep the bits of the scalar formula; driven ones can differ
 in the last bit, where NumPy's arctan and hypot differ from ``math``'s.
 
@@ -274,41 +275,49 @@ def dissipation_rates(i: int, t, cfg: SystemConfig):
     return tuple(r.reshape(np.shape(t))[()] for r in rates)
 
 
-@lru_cache(maxsize=1)
-def _dissipator_basis() -> np.ndarray:
-    """Unit-rate dissipator pieces of both baths as float pairs, (2, 15, 512).
+@lru_cache(maxsize=128)
+def _basis(cfg: SystemConfig) -> np.ndarray:
+    """The 33 fixed superoperators (row-major vec) that the table weights,
+    shape (33, 16, 16): -i[·, ·] of ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x
+    and of σ_2^x, then the 15 unit-rate dissipator rows of bath 1 and of bath 2.
 
     With ŝ = Σ_j u_j a_j, D[ŝ]ρ = Σ_jk u_j u_k (a_j ρ a_k† - ½{a_k† a_j, ρ}),
     and u_j u_k expands over the harmonics; row 5c + n of bath i is the
     harmonic-n part of D[ŝ_c(θ_i)] for channel c in rate order.
     """
+    h0 = cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1] + interaction_hamiltonian(cfg)
+    hams = np.array([h0, *SX])
+    comm = -1j * (kron(hams, IDENTITY4) - kron(IDENTITY4, np.swapaxes(hams, -1, -2)))
     eye2 = np.eye(2)
     ops = np.array([kron(_JUMP_PIECES, eye2), kron(eye2, _JUMP_PIECES)])
     a, b = ops[:, :, :, None], ops[:, :, None, :]     # a_j, a_k per (bath, channel)
     prod = np.swapaxes(b.conj(), -1, -2) @ a
     pairs = kron(a, b.conj()) - 0.5 * (
         kron(prod, IDENTITY4) + kron(IDENTITY4, np.swapaxes(prod, -1, -2)))
-    out = _PRODUCT_HARMONICS.reshape(9, 5).T @ pairs.reshape(2, 3, 9, 256)
-    return out.reshape(2, 15, 256).view(float)
-
-
-@lru_cache(maxsize=128)
-def _basis(cfg: SystemConfig) -> np.ndarray:
-    """The 33 fixed superoperators (row-major vec) that the table weights:
-    -i[·, ·] of ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of σ_2^x, then
-    the 15 dissipator rows of bath 1 and of bath 2, as float pairs (33, 512)."""
-    h0 = cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1] + interaction_hamiltonian(cfg)
-    hams = np.array([h0, *SX])
-    comm = -1j * (kron(hams, IDENTITY4) - kron(IDENTITY4, np.swapaxes(hams, -1, -2)))
-    return np.vstack([comm.reshape(3, 256).view(float), *_dissipator_basis()])
+    diss = _PRODUCT_HARMONICS.reshape(9, 5).T @ pairs.reshape(2, 3, 9, 256)
+    return np.concatenate([comm, diss.reshape(30, 16, 16)])
 
 
 @lru_cache(maxsize=128)
 def _real_basis(cfg: SystemConfig) -> np.ndarray:
     """`_basis` in the Hermitian coordinates: the real U† B U, shape (33, 256)."""
-    pieces = _basis(cfg).view(complex).reshape(33, 16, 16)
-    real = (HERMITIAN_BASIS.conj().T @ pieces @ HERMITIAN_BASIS).real
+    real = (HERMITIAN_BASIS.conj().T @ _basis(cfg) @ HERMITIAN_BASIS).real
     return real.reshape(33, 256).copy()
+
+
+def coordinates(ops) -> np.ndarray:
+    """Real coordinates r = U†v, r_a = Tr(Q_a A), of a Hermitian 4x4 operator
+    A or of a stack of them, shape (..., 16); Tr(A B) = a · b."""
+    ops = np.asarray(ops)
+    return (ops.reshape(ops.shape[:-2] + (16,)) @ HERMITIAN_BASIS.conj()).real
+
+
+def bath_dissipators(table: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Real 16x16 dissipators ζ² 𝓛_1 and ζ² 𝓛_2 at each row of a
+    `coefficient_table`, shape (2, m, 16, 16): the table's bath columns
+    contracted with the bath rows of `_real_basis`, each row on its own."""
+    weights = np.reshape(table, (-1, 33))[:, 3:].reshape(-1, 2, 1, 15).swapaxes(0, 1)
+    return (weights @ _real_basis(cfg)[3:].reshape(2, 1, 15, 256)).reshape(2, -1, 16, 16)
 
 
 def real_generator_stack(times, cfg: SystemConfig):
@@ -350,27 +359,16 @@ def lme_rhs(rho: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
 
 def dissipator(i: int, rho: np.ndarray, t, cfg: SystemConfig) -> np.ndarray:
-    """Single-bath dissipator 𝓛_i[ρ] at time t, without the ζ² factor.
+    """Single-bath dissipator 𝓛_i[ρ] at time t, without the ζ² factor: the
+    rates' weights on the bath-i rows of `_real_basis`, in row-major form.
 
     ``rho`` may also be an (n, 4, 4) stack of states with ``t`` their n
-    times.  An undriven superoperator does not depend on t: it is built once
-    per configuration and broadcast over the stack.
+    times, or one time for all of them.
     """
-    superops = _dissipator_superops(i, t, cfg) if cfg.is_driven else _undriven_dissipator(i, cfg)
-    return (superops @ rho.reshape(-1, 16, 1)).reshape(rho.shape)
-
-
-def _dissipator_superops(i: int, t, cfg: SystemConfig) -> np.ndarray:
-    """Bath i's dissipator superoperators at the time or times t, (m, 16, 16)."""
-    f, fdot = _drive_fields(t, cfg)
-    weights = _bath_rates(i, cfg, f, fdot)[1]
-    return (weights @ _dissipator_basis()[i - 1]).view(complex).reshape(-1, 16, 16)
-
-
-@lru_cache(maxsize=128)
-def _undriven_dissipator(i: int, cfg: SystemConfig) -> np.ndarray:
-    """`_dissipator_superops` of an undriven configuration (independent of t)."""
-    return _dissipator_superops(i, 0.0, cfg)
+    weights = _bath_rates(i, cfg, *_drive_fields(t, cfg))[1]
+    rows = _real_basis(cfg)[15 * i - 12:15 * i + 3]
+    superops = _row_major((weights[:, None] @ rows).reshape(-1, 16, 16))
+    return (superops @ np.reshape(rho, (-1, 16, 1))).reshape(np.shape(rho))
 
 
 def liouvillian_matrix(cfg: SystemConfig) -> np.ndarray:

@@ -15,10 +15,11 @@ J_i = J_i^s + J_i^I with J_i^s = ζ² Tr(H_bare 𝓛_i[ρ]) and
 J_i^I = ζ² Tr(H_int 𝓛_i[ρ]); the identity holds to rounding by linearity.
 
 `trajectory_observables` computes every observable of a whole trajectory
-in one pass over its (n, 4, 4) state stack: the currents are linear in ρ,
-so each bath's dissipator is applied to the stack at once, and one batched
-``eigh`` gives the entropy, the clamped ln ρ and the positivity margin.
-`thermo_record` (a one-frame `FrameColumns`), `heat_current` and
+in one pass over its (n, 4, 4) state stack, as dot products of real
+coordinates (`model.coordinates`, Tr(A B) = a · b) with each bath's flow
+ζ²𝓛_i[ρ] = D_i r from the integrator's own table (`model.bath_dissipators`);
+one batched ``eigh`` gives the entropy, the clamped ln ρ and the positivity
+margin.  `thermo_record` (a one-frame `FrameColumns`), `heat_current` and
 `entropy_production_rate` are its one-frame views; `find_tau0` scans Σ̇.
 """
 
@@ -33,14 +34,18 @@ import numpy as np
 from .dynamics import IntegratorConfig, Trajectory, integrate
 from .errors import PositivityError
 from .linalg import LOG_POSITIVITY_TOL, clamped_log, hermitian_part
-# unused here since the observables are batched, but the benchmark's tracer
-# (perfbench/tracer.py) wraps this name on this module
+# unused here since the observables are dot products of real coordinates,
+# but the benchmark's tracer (perfbench/tracer.py) wraps these names here
 from .linalg import matrix_log_hermitian  # noqa: F401
+from .model import dissipator  # noqa: F401
 from .model import (
+    SX,
     SystemConfig,
     bare_hamiltonian,
+    bath_dissipators,
+    coefficient_table,
+    coordinates,
     dissipation_rates,
-    dissipator,
     generator,
     instantaneous_gap,
     interaction_hamiltonian,
@@ -94,28 +99,11 @@ class FrameColumns(NamedTuple):
     lowest: np.ndarray
 
 
-def _real_traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(a_k b_k) over the frames; either factor may be one matrix."""
-    return np.einsum("...ij,...ji->...", a, b).real
-
-
 def _entropy_of_spectrum(w: np.ndarray) -> np.ndarray:
     """-Σ p ln p over the positive eigenvalues along the last axis."""
     positive = w > 0.0
     return -np.sum(np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0),
                    axis=-1)
-
-
-def _hamiltonians(times: np.ndarray, cfg: SystemConfig):
-    """(H_bare, H_int): H_bare is one matrix for an undriven configuration
-    and stacked over the frame times for a driven one."""
-    return bare_hamiltonian(times if cfg.is_driven else 0.0, cfg), interaction_hamiltonian(cfg)
-
-
-def _currents(h_bare: np.ndarray, h_int: np.ndarray, diss: np.ndarray):
-    """(J, J^s, J^I) of one bath over the frames, from their ζ²𝓛[ρ]."""
-    return (_real_traces(h_bare + h_int, diss), _real_traces(h_bare, diss),
-            _real_traces(h_int, diss))
 
 
 def _check_log_spectrum(times: np.ndarray, lowest: np.ndarray) -> None:
@@ -147,13 +135,14 @@ def trajectory_observables(times, states, cfg: SystemConfig,
     """Heat currents, entropy and Σ̇ of every frame of a trajectory at once.
 
     ``states`` is the (n, 4, 4) stack of the frames at the n >= 1 ``times``;
-    any other shape raises ValueError.  The currents are linear in ρ: each
-    bath's dissipator is applied to the whole stack (one 16x16
-    superoperator when undriven, one per frame when driven).  One ``eigh``
-    over the Hermitian parts gives S, the clamped ln ρ and each frame's
-    smallest eigenvalue.  The frames are taken FRAME_BLOCK at a time, which
-    bounds the temporaries of a long run.  With ``check`` the frames get
-    the matrix logarithm's checks (`_check_log_spectrum`).
+    any other shape raises ValueError.  Every trace is a dot product of real
+    coordinates, Tr(A B) = a · b: each bath's ζ²𝓛_i[ρ] is D_i r, with D_i
+    from the coefficient table that the integrator steps (`bath_dissipators`;
+    one row per frame when driven, one row when undriven).  One ``eigh`` over
+    the Hermitian parts gives S, the clamped ln ρ and each frame's smallest
+    eigenvalue.  The frames are taken FRAME_BLOCK at a time, which bounds the
+    temporaries of a long run.  With ``check`` the frames get the matrix
+    logarithm's checks (`_check_log_spectrum`).
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
@@ -163,8 +152,12 @@ def trajectory_observables(times, states, cfg: SystemConfig,
                          f"{states.shape}")
     if not len(times):
         raise ValueError("trajectory_observables needs at least one frame")
-    blocks = [_block_observables(times[k:k + FRAME_BLOCK],
-                                 states[k:k + FRAME_BLOCK], cfg)
+    driven = cfg.is_driven
+    table = coefficient_table(times if driven else 0.0, cfg)[0]
+    # ε_1 σ_1^z + ε_2 σ_2^z, σ_1^x and σ_2^x, which (1, f_1, f_2) weight, and λ hop
+    hams = coordinates([bare_hamiltonian(0.0, cfg), *SX, interaction_hamiltonian(cfg)])
+    blocks = [_block_observables(times[k:k + FRAME_BLOCK], states[k:k + FRAME_BLOCK],
+                                 table[k:k + FRAME_BLOCK] if driven else table, hams, cfg)
               for k in range(0, len(times), FRAME_BLOCK)]
     cols = FrameColumns(*map(np.concatenate, zip(*blocks)))
     if check:
@@ -172,16 +165,17 @@ def trajectory_observables(times, states, cfg: SystemConfig,
     return cols
 
 
-def _block_observables(times: np.ndarray, states: np.ndarray,
-                       cfg: SystemConfig) -> FrameColumns:
+def _block_observables(times: np.ndarray, states: np.ndarray, table: np.ndarray,
+                       hams: np.ndarray, cfg: SystemConfig) -> FrameColumns:
     w, v = np.linalg.eigh(hermitian_part(states))
-    logm = clamped_log(w, v)
-    h_bare, h_int = _hamiltonians(times, cfg)
-    h_full = h_bare + h_int
-    diss = [cfg.zeta2 * dissipator(i, states, times, cfg) for i in (1, 2)]
-    (j1, js1, ji1), (j2, js2, ji2) = (_currents(h_bare, h_int, d) for d in diss)
-    sigma = (-_real_traces(logm + cfg.bath1.beta * h_full, diss[0])
-             - _real_traces(logm + cfg.bath2.beta * h_full, diss[1]))
+    log_rho = coordinates(clamped_log(w, v))
+    h_bare = table[:, :3] @ hams[:3]
+    h_full = h_bare + hams[3]
+    flows = (bath_dissipators(table, cfg) @ coordinates(states)[..., None])[..., 0]
+    (j1, j2), (js1, js2), (ji1, ji2) = (np.einsum("...k,...k", h, flows)
+                                        for h in (h_full, h_bare, hams[3]))
+    sigma = -sum(np.einsum("...k,...k", log_rho + b.beta * h_full, flow)
+                 for b, flow in zip((cfg.bath1, cfg.bath2), flows))
     return FrameColumns(
         t=times, j1=j1, j2=j2, js1=js1, ji1=ji1, js2=js2, ji2=ji2,
         entropy=_entropy_of_spectrum(w), sigma_dot=sigma, lowest=w[:, 0],
@@ -189,10 +183,12 @@ def _block_observables(times: np.ndarray, states: np.ndarray,
 
 
 def heat_current(i: int, rho: np.ndarray, t: float, cfg: SystemConfig):
-    """(J_i, J_i^s, J_i^I): total, bare-Hamiltonian and interaction parts."""
-    h_bare, h_int = _hamiltonians([t], cfg)
-    diss = cfg.zeta2 * dissipator(i, np.asarray(rho)[None], [t], cfg)
-    return tuple(float(j[0]) for j in _currents(h_bare, h_int, diss))
+    """(J_i, J_i^s, J_i^I): total, bare-Hamiltonian and interaction parts, the
+    one-frame view of `trajectory_observables` without its checks."""
+    cfg.bath(i)    # rejects an index other than 1 or 2
+    cols = trajectory_observables([t], np.asarray(rho)[None], cfg, check=False)
+    parts = (cols.j1, cols.js1, cols.ji1) if i == 1 else (cols.j2, cols.js2, cols.ji2)
+    return tuple(float(part[0]) for part in parts)
 
 
 def entropy(rho: np.ndarray) -> float:

@@ -7,7 +7,8 @@ unit tests reuse the same runs.  ``rk4_step``, ``scalar_coefficients`` and
 the scalar rate formulas are the per-step, per-time and per-frequency paths
 that the package's array kernels replaced, and ``kronecker_lyapunov_stack``
 the dense LAPACK Lyapunov solve that the closed-form 2x2 kernel replaced,
-kept here as references.  ``correlation_function``,
+kept here as references; ``dense_reference`` builds each bath's dissipator
+and the right-hand side with np.kron, independently of the package's basis.  ``correlation_function``,
 ``decay_rate_quadrature`` and ``lamb_shift_quadrature`` evaluate the bath
 integrals by SciPy quadrature, with a fixed tolerance, subdivision cap and
 horizons (QUAD_RTOL, QUAD_LIMIT, ``_s_max``, ``_omega_max``), to
@@ -31,6 +32,7 @@ from lmesim import (
     QubitParams,
     SystemConfig,
     decay_rate,
+    dissipation_rates,
     integrate,
     maximum_entropy_state,
     spectral_density,
@@ -219,6 +221,49 @@ def scalar_coefficients(t, cfg):
         coeffs += [cfg.zeta2 * (g * h) for g in rates for h in harmonics]
         negative = negative or min(rates) < 0.0
     return np.array(coeffs), negative
+
+
+def dense_reference(rho, t, cfg):
+    """Per-bath dissipators and the full right-hand side, built directly from
+    the module docstring with 2x2 rotated jump operators and np.kron, in
+    NumPy's extended precision (``longdouble``) from the state and the rates
+    on: a trace of a dissipator whose entries are far larger than the trace
+    then carries the rounding of the package alone."""
+    rho = np.asarray(rho, dtype=np.clongdouble)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])
+    eye = np.eye(2)
+
+    def lift(op, i):
+        return np.kron(op, eye) if i == 1 else np.kron(eye, op)
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    def anti(a, b):
+        return a @ b + b @ a
+
+    h = lift(sp, 1) @ lift(sp.T, 2)
+    h = cfg.coupling * (h + h.T)
+    diss = []
+    for i in (1, 2):
+        q = cfg.qubit(i)
+        f = q.drive_amplitude * math.sin(q.drive_frequency * t)
+        h = h + lift(q.epsilon * sz + f * sx, i)
+        half = np.longdouble(math.atan(f / q.epsilon)) / 2
+        e = np.array([np.cos(half), np.sin(half)])
+        g = np.array([-np.sin(half), np.cos(half)])
+        s_z = lift(np.outer(e, e) - np.outer(g, g), i)
+        s_p = lift(np.outer(e, g), i)
+        s_m = s_p.T
+        gz, gm, gp = (np.longdouble(rate) for rate in dissipation_rates(i, t, cfg))
+        diss.append(
+            gz * (s_z @ rho @ s_z - rho)
+            + gm * (s_m @ rho @ s_p - 0.5 * anti(s_p @ s_m, rho))
+            + gp * (s_p @ rho @ s_m - 0.5 * anti(s_m @ s_p, rho))
+        )
+    return diss, -1j * comm(h, rho) + cfg.zeta2 * (diss[0] + diss[1])
 
 
 def kronecker_lyapunov_stack(drift, diffusion):

@@ -384,7 +384,7 @@ def test_real_generators_are_the_complex_ones_in_hermitian_coordinates(
 
 def _scalar_generator(t, cfg):
     coeffs, negative = scalar_coefficients(t, cfg)
-    return (coeffs @ _basis(cfg)).view(complex).reshape(16, 16), negative
+    return (coeffs @ _basis(cfg).reshape(33, 256)).reshape(16, 16), negative
 
 
 # random windows of a driven run: a start time in [0, 50], up to 300

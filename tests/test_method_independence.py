@@ -5,9 +5,9 @@ exponential propagator against ``rk4_step`` on the master equation's
 right-hand side, and the null-space steady state against the Lyapunov
 covariance.  The workhorse run's frames are checked against SciPy's
 ``expm`` of the complex generator assembled from the scalar rate formula.
-The last test guards the package's headline physics: the entropy
+The last two tests guard the package's headline physics: the entropy
 production turns negative at the same τ₀ whichever method, and whichever
-step, produces the states.
+step, produces the states, undriven and under a slow drive.
 """
 
 import numpy as np
@@ -20,7 +20,9 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from lmesim import (
     IntegratorConfig,
@@ -37,6 +39,7 @@ from lmesim import (
     steady_state,
 )
 from lmesim.model import _basis
+from lmesim.thermo import TAU0_TIME_TOL
 
 # deterministic and stateless: the same examples on every run, nothing
 # written to a local example database
@@ -71,7 +74,7 @@ def test_exact_frames_match_scipy_expm_of_the_complex_generator():
     # the real Hermitian coordinates, against one SciPy exponential of the
     # independently assembled row-major generator per frame time
     cfg = make_system()
-    liou = (scalar_coefficients(0.0, cfg)[0] @ _basis(cfg)).view(complex).reshape(16, 16)
+    liou = (scalar_coefficients(0.0, cfg)[0] @ _basis(cfg).reshape(33, 256)).reshape(16, 16)
     rho0 = maximum_entropy_state()
     traj = integrate(rho0, 12.0, cfg)
     want = np.array([expm(liou * t) @ rho0.reshape(16) for t in traj.times])
@@ -125,3 +128,33 @@ def test_negative_entropy_production_is_method_independent():
         lo, hi = _rk4_states(cfg, step, (t_lo, t_hi))
         assert entropy_production_rate(lo, t_lo, cfg) > 0.0
         assert entropy_production_rate(hi, t_hi, cfg) <= 0.0
+
+
+def test_driven_negative_entropy_production_is_step_and_method_independent(driven_system):
+    # τ₀ of the slow-drive run at the default step, at twice that step and
+    # from SciPy's DOP853 on the generator assembled from the scalar rate
+    # formula and the complex basis (brentq on Σ̇ of its dense output) agree
+    cfg = driven_system
+    h = default_step(cfg)
+    rho0 = maximum_entropy_state()
+    res = find_tau0(integrate(rho0, 3.0, cfg), cfg)
+    doubled = find_tau0(integrate(rho0, 3.0, cfg, IntegratorConfig(step=2.0 * h)), cfg)
+    assert res.found and doubled.found
+    basis = _basis(cfg).reshape(33, 256)
+
+    def rhs(t, v):
+        return (scalar_coefficients(t, cfg)[0] @ basis).reshape(16, 16) @ v
+
+    t_lo, t_hi = res.bracket
+    sol = solve_ivp(rhs, (0.0, t_hi + 0.01), rho0.reshape(16).astype(complex),
+                    method="DOP853", rtol=1e-11, atol=1e-13, dense_output=True)
+    assert sol.success
+
+    def sigma(t):
+        return entropy_production_rate(sol.sol(t).reshape(4, 4), t, cfg)
+
+    tau0 = brentq(sigma, t_lo - 5e-3, t_hi + 5e-3, xtol=1e-12)
+    assert abs(doubled.tau0 - res.tau0) < TAU0_TIME_TOL
+    assert abs(tau0 - res.tau0) < TAU0_TIME_TOL
+    # the DOP853 states change sign inside find_tau0's bracket
+    assert sigma(t_lo) > 0.0 >= sigma(t_hi)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (
+    dense_reference,
     driven_systems,
     make_system,
     random_density,
@@ -291,50 +292,11 @@ def test_generator_preserves_trace_and_hermiticity(base_system, rng):
             assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
 
 
-def _dense_reference(rho, t, cfg):
-    """Per-bath dissipators and the full right-hand side, built directly from
-    the module docstring with 2x2 rotated jump operators and np.kron."""
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sz = np.diag([1.0, -1.0])
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]])
-    eye = np.eye(2)
-
-    def lift(op, i):
-        return np.kron(op, eye) if i == 1 else np.kron(eye, op)
-
-    def comm(a, b):
-        return a @ b - b @ a
-
-    def anti(a, b):
-        return a @ b + b @ a
-
-    h = lift(sp, 1) @ lift(sp.T, 2)
-    h = cfg.coupling * (h + h.T)
-    diss = []
-    for i in (1, 2):
-        q = cfg.qubit(i)
-        f = q.drive_amplitude * math.sin(q.drive_frequency * t)
-        h = h + lift(q.epsilon * sz + f * sx, i)
-        theta = math.atan(f / q.epsilon)
-        e = np.array([math.cos(theta / 2), math.sin(theta / 2)])
-        g = np.array([-math.sin(theta / 2), math.cos(theta / 2)])
-        s_z = lift(np.outer(e, e) - np.outer(g, g), i)
-        s_p = lift(np.outer(e, g), i)
-        s_m = s_p.T
-        gz, gm, gp = dissipation_rates(i, t, cfg)
-        diss.append(
-            gz * (s_z @ rho @ s_z - rho)
-            + gm * (s_m @ rho @ s_p - 0.5 * anti(s_p @ s_m, rho))
-            + gp * (s_p @ rho @ s_m - 0.5 * anti(s_m @ s_p, rho))
-        )
-    return diss, -1j * comm(h, rho) + cfg.zeta2 * (diss[0] + diss[1])
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(cfg=driven_systems, t=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
 def test_basis_assembly_matches_dense_reference(cfg, t, seed):
     rho = random_density(np.random.default_rng(seed))
-    diss, rhs = _dense_reference(rho, t, cfg)
+    diss, rhs = dense_reference(rho, t, cfg)
     for got, want in [(tdlme_rhs(rho, t, cfg), rhs),
                       (dissipator(1, rho, t, cfg), diss[0]),
                       (dissipator(2, rho, t, cfg), diss[1])]:

@@ -671,6 +671,23 @@ def test_emit_csv_formats_repeated_cells_once_with_the_per_cell_bytes(tmp_path):
     assert scenarios._column(columns[1])[0] == "%s"
 
 
+def test_emit_csv_decides_columns_whose_repeats_sit_in_their_second_half(tmp_path):
+    # a column is decided from its first n//2 + 1 cells when they are all
+    # distinct; repeats that all sit in the second half still count
+    for n in (9, 10):
+        values = [1.0 / (k + 3) for k in range(n)]
+        half = n // 2
+        repeating = tuple(values[:half] + (values[:half] * 2)[:n - half])
+        distinct = tuple(values[:half + 1] + values[:1] * (n - half - 1))
+        assert len(set(repeating)) == half and len(set(distinct)) == half + 1
+        assert scenarios._column(repeating)[0] == "%s"
+        assert scenarios._column(distinct) == ("%.16e", distinct)
+        table = CsvTable(("a", "b"), list(zip(repeating, distinct)))
+        path = tmp_path / "t.csv"
+        emit_csv(table, path)
+        assert path.read_bytes() == per_cell_csv(table)
+
+
 def test_boundary_blocks_give_the_one_block_table(base_system, monkeypatch):
     cfg = ScenarioConfig(
         kind="sweep_boundary", system=base_system,

@@ -15,7 +15,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import driven_systems, make_system, random_density, undriven_systems
+from conftest import (
+    dense_reference,
+    driven_systems,
+    make_system,
+    random_density,
+    undriven_systems,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,16 +209,17 @@ def test_thermo_record_matches_individual_observables(base_trajectory, base_syst
 
 def _per_frame_record(rho, t, cfg):
     """One frame's (J1, J2, Js1, JI1, Js2, JI2, S, Σ̇) as computed before the
-    batched kernel: two dissipator calls, a checked matrix log, a separate
-    eigenvalue solve for S and one trace per product."""
+    batched kernel, with the per-bath dissipators of the np.kron reference
+    (independent of the package's basis), a checked matrix log, a separate
+    eigenvalue solve for S and one complex trace per product."""
     h_bare = bare_hamiltonian(t, cfg)
     h_int = interaction_hamiltonian(cfg)
     h_full = h_bare + h_int
     logm = matrix_log_hermitian(rho)
     js, ji, jtot = [], [], []
     sigma = 0.0
-    for i in (1, 2):
-        diss = cfg.zeta2 * dissipator(i, rho, t, cfg)
+    for i, dense in zip((1, 2), dense_reference(rho, t, cfg)[0]):
+        diss = cfg.zeta2 * dense
         jtot.append(_real_trace(h_full, diss))
         js.append(_real_trace(h_bare, diss))
         ji.append(_real_trace(h_int, diss))
