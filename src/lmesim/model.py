@@ -34,12 +34,12 @@ so in the orthonormal Hermitian basis Q_a = σ_j ⊗ σ_k / 2 (``HERMITIAN_BASIS
 U; the coherence vector of Alicki & Lendi, LNP 286) the generator is a real
 16x16 matrix G on the coordinates r = U†v (``coordinates``) of the row-major
 vec v, with an exactly zero trace row, and Tr(A B) = a · b.  ``coefficient_table``
-gives the weights at an array of times in one NumPy pass, which
-``real_generator_stack``, (drive off) ``real_liouvillian`` and, for the bath
-rows alone, ``bath_dissipators`` contract with the real basis; the row-major
-U G U†, the right-hand sides, the rates and ``dissipator`` are views on them.
-Undriven weights keep the bits of the scalar formula; driven ones can differ
-in the last bit, where NumPy's arctan and hypot differ from ``math``'s.
+gives the weights at an array of times in one NumPy pass (``static_table``:
+drive off), which ``real_generator_stack``, ``real_liouvillian`` and, bath
+rows only, ``bath_dissipators`` contract with the real basis; U G U†, the
+right-hand sides, the rates and ``dissipator`` are views on them.  Undriven
+weights keep the bits of the scalar formula; driven ones can differ in the
+last bit, where NumPy's arctan and hypot differ from ``math``'s.
 
 Basis ordering: |↑↑⟩, |↑↓⟩, |↓↑⟩, |↓↓⟩.
 """
@@ -312,11 +312,11 @@ def coordinates(ops) -> np.ndarray:
     return (ops.reshape(ops.shape[:-2] + (16,)) @ HERMITIAN_BASIS.conj()).real
 
 
-def bath_dissipators(table: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Real 16x16 dissipators ζ² 𝓛_1 and ζ² 𝓛_2 at each row of a
-    `coefficient_table`, shape (2, m, 16, 16): the table's bath columns
-    contracted with the bath rows of `_real_basis`, each row on its own."""
-    weights = np.reshape(table, (-1, 33))[:, 3:].reshape(-1, 2, 1, 15).swapaxes(0, 1)
+def bath_dissipators(weights, cfg: SystemConfig) -> np.ndarray:
+    """Real 16x16 dissipators of baths 1 and 2 at each row of (m, 30) weights
+    of their 15 rows each (a `coefficient_table`'s bath columns give ζ²𝓛_i),
+    shape (2, m, 16, 16): each row contracted with `_real_basis` on its own."""
+    weights = np.reshape(weights, (-1, 2, 1, 15)).swapaxes(0, 1)
     return (weights @ _real_basis(cfg)[3:].reshape(2, 1, 15, 256)).reshape(2, -1, 16, 16)
 
 
@@ -329,11 +329,16 @@ def real_generator_stack(times, cfg: SystemConfig):
 
 
 @lru_cache(maxsize=128)
-def real_liouvillian(cfg: SystemConfig) -> np.ndarray:
-    """Real 16x16 generator of the static master equation: the generator
-    with both drive fields set to zero, also for a driven configuration."""
+def static_table(cfg: SystemConfig) -> np.ndarray:
+    """The drive-off (1, 33) `coefficient_table` row, also when driven."""
     zero = np.zeros((2, 1))
-    return (_weights(zero, zero, cfg)[0] @ _real_basis(cfg)).reshape(16, 16)
+    return _weights(zero, zero, cfg)[0]
+
+
+@lru_cache(maxsize=128)
+def real_liouvillian(cfg: SystemConfig) -> np.ndarray:
+    """Real 16x16 generator of the static master equation."""
+    return (static_table(cfg) @ _real_basis(cfg)).reshape(16, 16)
 
 
 def _row_major(gen: np.ndarray) -> np.ndarray:
@@ -360,14 +365,10 @@ def lme_rhs(rho: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
 def dissipator(i: int, rho: np.ndarray, t, cfg: SystemConfig) -> np.ndarray:
     """Single-bath dissipator 𝓛_i[ρ] at time t, without the ζ² factor: the
-    rates' weights on the bath-i rows of `_real_basis`, in row-major form.
-
-    ``rho`` may also be an (n, 4, 4) stack of states with ``t`` their n
-    times, or one time for all of them.
-    """
-    weights = _bath_rates(i, cfg, *_drive_fields(t, cfg))[1]
-    rows = _real_basis(cfg)[15 * i - 12:15 * i + 3]
-    superops = _row_major((weights[:, None] @ rows).reshape(-1, 16, 16))
+    row-major view of bath i's `bath_dissipators` at the rates' weights;
+    ``rho`` may be an (n, 4, 4) stack of states at n times ``t`` or one time."""
+    weights = np.hstack([_bath_rates(j, cfg, *_drive_fields(t, cfg))[1] for j in (1, 2)])
+    superops = _row_major(bath_dissipators(weights, cfg)[i - 1])
     return (superops @ np.reshape(rho, (-1, 16, 1))).reshape(np.shape(rho))
 
 

@@ -481,14 +481,11 @@ def _column(cells: tuple):
     """The ``%`` format of one column, and its cells (as text where it is
     made here).  Plain floats of which at least half repeat, with no zero
     (0.0 == -0.0 prints two ways), and strings are formatted once per
-    distinct value; a column of mixed formats is formatted cell by cell.
-    A float column whose first n//2 + 1 cells are distinct cannot repeat
-    enough, so only its first half is hashed."""
+    distinct value; a column of mixed formats is formatted cell by cell."""
     types = set(map(type, cells))
     specs = {_spec(cls) for cls in types}
-    half = len(cells) // 2
-    if types == {float} and len(set(cells[:half + 1])) <= half \
-            and 2 * len(distinct := set(cells)) <= len(cells) and 0.0 not in distinct:
+    if types == {float} and 2 * len(distinct := set(cells)) <= len(cells) \
+            and 0.0 not in distinct:
         text = {v: "%.16e" % v for v in distinct}
     elif types == {str}:
         text = {v: _quote(v) for v in set(cells)}

@@ -40,8 +40,8 @@ from .linalg import matrix_log_hermitian  # noqa: F401
 from .model import dissipator  # noqa: F401
 from .model import (
     SX,
+    SZ,
     SystemConfig,
-    bare_hamiltonian,
     bath_dissipators,
     coefficient_table,
     coordinates,
@@ -49,6 +49,7 @@ from .model import (
     generator,
     instantaneous_gap,
     interaction_hamiltonian,
+    static_table,
 )
 
 LOG_EIG_WARN = 1e-9
@@ -137,12 +138,11 @@ def trajectory_observables(times, states, cfg: SystemConfig,
     ``states`` is the (n, 4, 4) stack of the frames at the n >= 1 ``times``;
     any other shape raises ValueError.  Every trace is a dot product of real
     coordinates, Tr(A B) = a · b: each bath's ζ²𝓛_i[ρ] is D_i r, with D_i
-    from the coefficient table that the integrator steps (`bath_dissipators`;
-    one row per frame when driven, one row when undriven).  One ``eigh`` over
-    the Hermitian parts gives S, the clamped ln ρ and each frame's smallest
-    eigenvalue.  The frames are taken FRAME_BLOCK at a time, which bounds the
-    temporaries of a long run.  With ``check`` the frames get the matrix
-    logarithm's checks (`_check_log_spectrum`).
+    from the integrator's coefficient table (`bath_dissipators`; a row per
+    frame when driven, `static_table` when not).  One ``eigh`` over the
+    Hermitian parts gives S, the clamped ln ρ and each frame's smallest
+    eigenvalue.  FRAME_BLOCK frames at a time bound the temporaries of a
+    long run.  ``check`` applies the matrix log's `_check_log_spectrum`.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
@@ -153,9 +153,9 @@ def trajectory_observables(times, states, cfg: SystemConfig,
     if not len(times):
         raise ValueError("trajectory_observables needs at least one frame")
     driven = cfg.is_driven
-    table = coefficient_table(times if driven else 0.0, cfg)[0]
-    # ε_1 σ_1^z + ε_2 σ_2^z, σ_1^x and σ_2^x, which (1, f_1, f_2) weight, and λ hop
-    hams = coordinates([bare_hamiltonian(0.0, cfg), *SX, interaction_hamiltonian(cfg)])
+    table = coefficient_table(times, cfg)[0] if driven else static_table(cfg)
+    hams = coordinates([cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1], *SX,
+                        interaction_hamiltonian(cfg)])
     blocks = [_block_observables(times[k:k + FRAME_BLOCK], states[k:k + FRAME_BLOCK],
                                  table[k:k + FRAME_BLOCK] if driven else table, hams, cfg)
               for k in range(0, len(times), FRAME_BLOCK)]
@@ -169,9 +169,9 @@ def _block_observables(times: np.ndarray, states: np.ndarray, table: np.ndarray,
                        hams: np.ndarray, cfg: SystemConfig) -> FrameColumns:
     w, v = np.linalg.eigh(hermitian_part(states))
     log_rho = coordinates(clamped_log(w, v))
-    h_bare = table[:, :3] @ hams[:3]
+    h_bare = table[:, :3] @ hams[:3]      # (1, f_1, f_2) @ (ε_i σ_i^z, σ_1^x, σ_2^x)
     h_full = h_bare + hams[3]
-    flows = (bath_dissipators(table, cfg) @ coordinates(states)[..., None])[..., 0]
+    flows = (bath_dissipators(table[:, 3:], cfg) @ coordinates(states)[..., None])[..., 0]
     (j1, j2), (js1, js2), (ji1, ji2) = (np.einsum("...k,...k", h, flows)
                                         for h in (h_full, h_bare, hams[3]))
     sigma = -sum(np.einsum("...k,...k", log_rho + b.beta * h_full, flow)

@@ -672,17 +672,21 @@ def test_emit_csv_formats_repeated_cells_once_with_the_per_cell_bytes(tmp_path):
 
 
 def test_emit_csv_decides_columns_whose_repeats_sit_in_their_second_half(tmp_path):
-    # a column is decided from its first n//2 + 1 cells when they are all
-    # distinct; repeats that all sit in the second half still count
+    # a column is formatted once per distinct value when at least half of its
+    # cells repeat: repeats that all sit in the second half count, and a first
+    # half that repeats does not qualify a column whose rest is distinct
     for n in (9, 10):
         values = [1.0 / (k + 3) for k in range(n)]
         half = n // 2
         repeating = tuple(values[:half] + (values[:half] * 2)[:n - half])
         distinct = tuple(values[:half + 1] + values[:1] * (n - half - 1))
+        late = tuple(values[:1] + values[:n - 1])
         assert len(set(repeating)) == half and len(set(distinct)) == half + 1
+        assert len(set(late[:half + 1])) == half and len(set(late)) > half
         assert scenarios._column(repeating)[0] == "%s"
         assert scenarios._column(distinct) == ("%.16e", distinct)
-        table = CsvTable(("a", "b"), list(zip(repeating, distinct)))
+        assert scenarios._column(late) == ("%.16e", late)
+        table = CsvTable(("a", "b", "c"), list(zip(repeating, distinct, late)))
         path = tmp_path / "t.csv"
         emit_csv(table, path)
         assert path.read_bytes() == per_cell_csv(table)
