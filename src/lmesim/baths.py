@@ -12,9 +12,10 @@ against quadrature of the defining time/frequency double integrals.
 The closed-form decay rate γ(ω) = π J(ω)(coth(βω/2)+1) is exact for this
 spectral density; the memory-correction form assumes k_B T ≳ Ω.
 
-`spectral_density`, `decay_rate` and `memory_correction_rate` also take an
-ndarray of frequencies, which the steady sweeps and the driven generator use
-to compute many rates in one call.
+`spectral_density`, `decay_rate`, `memory_correction_real` and
+`memory_correction_rate` also take an ndarray of frequencies, which the steady
+sweeps and the driven generator use to compute many rates in one call.  The
+driven generator calls only `decay_rate` and `memory_correction_real` (Re Γ¹).
 """
 
 from __future__ import annotations
@@ -118,10 +119,21 @@ def decay_rate(freq, bath: BathParams):
     return rate if isinstance(freq, np.ndarray) else float(rate)
 
 
+def memory_correction_real(freq, bath: BathParams):
+    """Re Γ¹(ω) = -2κΩ [k_B T (Ω² - ω²) + Ω² ω] / (ω² + Ω²)², plain
+    arithmetic with no ω → 0 branch; `freq` may be a float or an ndarray."""
+    w = np.asarray(freq, dtype=float)
+    cut = bath.cutoff
+    kT = bath.k_B * bath.temperature
+    den = w * w + cut * cut
+    real = -2.0 * bath.kappa * cut * (kT * (cut * cut - w * w) + cut * cut * w) / (den * den)
+    return real if isinstance(freq, np.ndarray) else float(real)
+
+
 def memory_correction_rate(freq, bath: BathParams):
     """First-order finite-memory correction Γ¹(ω) = i dΓ(ω)/dω.
 
-    Re Γ¹ = -2κΩ [k_B T (Ω² - ω²) + Ω² ω] / (ω² + Ω²)²
+    Re Γ¹ = `memory_correction_real` (all that the driven generator calls)
     Im Γ¹ = (π/2) [J'(ω)(coth(βω/2)+1) - β J(ω) / (2 sinh²(βω/2))]
 
     The imaginary part is evaluated by series near ω = 0, where its limit
@@ -133,10 +145,8 @@ def memory_correction_rate(freq, bath: BathParams):
     w, small, safe = _split_zero_frequency(freq, bath)
     cut = bath.cutoff
     beta = bath.beta
-    kT = bath.k_B * bath.temperature
-    den = w * w + cut * cut
     out = np.empty(w.shape, dtype=complex)
-    out.real = -2.0 * bath.kappa * cut * (kT * (cut * cut - w * w) + cut * cut * w) / (den * den)
+    out.real = memory_correction_real(w, bath)
     coth_plus_one = 2.0 / -_elementwise(math.expm1, -beta * safe)
     sh = _elementwise(math.sinh, 0.5 * beta * safe)
     with np.errstate(over="ignore"):

@@ -13,10 +13,10 @@ plus the first-order finite-memory correction:
     γ_i^z = γ(0) sin²θ + γ¹(0) sinθ d(sinθ)/dt
     γ_i^∓ = γ(±2E_i) cos²θ + γ¹(±2E_i) cosθ d(cosθ)/dt,   E_i = (ε_i² + f_i²)^½
 
-where γ¹ denotes twice the real part of the memory-correction rate.  With
-the drive off (θ = 0) the generator reduces exactly to the static local
-master equation with rates γ(±2ε_i); both right-hand sides then agree bit
-for bit.
+where γ¹ denotes twice the real part of the memory-correction rate,
+``baths.memory_correction_real``.  With the drive off (θ = 0) the generator
+reduces exactly to the static local master equation with rates γ(±2ε_i);
+both right-hand sides then agree bit for bit.
 
 The generator applied to ρ is
 
@@ -53,7 +53,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .baths import BathParams, decay_rate, memory_correction_rate
+from .baths import BathParams, decay_rate, memory_correction_real
+# unused here (the rates take only Re Γ¹); kept for the benchmark's tracer
+from .baths import memory_correction_rate  # noqa: F401
 from .errors import ConfigError, PositivityError
 from .linalg import embed_qubit_op, kron
 
@@ -225,7 +227,7 @@ _PRODUCT_HARMONICS = np.array([
 @lru_cache(maxsize=128)
 def _zero_frequency_rates(b: BathParams):
     """(γ(0), Re Γ¹(0)): the dephasing rates, fixed by the bath alone."""
-    return decay_rate(0.0, b), memory_correction_rate(0.0, b).real
+    return decay_rate(0.0, b), memory_correction_real(0.0, b)
 
 
 def _bath_rates(i: int, cfg: SystemConfig, f: np.ndarray, fdot: np.ndarray):
@@ -247,7 +249,7 @@ def _bath_rates(i: int, cfg: SystemConfig, f: np.ndarray, fdot: np.ndarray):
     rates = np.empty((3, f.size))
     rates[0] = gamma0 * st * st + 2.0 * memory0 * st * dsin
     rates[1:] = decay_rate(gaps, b) * ct * ct \
-        + 2.0 * memory_correction_rate(gaps, b).real * ct * dcos
+        + 2.0 * memory_correction_real(gaps, b) * ct * dcos
     harmonics = np.array([np.ones(f.size), ct, st, np.cos(2.0 * theta), np.sin(2.0 * theta)])
     return rates, (rates.T[:, :, None] * harmonics.T[:, None, :]).reshape(-1, 15)
 

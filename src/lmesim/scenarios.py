@@ -83,11 +83,10 @@ class CsvTable:
 
     def __post_init__(self):
         self.header = tuple(self.header)
-        for k, row in enumerate(self.rows):
-            if len(row) != len(self.header):
-                raise ValueError(
-                    f"row {k} has {len(row)} cells, header has {len(self.header)}"
-                )
+        width = len(self.header)
+        if set(map(len, self.rows)) - {width}:
+            k, row = next((k, row) for k, row in enumerate(self.rows) if len(row) != width)
+            raise ValueError(f"row {k} has {len(row)} cells, header has {width}")
 
 
 @dataclass(frozen=True)

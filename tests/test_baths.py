@@ -17,7 +17,8 @@ against a third, independent route.  The quadrature oracles
 (``correlation_function``, ``decay_rate_quadrature``,
 ``lamb_shift_quadrature``) and the closed forms that only they use
 (``lamb_shift``, ``one_sided_rate``) live in ``tests/conftest.py``; the
-package's own rates are ``decay_rate`` and ``memory_correction_rate``.
+package's own rates are ``decay_rate``, ``memory_correction_rate`` and its
+real part ``memory_correction_real``, which is all the driven rates take.
 """
 
 import math
@@ -42,7 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmesim import BathParams, decay_rate, memory_correction_rate, spectral_density
-from lmesim.baths import ZERO_FREQ_FACTOR, spectral_density_derivative
+from lmesim.baths import ZERO_FREQ_FACTOR, memory_correction_real, spectral_density_derivative
 
 BATH_HOT = BathParams(temperature=10.0, kappa=10.0, cutoff=1.0)
 BATH_WARM = BathParams(temperature=2.0, kappa=10.0, cutoff=1.0)
@@ -188,15 +189,21 @@ def test_decay_rate_array_path(bath, scaled):
 def test_memory_correction_rate_array_path(cfg, scaled):
     # the baths a driven run uses, at frequencies that straddle the series
     # switch: element by element the bits of the scalar formula, and so the
-    # bits of a float call
+    # bits of a float call; the same for the real part alone, which is all
+    # the driven rates take
     for bath in (cfg.bath1, cfg.bath2):
         w = np.array(scaled) * bath.cutoff
         got = memory_correction_rate(np.stack([w, -w]), bath)
-        want = [[scalar_memory_correction_rate(s * x, bath) for x in w.tolist()]
-                for s in (1.0, -1.0)]
+        want = np.array([[scalar_memory_correction_rate(s * x, bath) for x in w.tolist()]
+                         for s in (1.0, -1.0)])
         assert got.shape == (2, w.size)
-        assert np.array_equal(got, np.array(want))
-        assert [memory_correction_rate(x, bath) for x in w.tolist()] == want[0]
+        assert np.array_equal(got, want)
+        assert [memory_correction_rate(x, bath) for x in w.tolist()] == want[0].tolist()
+        real = memory_correction_real(np.stack([w, -w]), bath)
+        assert real.shape == (2, w.size) and real.tobytes() == want.real.tobytes()
+        floats = [memory_correction_real(s * x, bath) for s in (1.0, -1.0) for x in w.tolist()]
+        assert all(type(v) is float for v in floats)
+        assert np.array(floats).tobytes() == want.real.tobytes()
 
 
 def test_lamb_shift_reference_points():
@@ -303,14 +310,26 @@ def test_rates_keep_the_bits_of_every_argument_that_does_not_overflow():
     # one overflowing element sends the array through the per-element
     # fallback; every other element keeps its bits
     bath = BATH_UNIT_BETA
-    w = np.array([-3.0, -EXPM1_LAST, -1e4, 0.0, 2.5, 2.0 * SINH_LAST, 1e5])
+    w = np.array([-3.0, -EXPM1_LAST, -1e4, 0.0, 2.5, 2.0 * SINH_LAST, 1e5, -0.0,
+                  -math.nextafter(EXPM1_LAST, math.inf), 2.0 * math.nextafter(SINH_LAST, math.inf)])
     gamma = decay_rate(w, bath)
     gamma1 = memory_correction_rate(w, bath)
     assert gamma[2] == 0.0 and np.all(np.isfinite(gamma1))
-    for k in (0, 1, 3, 4, 5, 6):
+    for k in (0, 1, 3, 4, 5, 6, 7):
         assert gamma[k] == scalar_decay_rate(w[k], bath)
-    for k in (0, 1, 3, 4, 5):
+    for k in (0, 1, 3, 4, 5, 7):
         assert gamma1[k] == scalar_memory_correction_rate(w[k], bath)
+    # Re Γ¹ takes no expm1 or sinh and has no ω → 0 branch: the scalar
+    # formula's real part wherever that does not overflow, and everywhere,
+    # as an array and as floats, the real part of the complex rate's
+    # per-element fallback
+    real = memory_correction_real(w, bath)
+    assert real.tobytes() == gamma1.real.tobytes()
+    assert np.array([memory_correction_real(x, bath) for x in w.tolist()]).tobytes() == real.tobytes()
+    for k in (0, 1, 3, 4, 5, 7):
+        assert real[k] == scalar_memory_correction_rate(w[k], bath).real
+    assert real[3] == real[7] == -2.0 * bath.kappa * bath.k_B * bath.temperature / bath.cutoff
+    assert np.allclose(real[8:], real[[1, 5]], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

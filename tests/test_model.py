@@ -244,6 +244,22 @@ def test_undriven_rate_reference_values(base_system):
         (0.0, 6.265254284630996, 2.3048582450270354), rel=1e-13)
 
 
+def test_driven_benchmark_rates_are_frozen_bitwise():
+    # the driven benchmark system (a_i = 2, ω_i = 0.2) at three times, both
+    # baths: a rate change that would move a driven CSV's bits must move these
+    cfg = make_system(amp=(2.0, 2.0), freq=(0.2, 0.2))
+    frozen = {
+        (0.25, 1): (-0.17960829975289797, 2.7080696297835716, 0.713351657164464),
+        (0.25, 2): (-0.47862060805908346, 6.254666024938744, 2.2965023069625987),
+        (1.0, 1): (0.014114974360831756, 2.699422082660884, 0.7091015986578176),
+        (1.0, 2): (0.04910098435425159, 6.171906916241946, 2.2480106454125286),
+        (1.75, 1): (1.277002974518831, 2.6833848460949756, 0.7023160206611582),
+        (1.75, 2): (3.413963278300464, 6.023288665202706, 2.170617395436877),
+    }
+    for (t, i), want in frozen.items():
+        assert dissipation_rates(i, t, cfg) == want
+
+
 def test_driven_rates_follow_instantaneous_basis_formula():
     # rebuild the rate from its ingredients through public functions only
     cfg = make_system(amp=(2.0, 0.0), freq=(0.2, 0.0))

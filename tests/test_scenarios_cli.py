@@ -589,6 +589,16 @@ def test_emit_csv_floats_round_trip(tmp_path):
         assert float(text) == want
 
 
+@pytest.mark.parametrize("bad", [0, 3, 8])
+def test_csv_table_names_the_first_row_of_the_wrong_width(bad):
+    rows = [(float(k), 1.0) for k in range(10)]
+    rows[bad] = (1.0,)
+    rows[9] = (1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match=rf"^row {bad} has 1 cells, header has 2$"):
+        CsvTable(("x", "y"), rows)
+    CsvTable(("x", "y"), rows[:bad] + rows[bad + 1:-1])
+
+
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "e.csv"
     emit_csv(CsvTable(("x", "y"), []), path)
