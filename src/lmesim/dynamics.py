@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrationError, StabilityError, UnsupportedConfigError
-from .linalg import expm
+from .linalg import expm, require_finite
 from .model import (
     DENSITY_EIG_TOL,
     DENSITY_TRACE_TOL,
@@ -124,8 +124,7 @@ def _max_rate(cfg: SystemConfig) -> float:
     times spanning the shortest drive period."""
     times = 0.0
     if cfg.is_driven:
-        periods = [2.0 * math.pi / q.drive_frequency for q in (cfg.qubit1, cfg.qubit2)
-                   if q.drive_amplitude != 0.0 and q.drive_frequency != 0.0]
+        periods = [2.0 * math.pi / q.drive_frequency for q in (cfg.qubit1, cfg.qubit2) if q.is_driven]
         times = np.linspace(0.0, min(periods), 257)
     return max(float(np.max(np.abs(dissipation_rates(i, times, cfg)))) for i in (1, 2))
 
@@ -322,15 +321,17 @@ def steady_state(cfg: SystemConfig) -> np.ndarray:
     """Steady state of an undriven configuration: the trace-one null vector
     of the static generator.
 
-    Raises StabilityError when the fixed point is not unique (with ζ² = 0
-    every state that commutes with H is stationary) or when the solution
-    does not annihilate the generator to rounding.
+    Raises StabilityError when the generator has a non-finite entry (rates
+    that overflow), when the fixed point is not unique (with ζ² = 0 every
+    state that commutes with H is stationary) or when the solution does not
+    annihilate the generator to rounding.
     """
     if cfg.is_driven:
         raise UnsupportedConfigError(
             "steady-state search requires an undriven configuration"
         )
     gen = real_liouvillian(cfg)
+    require_finite("static generator", gen, StabilityError)
     rank = int(np.linalg.matrix_rank(gen))
     if rank < 15:
         raise StabilityError(
@@ -341,7 +342,7 @@ def steady_state(cfg: SystemConfig) -> np.ndarray:
     e0 = np.eye(16)[0]
     r = np.linalg.solve(np.vstack([e0, gen[1:]]), 0.5 * e0)
     residual = float(np.max(np.abs(gen @ r)))
-    if residual > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
+    if not residual <= 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
         raise StabilityError(f"steady-state residual {residual:.3e} exceeds tolerance")
     rho = (HERMITIAN_BASIS @ r).reshape(4, 4)
     validate_density(rho)

@@ -68,6 +68,17 @@ def expm(matrix: np.ndarray) -> np.ndarray:
     return r
 
 
+def require_finite(name: str, array, error=ValueError) -> None:
+    """Raise ``error`` naming the non-finite entries of ``array``: a NaN
+    fails every comparison, so no tolerance check after this one sees it."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        bad = np.argwhere(~finite).tolist()
+        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+        raise error(f"{name} has non-finite entries at "
+                    f"{', '.join(str(tuple(k)) for k in bad[:3])}{more}")
+
+
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     """(M + M†)/2, for one matrix or a stack of them."""
     return 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))
@@ -245,14 +256,15 @@ def clamped_log(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray
 def matrix_log_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a Hermitian positive-semidefinite matrix.
 
-    Raises ValueError if the input is not square or deviates from
-    Hermiticity by more than 1e-10 in any entry.  Eigenvalues below 1e-12
-    are clamped to 1e-12 before the scalar log; an eigenvalue below
-    -LOG_POSITIVITY_TOL raises PositivityError.
+    Raises ValueError if the input is not square, has a non-finite entry
+    or deviates from Hermiticity by more than 1e-10 in any entry.
+    Eigenvalues below 1e-12 are clamped to 1e-12 before the scalar log; an
+    eigenvalue below -LOG_POSITIVITY_TOL raises PositivityError.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    require_finite("matrix", matrix)
     dev = np.max(np.abs(matrix - matrix.conj().T))
     if dev > 1e-10:
         raise ValueError(f"matrix is not Hermitian (max |M - M†| = {dev:.3e})")

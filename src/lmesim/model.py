@@ -28,18 +28,19 @@ Every rotated jump operator is linear in (1, cos θ, sin θ), so each channel's
 dissipator is a fixed combination of five superoperators weighted by the
 harmonics 1, cos θ, sin θ, cos 2θ, sin 2θ.  The generator is thus one
 real-weighted sum of 33 fixed superoperators, built once per configuration:
--i[·, ·] of ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of σ_2^x, and 15
-dissipator pieces per bath.  Each maps Hermitian operators to Hermitian ones,
-so in the orthonormal Hermitian basis Q_a = σ_j ⊗ σ_k / 2 (``HERMITIAN_BASIS``
-U; the coherence vector of Alicki & Lendi, LNP 286) the generator is a real
-16x16 matrix G on the coordinates r = U†v (``coordinates``) of the row-major
-vec v, with an exactly zero trace row, and Tr(A B) = a · b.  ``coefficient_table``
-gives the weights at an array of times in one NumPy pass (``static_table``:
-drive off), which ``real_generator_stack``, ``real_liouvillian`` and, bath
-rows only, ``bath_dissipators`` contract with the real basis; U G U†, the
-right-hand sides, the rates and ``dissipator`` are views on them.  Undriven
-weights keep the bits of the scalar formula; driven ones can differ in the
-last bit, where NumPy's arctan and hypot differ from ``math``'s.
+-i[·, ·] of ε_1 σ_1^z + ε_2 σ_2^z + λ hop, of σ_1^x and of σ_2^x (the pieces
+of H_S, ``hamiltonian_pieces``), and 15 dissipator pieces per bath.  Each maps
+Hermitian operators to Hermitian ones, so in the orthonormal Hermitian basis
+Q_a = σ_j ⊗ σ_k / 2 (``HERMITIAN_BASIS`` U; the coherence vector of Alicki &
+Lendi, LNP 286) the generator is a real 16x16 matrix G on the coordinates
+r = U†v (``coordinates``) of the row-major vec v, with an exactly zero trace
+row, and Tr(A B) = a · b.  ``coefficient_table`` gives the weights at an array
+of times in one NumPy pass (``static_table``: drive off), which
+``real_generator_stack``, ``real_liouvillian`` and, bath rows only,
+``bath_dissipators`` contract with the real basis; U G U†, the right-hand
+sides (``tdlme_rhs``, ``lme_rhs``), the rates and ``dissipator`` are views on
+them.  Undriven weights keep the bits of the scalar formula; driven ones can
+differ in the last bit, where NumPy's arctan and hypot differ from ``math``'s.
 
 Basis ordering: |↑↑⟩, |↑↓⟩, |↓↑⟩, |↓↓⟩.
 """
@@ -57,7 +58,7 @@ from .baths import BathParams, decay_rate, memory_correction_real
 # unused here (the rates take only Re Γ¹); kept for the benchmark's tracer
 from .baths import memory_correction_rate  # noqa: F401
 from .errors import ConfigError, PositivityError
-from .linalg import embed_qubit_op, kron
+from .linalg import embed_qubit_op, kron, require_finite
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -113,6 +114,10 @@ class QubitParams:
         if problems:
             raise ConfigError(problems)
 
+    @property
+    def is_driven(self) -> bool:
+        return self.drive_amplitude != 0.0 and self.drive_frequency != 0.0
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -147,10 +152,7 @@ class SystemConfig:
 
     @property
     def is_driven(self) -> bool:
-        return any(
-            q.drive_amplitude != 0.0 and q.drive_frequency != 0.0
-            for q in (self.qubit1, self.qubit2)
-        )
+        return self.qubit1.is_driven or self.qubit2.is_driven
 
     def qubit(self, i: int) -> QubitParams:
         if i == 1:
@@ -181,7 +183,7 @@ def _drive_fields(t, cfg: SystemConfig):
     f = np.zeros((2, times.size))
     fdot = np.zeros((2, times.size))
     for i, q in enumerate((cfg.qubit1, cfg.qubit2)):
-        if q.drive_amplitude != 0.0 and q.drive_frequency != 0.0:
+        if q.is_driven:
             phase = q.drive_frequency * times
             f[i] = q.drive_amplitude * np.sin(phase)
             fdot[i] = q.drive_amplitude * q.drive_frequency * np.cos(phase)
@@ -197,14 +199,19 @@ def bare_hamiltonian(t, cfg: SystemConfig) -> np.ndarray:
     """Σ_i ε_i σ_i^z + f_i(t) σ_i^x (no interaction term); an array of times
     gives the stack of their Hamiltonians."""
     f = _drive_fields(t, cfg)[0][:, :, None, None]
-    h = (cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1]
-         + f[0] * SX[0] + f[1] * SX[1])
-    return h.reshape(np.shape(t) + (4, 4))
+    h0, sx1, sx2, _ = hamiltonian_pieces(cfg)
+    return (h0 + f[0] * sx1 + f[1] * sx2).reshape(np.shape(t) + (4, 4))
 
 
 def interaction_hamiltonian(cfg: SystemConfig) -> np.ndarray:
     """λ (σ_1^+ σ_2^- + σ_1^- σ_2^+)."""
     return cfg.coupling * HOP
+
+
+def hamiltonian_pieces(cfg: SystemConfig) -> np.ndarray:
+    """The (4, 4, 4) pieces ε_1 σ_1^z + ε_2 σ_2^z, σ_1^x, σ_2^x and λ hop of H_S."""
+    return np.array([cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1], *SX,
+                     interaction_hamiltonian(cfg)])
 
 
 # The rotated jump operators are linear in u(θ) = (1, cos θ, sin θ):
@@ -287,8 +294,8 @@ def _basis(cfg: SystemConfig) -> np.ndarray:
     and u_j u_k expands over the harmonics; row 5c + n of bath i is the
     harmonic-n part of D[ŝ_c(θ_i)] for channel c in rate order.
     """
-    h0 = cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1] + interaction_hamiltonian(cfg)
-    hams = np.array([h0, *SX])
+    h0, sx1, sx2, h_int = hamiltonian_pieces(cfg)
+    hams = np.array([h0 + h_int, sx1, sx2])
     comm = -1j * (kron(hams, IDENTITY4) - kron(IDENTITY4, np.swapaxes(hams, -1, -2)))
     eye2 = np.eye(2)
     ops = np.array([kron(_JUMP_PIECES, eye2), kron(eye2, _JUMP_PIECES)])
@@ -348,16 +355,9 @@ def _row_major(gen: np.ndarray) -> np.ndarray:
     return HERMITIAN_BASIS @ gen @ HERMITIAN_BASIS.conj().T
 
 
-def generator(t: float, cfg: SystemConfig):
-    """16x16 generator at time t (row-major vec), and whether any rate is
-    negative there."""
-    gens, neg = real_generator_stack(t, cfg)
-    return _row_major(gens[0]), bool(neg[0])
-
-
 def tdlme_rhs(rho: np.ndarray, t: float, cfg: SystemConfig) -> np.ndarray:
     """Right-hand side of the time-dependent master equation at time t."""
-    return (generator(t, cfg)[0] @ rho.reshape(16)).reshape(4, 4)
+    return (_row_major(real_generator_stack(t, cfg)[0][0]) @ rho.reshape(16)).reshape(4, 4)
 
 
 def lme_rhs(rho: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -369,7 +369,8 @@ def dissipator(i: int, rho: np.ndarray, t, cfg: SystemConfig) -> np.ndarray:
     """Single-bath dissipator 𝓛_i[ρ] at time t, without the ζ² factor: the
     row-major view of bath i's `bath_dissipators` at the rates' weights;
     ``rho`` may be an (n, 4, 4) stack of states at n times ``t`` or one time."""
-    weights = np.hstack([_bath_rates(j, cfg, *_drive_fields(t, cfg))[1] for j in (1, 2)])
+    f, fdot = _drive_fields(t, cfg)
+    weights = np.hstack([_bath_rates(j, cfg, f, fdot)[1] for j in (1, 2)])
     superops = _row_major(bath_dissipators(weights, cfg)[i - 1])
     return (superops @ np.reshape(rho, (-1, 16, 1))).reshape(np.shape(rho))
 
@@ -401,6 +402,7 @@ def validate_density(rho: np.ndarray) -> None:
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    require_finite("density matrix", rho)
     dev = float(np.max(np.abs(rho - rho.conj().T)))
     if dev > DENSITY_HERM_TOL:
         raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")

@@ -58,10 +58,6 @@ from .thermo import effective_temperature_check, find_tau0, trajectory_observabl
 # benchmark's tracer (perfbench/tracer.py) wraps this name on this module
 from .thermo import thermo_record  # noqa: F401
 
-KINDS = (
-    "evolve", "steady", "sweep_boundary", "sweep_detuning",
-    "sweep_scaling", "relaxation", "driven",
-)
 SCALING_AXES = ("zeta2", "lambda2")
 #: most points of one stacked solve in the boundary sweep (whole T-ratio rows)
 BOUNDARY_BLOCK = 4096
@@ -346,11 +342,10 @@ def _relaxation_point(zeta2: float, cfg: ScenarioConfig):
 # ---------------------------------------------------------------------------
 # scenario implementations
 
-def _trajectory_table(cfg: ScenarioConfig, driven: bool) -> CsvTable:
+def _trajectory_table(cfg: ScenarioConfig) -> CsvTable:
     system = cfg.system
-    horizon = cfg.horizon
-    if horizon is None:
-        horizon = DEFAULT_HORIZONS["driven" if driven else "evolve"]
+    driven = cfg.kind == "driven"
+    horizon = DEFAULT_HORIZONS[cfg.kind] if cfg.horizon is None else cfg.horizon
     traj = integrate(maximum_entropy_state(), horizon, system, cfg.integrator)
     cols = trajectory_observables(traj.times, traj.states, system)
     columns = [*cols[:-1], traj.min_eigenvalues, traj.rate_negative.astype(int)]
@@ -435,25 +430,26 @@ def _relaxation_table(cfg: ScenarioConfig) -> CsvTable:
     return CsvTable(("zeta2", "tau0", "tau_r", "ratio", "status"), rows)
 
 
+#: each scenario kind's table builder, in the CLI's subcommand order
+_TABLES = {
+    "evolve": _trajectory_table,
+    "steady": _steady_table,
+    "sweep_boundary": _boundary_table,
+    "sweep_detuning": _detuning_table,
+    "sweep_scaling": _scaling_table,
+    "relaxation": _relaxation_table,
+    "driven": _trajectory_table,
+}
+KINDS = tuple(_TABLES)
+
+
 def run_scenario(cfg: ScenarioConfig) -> CsvTable:
     """Execute the scenario and return its table (nothing is written here)."""
     bad = (kind_violations(cfg.kind, cfg.system)
            + _value_violations(vars(cfg), cfg.system.qubit2.epsilon))
     if bad:
         raise ConfigError(bad)
-    if cfg.kind == "evolve":
-        return _trajectory_table(cfg, driven=False)
-    if cfg.kind == "driven":
-        return _trajectory_table(cfg, driven=True)
-    if cfg.kind == "steady":
-        return _steady_table(cfg)
-    if cfg.kind == "sweep_boundary":
-        return _boundary_table(cfg)
-    if cfg.kind == "sweep_detuning":
-        return _detuning_table(cfg)
-    if cfg.kind == "sweep_scaling":
-        return _scaling_table(cfg)
-    return _relaxation_table(cfg)
+    return _TABLES[cfg.kind](cfg)
 
 
 # ---------------------------------------------------------------------------

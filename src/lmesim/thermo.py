@@ -16,11 +16,13 @@ J_i^I = ζ² Tr(H_int 𝓛_i[ρ]); the identity holds to rounding by linearity.
 
 `trajectory_observables` computes every observable of a whole trajectory
 in one pass over its (n, 4, 4) state stack, as dot products of real
-coordinates (`model.coordinates`, Tr(A B) = a · b) with each bath's flow
-ζ²𝓛_i[ρ] = D_i r from the integrator's own table (`model.bath_dissipators`);
-one batched ``eigh`` gives the entropy, the clamped ln ρ and the positivity
-margin.  `thermo_record` (a one-frame `FrameColumns`), `heat_current` and
-`entropy_production_rate` are its one-frame views; `find_tau0` scans Σ̇.
+coordinates (`model.coordinates`, Tr(A B) = a · b) of the Hamiltonian's
+pieces (`model.hamiltonian_pieces`) with each bath's flow ζ²𝓛_i[ρ] = D_i r
+from the integrator's own table (`model.bath_dissipators`); one batched
+``eigh`` gives the entropy, the clamped ln ρ and the positivity margin.
+`thermo_record` (a one-frame `FrameColumns`), `heat_current` and
+`entropy_production_rate` are its one-frame views; `find_tau0` scans Σ̇ and
+takes the end-of-run residual of a crossing-free run from `model.tdlme_rhs`.
 """
 
 from __future__ import annotations
@@ -33,23 +35,21 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, Trajectory, integrate
 from .errors import PositivityError
-from .linalg import LOG_POSITIVITY_TOL, clamped_log, hermitian_part
+from .linalg import LOG_POSITIVITY_TOL, clamped_log, hermitian_part, require_finite
 # unused here since the observables are dot products of real coordinates,
 # but the benchmark's tracer (perfbench/tracer.py) wraps these names here
 from .linalg import matrix_log_hermitian  # noqa: F401
 from .model import dissipator  # noqa: F401
 from .model import (
-    SX,
-    SZ,
     SystemConfig,
     bath_dissipators,
     coefficient_table,
     coordinates,
     dissipation_rates,
-    generator,
+    hamiltonian_pieces,
     instantaneous_gap,
-    interaction_hamiltonian,
     static_table,
+    tdlme_rhs,
 )
 
 LOG_EIG_WARN = 1e-9
@@ -136,13 +136,14 @@ def trajectory_observables(times, states, cfg: SystemConfig,
     """Heat currents, entropy and Σ̇ of every frame of a trajectory at once.
 
     ``states`` is the (n, 4, 4) stack of the frames at the n >= 1 ``times``;
-    any other shape raises ValueError.  Every trace is a dot product of real
-    coordinates, Tr(A B) = a · b: each bath's ζ²𝓛_i[ρ] is D_i r, with D_i
-    from the integrator's coefficient table (`bath_dissipators`; a row per
-    frame when driven, `static_table` when not).  One ``eigh`` over the
-    Hermitian parts gives S, the clamped ln ρ and each frame's smallest
-    eigenvalue.  FRAME_BLOCK frames at a time bound the temporaries of a
-    long run.  ``check`` applies the matrix log's `_check_log_spectrum`.
+    any other shape, or a non-finite time or entry, raises ValueError.
+    Every trace is a dot product of real coordinates, Tr(A B) = a · b: each
+    bath's ζ²𝓛_i[ρ] is D_i r, with D_i from the integrator's coefficient
+    table (`bath_dissipators`; a row per frame when driven, `static_table`
+    when not).  One ``eigh`` over the Hermitian parts gives S, the clamped
+    ln ρ and each frame's smallest eigenvalue.  FRAME_BLOCK frames at a time
+    bound the temporaries of a long run.  ``check`` applies the matrix log's
+    `_check_log_spectrum`.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
@@ -152,10 +153,11 @@ def trajectory_observables(times, states, cfg: SystemConfig,
                          f"{states.shape}")
     if not len(times):
         raise ValueError("trajectory_observables needs at least one frame")
+    require_finite("times", times)
+    require_finite("states", states)
     driven = cfg.is_driven
     table = coefficient_table(times, cfg)[0] if driven else static_table(cfg)
-    hams = coordinates([cfg.qubit1.epsilon * SZ[0] + cfg.qubit2.epsilon * SZ[1], *SX,
-                        interaction_hamiltonian(cfg)])
+    hams = coordinates(hamiltonian_pieces(cfg))
     blocks = [_block_observables(times[k:k + FRAME_BLOCK], states[k:k + FRAME_BLOCK],
                                  table[k:k + FRAME_BLOCK] if driven else table, hams, cfg)
               for k in range(0, len(times), FRAME_BLOCK)]
@@ -193,6 +195,7 @@ def heat_current(i: int, rho: np.ndarray, t: float, cfg: SystemConfig):
 
 def entropy(rho: np.ndarray) -> float:
     """von Neumann entropy -Tr(ρ ln ρ) in nats."""
+    require_finite("density matrix", rho)
     return float(_entropy_of_spectrum(np.linalg.eigvalsh(hermitian_part(rho))))
 
 
@@ -247,7 +250,7 @@ def find_tau0(traj: Trajectory, cfg: SystemConfig) -> CrossingResult:
     if not down.size:
         if not np.any(sigmas > 0.0):
             return CrossingResult(found=False, reason="never_positive")
-        end_rhs = generator(float(traj.times[-1]), cfg)[0] @ traj.final_state.reshape(16)
+        end_rhs = tdlme_rhs(traj.final_state, float(traj.times[-1]), cfg)
         if np.max(np.abs(end_rhs)) < STEADY_RESIDUAL:
             return CrossingResult(found=False, reason="always_positive")
         return CrossingResult(found=False, reason="insufficient_horizon")

@@ -7,7 +7,9 @@ moves or re-signs one of them would quietly blind the benchmark; these
 tests make it fail loudly instead.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,3 +74,25 @@ def test_benchmarked_functions_keep_their_call_shapes():
     record = scenarios.thermo_record(rho, 0.3, driven)
     assert np.isfinite(record.sigma_dot)
     assert callable(scenarios.integrate)
+
+
+def test_benchmark_only_imports_are_pinned():
+    # an import that the module itself does not use (marked ``# noqa: F401``)
+    # is kept only for the benchmark, so it must be a pinned pair above: no
+    # unlisted benchmark-only copy can slip in, and this set is what a
+    # benchmark that no longer needs them may delete
+    kept = set()
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                kept |= {(path.stem, alias.asname or alias.name) for alias in node.names}
+    assert kept <= set(ATTRIBUTES)
+    assert kept == {
+        ("model", "memory_correction_rate"),
+        ("dynamics", "liouvillian_matrix"),
+        ("thermo", "matrix_log_hermitian"),
+        ("thermo", "dissipator"),
+        ("scenarios", "thermo_record"),
+    }

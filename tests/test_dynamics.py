@@ -280,6 +280,13 @@ def test_integrate_rejects_invalid_initial_state(base_system):
         integrate(np.eye(4, dtype=complex), 1.0, base_system)
 
 
+def test_integrate_rejects_a_non_finite_initial_state(base_system):
+    # bad input is a ValueError, not an IntegrationError of the run
+    rho0 = np.diag([np.nan, 1.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match=r"density matrix has non-finite entries at \(0, 0\)"):
+        integrate(rho0, 0.1, base_system)
+
+
 def test_integrate_reports_an_overflowing_generator():
     # rates this large overflow the Liouvillian; its exponential is NaN and
     # the frame check turns that into a typed error
@@ -468,6 +475,13 @@ def test_steady_state_requires_dissipation():
     # with zeta^2 = 0 every state commuting with H is stationary
     with pytest.raises(StabilityError, match="not unique"):
         steady_state(make_system(zeta2=0.0))
+
+
+def test_steady_state_of_an_overflowing_generator_is_a_stability_error():
+    # rates this large overflow the Liouvillian: a typed numerical failure,
+    # not NumPy's LinAlgError from the rank's SVD
+    with np.errstate(all="ignore"), pytest.raises(StabilityError, match="non-finite"):
+        steady_state(make_system(kappa=1e306))
 
 
 def test_steady_state_rejects_driven_configuration(driven_system):

@@ -364,6 +364,14 @@ def test_matrix_log_clamps_singular_part():
     assert logm[1, 1] == pytest.approx(np.log(1e-12))
 
 
+def test_matrix_log_rejects_non_finite_entries():
+    # NaN fails the Hermiticity comparison, so it needs its own check
+    for m, where in [(np.diag([np.nan, 1.0]), r"\(0, 0\)$"),
+                     (np.array([[0.5, np.inf], [np.inf, 0.5]]), r"\(0, 1\), \(1, 0\)$")]:
+        with pytest.raises(ValueError, match="matrix has non-finite entries at " + where):
+            matrix_log_hermitian(m)
+
+
 def test_matrix_log_rejects_negative_matrix():
     with pytest.raises(PositivityError):
         matrix_log_hermitian(np.diag([1.0, -0.5]).astype(complex))

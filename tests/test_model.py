@@ -1,5 +1,6 @@
 """Operators, rates, generators, and state helpers of the two-qubit model."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -47,8 +48,10 @@ from lmesim.model import (
     SZ,
     HERMITIAN_BASIS,
     _real_basis,
+    _row_major,
     coefficient_table,
-    generator,
+    hamiltonian_pieces,
+    real_generator_stack,
 )
 
 
@@ -145,6 +148,10 @@ def test_is_driven_requires_amplitude_and_frequency():
     assert not make_system(amp=(1.0, 0.0), freq=(0.0, 0.0)).is_driven
     assert not make_system(amp=(0.0, 0.0), freq=(1.0, 0.0)).is_driven
     assert make_system(amp=(0.0, 1.0), freq=(0.0, 0.5)).is_driven
+    # the one rule, per qubit, that the system, the drive fields and the
+    # default step's period scan all read
+    for amp, freq in itertools.product((0.0, 1.5), (0.0, 0.5)):
+        assert QubitParams(1.0, amp, freq).is_driven == (amp != 0.0 and freq != 0.0)
 
 
 def test_index_accessors_reject_bad_qubit():
@@ -207,6 +214,14 @@ def test_hamiltonian_assembly():
     expected = 2.0 * SZ[0] + 3.0 * SZ[1] + 0.4 * HOP
     assert np.allclose(h, expected)
     assert np.allclose(interaction_hamiltonian(cfg), 0.4 * HOP)
+    # the one set of pieces that the basis, `bare_hamiltonian` and the
+    # observables share: H_S(t) = h_0 + f_1 σ_1^x + f_2 σ_2^x + h_I, bit for bit
+    driven = make_system(eps1=2.0, eps2=3.0, coupling=0.4, amp=(2.0, 1.0), freq=(0.2, 0.3))
+    h0, sx1, sx2, h_int = hamiltonian_pieces(driven)
+    t = np.array([0.0, 1.7, 4.2])
+    f1, f2 = (drive(i, t, driven)[:, None, None] for i in (1, 2))
+    assert np.array_equal(h0 + f1 * sx1 + f2 * sx2 + h_int,
+                          bare_hamiltonian(t, driven) + interaction_hamiltonian(driven))
 
 
 def test_bare_hamiltonian_tracks_drive():
@@ -344,7 +359,8 @@ def test_coefficient_table_matches_scalar_oracle(cfg, times):
     for t, row, neg in zip(times, table, negative):
         coeffs, flag = coefficient_table(t, cfg)
         assert np.array_equal(coeffs[0], row) and flag[0] == neg
-        assert np.array_equal(generator(t, cfg)[0], _in_row_major(row, cfg))
+        got = _row_major(real_generator_stack(t, cfg)[0][0])
+        assert np.array_equal(got, _in_row_major(row, cfg))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -474,3 +490,17 @@ def test_validate_density_rejects_bad_states():
         validate_density(np.eye(4, dtype=complex))
     with pytest.raises(PositivityError):
         validate_density(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
+
+def test_validate_density_rejects_non_finite_entries():
+    # NaN fails every tolerance comparison, so none of the other checks
+    # can see one, and an all-NaN matrix must not reach eigvalsh
+    nan_diagonal = np.diag([np.nan, 1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"non-finite entries at \(0, 0\)$"):
+        validate_density(nan_diagonal)
+    with pytest.raises(ValueError, match=r"at \(0, 0\), \(0, 1\), \(0, 2\) and 13 more"):
+        validate_density(np.full((4, 4), np.nan))
+    off_diagonal = maximum_entropy_state().astype(complex)
+    off_diagonal[1, 2] = off_diagonal[2, 1] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match=r"at \(1, 2\), \(2, 1\)$"):
+        validate_density(off_diagonal)

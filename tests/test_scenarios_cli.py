@@ -761,6 +761,24 @@ def test_cli_subcommand_overrides_config_kind(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["evolve", "--config", path]) == 0
     assert (tmp_path / "evolve.csv").exists()
+    # the subcommands are the dispatch table's kinds, in its order, and each
+    # one reaches its own builder in that table
+    parser = cli._build_parser()
+    subcommands = next(action.choices for action in parser._actions if action.dest == "command")
+    assert list(subcommands) == [kind.replace("_", "-") for kind in scenarios.KINDS]
+    assert scenarios.KINDS == tuple(scenarios._TABLES) == (
+        "evolve", "steady", "sweep_boundary", "sweep_detuning", "sweep_scaling",
+        "relaxation", "driven")
+    reached = []
+    for kind in scenarios.KINDS:
+        monkeypatch.setitem(scenarios._TABLES, kind, lambda cfg, kind=kind: (
+            reached.append((kind, cfg.kind)) or CsvTable(("x",), [(0.0,)])))
+    driven = write_config(tmp_path, SHORT_EVOLVE + "\n[drive]\namplitude1 = 2.0\n"
+                          "frequency1 = 0.2\n", name="driven.ini")
+    for kind in scenarios.KINDS:
+        assert main([kind.replace("_", "-"), "--config",
+                     driven if kind == "driven" else path]) == 0
+    assert reached == [(kind, kind) for kind in scenarios.KINDS]
 
 
 def test_cli_step_override_changes_the_frame_grid(tmp_path, capsys):

@@ -77,6 +77,13 @@ def test_entropy_unitary_invariance_and_range(rng):
         assert entropy(u @ rho @ u.conj().T) == pytest.approx(s, abs=1e-10)
 
 
+def test_entropy_rejects_non_finite_entries():
+    # eigvalsh of a NaN matrix can still give a finite entropy
+    for diagonal in ([np.nan, 0.5, 0.5, 0.0], [np.nan, 1.0, 0.0, 0.0], [0.5, 0.5, np.inf, 0.0]):
+        with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+            entropy(np.diag(diagonal).astype(complex))
+
+
 def test_entropy_of_rotated_pure_state_is_negligible(rng):
     pure = np.zeros((4, 4), dtype=complex)
     pure[0, 0] = 1.0
@@ -279,6 +286,24 @@ def test_trajectory_observables_reject_mismatched_shapes(base_trajectory, base_s
             trajectory_observables(times, frames, base_system)
         assert str(np.shape(frames)) in str(err.value)
         assert str(np.shape(times)) in str(err.value)
+
+
+def test_trajectory_observables_reject_a_non_finite_frame(base_system, driven_system):
+    # no column may come from a NaN frame or time; the one-frame views
+    # share the check
+    rho = maximum_entropy_state().astype(complex)
+    bad = rho.copy()
+    bad[0, 0] = np.nan
+    states = np.array([rho, bad, rho])
+    for cfg in (base_system, driven_system):
+        with pytest.raises(ValueError, match=r"states has non-finite entries at \(1, 0, 0\)$"):
+            trajectory_observables([0.0, 0.1, 0.2], states, cfg)
+        with pytest.raises(ValueError, match=r"times has non-finite entries at \(1,\)$"):
+            trajectory_observables([0.0, np.nan, 0.2], np.array([rho] * 3), cfg)
+        for view in (thermo_record, entropy_production_rate,
+                     lambda r, t, c: heat_current(1, r, t, c)):
+            with pytest.raises(ValueError, match="states has non-finite entries"):
+                view(bad, 0.1, cfg)
 
 
 def test_trajectory_observables_need_a_frame(base_system):
