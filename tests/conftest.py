@@ -19,6 +19,7 @@ criterion after the run.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.integrate import quad
 
+import lmesim
 from lmesim import (
     BathParams,
     IntegratorConfig,
@@ -88,6 +90,15 @@ driven_systems = st.builds(
     amp=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
     freq=st.tuples(drive_frequencies, drive_frequencies),
 )
+
+
+def src_env(**overrides):
+    """The environment with the package's source tree first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(lmesim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(overrides)
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_system
+from conftest import make_system, src_env
 
 from lmesim import (
     ConfigError,
@@ -1041,15 +1041,6 @@ relax_zeta2_count = 2
 [integrator]
 step = 1e-4
 """
-
-
-def src_env(**overrides):
-    """The environment with the package's source tree first on PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(scenarios.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.update(overrides)
-    return env
 
 
 def scipy_imports(path):
