@@ -31,19 +31,17 @@ from .gaussian import (
     steady_covariance,
     steady_heat_currents,
 )
-from .linalg import embed_qubit_op, lyapunov_solve, matrix_log_hermitian
+from .linalg import embed_qubit_op, lyapunov_solve
 from .model import (
     QubitParams,
     SystemConfig,
     bare_hamiltonian,
     dissipation_rates,
-    dissipator,
     drive,
     gibbs_product_state,
     instantaneous_gap,
     interaction_hamiltonian,
     liouvillian_matrix,
-    lme_rhs,
     maximum_entropy_state,
     tdlme_rhs,
     validate_density,

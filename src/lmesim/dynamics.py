@@ -47,9 +47,6 @@ from .model import (
     real_liouvillian,
     validate_density,
 )
-# unused here since undriven runs use the real generator, but the
-# benchmark's tracer (perfbench/tracer.py) wraps this name on this module
-from .model import liouvillian_matrix  # noqa: F401
 
 logger = logging.getLogger(__name__)
 

@@ -6,7 +6,8 @@ matrices used elsewhere in the package.  The matrix exponential is Higham's
 scaling-and-squaring Padé method in NumPy alone.  The Lyapunov solve takes
 2x2 equations only (every drift the package builds is 2x2) and solves a
 stack of them in closed form, elementwise over the stack, with no LAPACK
-call; the matrix logarithm wraps numpy's Hermitian eigensolver.
+call; the matrix logarithm is taken from a Hermitian eigendecomposition,
+with the small eigenvalues clamped.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ import math
 
 import numpy as np
 
-from .errors import PositivityError, StabilityError
+from .errors import StabilityError
 
 #: eigenvalues below this are clamped before taking a matrix logarithm
 LOG_CLAMP = 1e-12
-#: an eigenvalue below minus this makes the matrix logarithm fail
-LOG_POSITIVITY_TOL = 1e-10
 
 HURWITZ_TOL = -1e-14
 
@@ -251,26 +250,3 @@ def clamped_log(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray
     logs = np.log(np.maximum(eigenvalues, LOG_CLAMP))
     out = (eigenvectors * logs[..., None, :]) @ eigenvectors.conj().swapaxes(-1, -2)
     return hermitian_part(out)
-
-
-def matrix_log_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of a Hermitian positive-semidefinite matrix.
-
-    Raises ValueError if the input is not square, has a non-finite entry
-    or deviates from Hermiticity by more than 1e-10 in any entry.
-    Eigenvalues below 1e-12 are clamped to 1e-12 before the scalar log; an
-    eigenvalue below -LOG_POSITIVITY_TOL raises PositivityError.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    require_finite("matrix", matrix)
-    dev = np.max(np.abs(matrix - matrix.conj().T))
-    if dev > 1e-10:
-        raise ValueError(f"matrix is not Hermitian (max |M - M†| = {dev:.3e})")
-    w, v = np.linalg.eigh(matrix)
-    if w[0] < -LOG_POSITIVITY_TOL:
-        raise PositivityError(
-            f"matrix has negative eigenvalue {w[0]:.3e} beyond tolerance"
-        )
-    return clamped_log(w, v)

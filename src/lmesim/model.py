@@ -37,9 +37,9 @@ r = U†v (``coordinates``) of the row-major vec v, with an exactly zero trace
 row, and Tr(A B) = a · b.  ``coefficient_table`` gives the weights at an array
 of times in one NumPy pass (``static_table``: drive off), which
 ``real_generator_stack``, ``real_liouvillian`` and, bath rows only,
-``bath_dissipators`` contract with the real basis; U G U†, the right-hand
-sides (``tdlme_rhs``, ``lme_rhs``), the rates and ``dissipator`` are views on
-them.  Undriven weights keep the bits of the scalar formula; driven ones can
+``bath_dissipators`` contract with the real basis; ``liouvillian_matrix``
+(U G U†), the right-hand side ``tdlme_rhs`` and the rates are views on them.
+Undriven weights keep the bits of the scalar formula; driven ones can
 differ in the last bit, where NumPy's arctan and hypot differ from ``math``'s.
 
 Basis ordering: |↑↑⟩, |↑↓⟩, |↓↑⟩, |↓↓⟩.
@@ -55,8 +55,6 @@ from functools import lru_cache
 import numpy as np
 
 from .baths import BathParams, decay_rate, memory_correction_real
-# unused here (the rates take only Re Γ¹); kept for the benchmark's tracer
-from .baths import memory_correction_rate  # noqa: F401
 from .errors import ConfigError, PositivityError
 from .linalg import embed_qubit_op, kron, require_finite
 
@@ -358,21 +356,6 @@ def _row_major(gen: np.ndarray) -> np.ndarray:
 def tdlme_rhs(rho: np.ndarray, t: float, cfg: SystemConfig) -> np.ndarray:
     """Right-hand side of the time-dependent master equation at time t."""
     return (_row_major(real_generator_stack(t, cfg)[0][0]) @ rho.reshape(16)).reshape(4, 4)
-
-
-def lme_rhs(rho: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Static master equation right-hand side; drive amplitudes are ignored."""
-    return (liouvillian_matrix(cfg) @ rho.reshape(16)).reshape(4, 4)
-
-
-def dissipator(i: int, rho: np.ndarray, t, cfg: SystemConfig) -> np.ndarray:
-    """Single-bath dissipator 𝓛_i[ρ] at time t, without the ζ² factor: the
-    row-major view of bath i's `bath_dissipators` at the rates' weights;
-    ``rho`` may be an (n, 4, 4) stack of states at n times ``t`` or one time."""
-    f, fdot = _drive_fields(t, cfg)
-    weights = np.hstack([_bath_rates(j, cfg, f, fdot)[1] for j in (1, 2)])
-    superops = _row_major(bath_dissipators(weights, cfg)[i - 1])
-    return (superops @ np.reshape(rho, (-1, 16, 1))).reshape(np.shape(rho))
 
 
 def liouvillian_matrix(cfg: SystemConfig) -> np.ndarray:

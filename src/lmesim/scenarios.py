@@ -54,9 +54,6 @@ from .gaussian import (
 from .linalg import hermitian_part, lyapunov_solve_stack
 from .model import QubitParams, SystemConfig, _non_negative_violations, maximum_entropy_state
 from .thermo import effective_temperature_check, find_tau0, trajectory_observables
-# unused here since the table is computed in one batched pass, but the
-# benchmark's tracer (perfbench/tracer.py) wraps this name on this module
-from .thermo import thermo_record  # noqa: F401
 
 SCALING_AXES = ("zeta2", "lambda2")
 #: most points of one stacked solve in the boundary sweep (whole T-ratio rows)

@@ -19,7 +19,8 @@ in one pass over its (n, 4, 4) state stack, as dot products of real
 coordinates (`model.coordinates`, Tr(A B) = a · b) of the Hamiltonian's
 pieces (`model.hamiltonian_pieces`) with each bath's flow ζ²𝓛_i[ρ] = D_i r
 from the integrator's own table (`model.bath_dissipators`); one batched
-``eigh`` gives the entropy, the clamped ln ρ and the positivity margin.
+``eigh`` gives the entropy, the clamped ln ρ (`linalg.clamped_log`) and the
+positivity margin.
 `thermo_record` (a one-frame `FrameColumns`), `heat_current` and
 `entropy_production_rate` are its one-frame views; `find_tau0` scans Σ̇ and
 takes the end-of-run residual of a crossing-free run from `model.tdlme_rhs`.
@@ -35,11 +36,7 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, Trajectory, integrate
 from .errors import PositivityError
-from .linalg import LOG_POSITIVITY_TOL, clamped_log, hermitian_part, require_finite
-# unused here since the observables are dot products of real coordinates,
-# but the benchmark's tracer (perfbench/tracer.py) wraps these names here
-from .linalg import matrix_log_hermitian  # noqa: F401
-from .model import dissipator  # noqa: F401
+from .linalg import clamped_log, hermitian_part, require_finite
 from .model import (
     SystemConfig,
     bath_dissipators,
@@ -53,6 +50,8 @@ from .model import (
 )
 
 LOG_EIG_WARN = 1e-9
+#: a state eigenvalue below minus this fails the observables' matrix logarithm
+LOG_POSITIVITY_TOL = 1e-10
 TAU0_TIME_TOL = 1e-6
 # residual under which a crossing-free trajectory counts as having reached
 # its steady state (so Σ̇ was genuinely positive throughout, not cut short)

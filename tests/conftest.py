@@ -8,9 +8,13 @@ the scalar rate formulas are the per-step, per-time and per-frequency paths
 that the package's array kernels replaced, and ``kronecker_lyapunov_stack``
 the dense LAPACK Lyapunov solve that the closed-form 2x2 kernel replaced,
 kept here as references; ``dense_reference`` builds each bath's dissipator
-and the right-hand side with np.kron, independently of the package's basis.  ``correlation_function``,
-``decay_rate_quadrature`` and ``lamb_shift_quadrature`` evaluate the bath
-integrals by SciPy quadrature, with a fixed tolerance, subdivision cap and
+and the right-hand side with np.kron, independently of the package's basis,
+while ``lme_rhs`` and ``dissipator`` are row-major views of the package's
+own generator and per-bath dissipators, and ``matrix_log_hermitian`` a
+checked `linalg.clamped_log`, for the tests that use them as oracles.
+``correlation_function``, ``decay_rate_quadrature`` and
+``lamb_shift_quadrature`` evaluate the bath integrals by SciPy quadrature,
+with a fixed tolerance, subdivision cap and
 horizons (QUAD_RTOL, QUAD_LIMIT, ``_s_max``, ``_omega_max``), to
 cross-check the closed-form rates; ``lamb_shift`` and ``one_sided_rate``
 are the high-temperature closed forms that only those cross-checks use.
@@ -31,18 +35,22 @@ import lmesim
 from lmesim import (
     BathParams,
     IntegratorConfig,
+    PositivityError,
     QubitParams,
     SystemConfig,
     decay_rate,
     dissipation_rates,
     integrate,
+    liouvillian_matrix,
     maximum_entropy_state,
     spectral_density,
     steady_state,
 )
 from lmesim.baths import ZERO_FREQ_FACTOR, spectral_density_derivative
 from lmesim.dynamics import TRACE_RENORM_TOL
-from lmesim.linalg import HURWITZ_TOL, hermitian_part, kron
+from lmesim.linalg import HURWITZ_TOL, clamped_log, hermitian_part, kron, require_finite
+from lmesim.model import _bath_rates, _drive_fields, _row_major, bath_dissipators
+from lmesim.thermo import LOG_POSITIVITY_TOL
 
 
 def make_system(eps1=10.0, eps2=5.0, t1=15.0, t2=10.0, coupling=0.5,
@@ -275,6 +283,42 @@ def dense_reference(rho, t, cfg):
             + gp * (s_p @ rho @ s_m - 0.5 * anti(s_m @ s_p, rho))
         )
     return diss, -1j * comm(h, rho) + cfg.zeta2 * (diss[0] + diss[1])
+
+
+def lme_rhs(rho, cfg):
+    """Static master equation right-hand side; drive amplitudes are ignored."""
+    return (liouvillian_matrix(cfg) @ rho.reshape(16)).reshape(4, 4)
+
+
+def dissipator(i, rho, t, cfg):
+    """Single-bath dissipator 𝓛_i[ρ] at time t, without the ζ² factor: the
+    row-major view of bath i's `model.bath_dissipators` at the rates' weights;
+    ``rho`` may be an (n, 4, 4) stack of states at n times ``t`` or one time."""
+    f, fdot = _drive_fields(t, cfg)
+    weights = np.hstack([_bath_rates(j, cfg, f, fdot)[1] for j in (1, 2)])
+    superops = _row_major(bath_dissipators(weights, cfg)[i - 1])
+    return (superops @ np.reshape(rho, (-1, 16, 1))).reshape(np.shape(rho))
+
+
+def matrix_log_hermitian(matrix):
+    """Matrix logarithm of a Hermitian positive-semidefinite matrix by
+    `linalg.clamped_log`.  Raises ValueError if the input is not square, has
+    a non-finite entry or deviates from Hermiticity by more than 1e-10 in
+    any entry, and PositivityError for an eigenvalue below
+    -LOG_POSITIVITY_TOL."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    require_finite("matrix", matrix)
+    dev = np.max(np.abs(matrix - matrix.conj().T))
+    if dev > 1e-10:
+        raise ValueError(f"matrix is not Hermitian (max |M - M†| = {dev:.3e})")
+    w, v = np.linalg.eigh(matrix)
+    if w[0] < -LOG_POSITIVITY_TOL:
+        raise PositivityError(
+            f"matrix has negative eigenvalue {w[0]:.3e} beyond tolerance"
+        )
+    return clamped_log(w, v)
 
 
 def kronecker_lyapunov_stack(drift, diffusion):

@@ -12,6 +12,7 @@ from conftest import (
     decay_rate_quadrature,
     lamb_shift,
     lamb_shift_quadrature,
+    lme_rhs,
     make_system,
     one_sided_rate,
     random_density,
@@ -31,7 +32,6 @@ from lmesim import (
     heat_current,
     integrate,
     integrate_covariance,
-    lme_rhs,
     maximum_entropy_state,
     memory_correction_rate,
     run_scenario,

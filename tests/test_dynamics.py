@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     driven_systems,
+    lme_rhs,
     make_system,
     random_density,
     rk4_step,
@@ -29,7 +30,6 @@ from lmesim import (
     dissipation_rates,
     integrate,
     liouvillian_matrix,
-    lme_rhs,
     maximum_entropy_state,
     steady_state,
 )

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import kronecker_lyapunov_stack, make_system, undriven_systems
+from conftest import (
+    kronecker_lyapunov_stack,
+    make_system,
+    matrix_log_hermitian,
+    undriven_systems,
+)
 from hypothesis import given, settings
 
 from lmesim import (
@@ -24,7 +29,6 @@ from lmesim.linalg import (
     kron,
     lyapunov_solve,
     lyapunov_solve_stack,
-    matrix_log_hermitian,
 )
 
 U = np.finfo(float).eps
@@ -339,6 +343,10 @@ def test_lyapunov_solve_stack_handles_triangular_and_scalar_drifts():
         c = lyapunov_solve(w, d)
         ref = scipy.linalg.solve_continuous_lyapunov(w, -d)
         assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# the matrix log below is the tests' checked reference (conftest); its
+# arithmetic is `linalg.clamped_log`, which the observables use
 
 
 def test_matrix_log_diagonal():

@@ -12,6 +12,7 @@ step, produces the states, undriven and under a slow drive.
 
 import numpy as np
 from conftest import (
+    lme_rhs,
     make_system,
     random_density,
     rk4_step,
@@ -33,7 +34,6 @@ from lmesim import (
     find_tau0,
     integrate,
     liouvillian_matrix,
-    lme_rhs,
     maximum_entropy_state,
     steady_covariance,
     steady_state,

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from conftest import (
     dense_reference,
+    dissipator,
     driven_systems,
+    lme_rhs,
     make_system,
     random_density,
     scalar_coefficients,
@@ -27,13 +29,11 @@ from lmesim import (
     bare_hamiltonian,
     decay_rate,
     dissipation_rates,
-    dissipator,
     drive,
     gibbs_product_state,
     instantaneous_gap,
     interaction_hamiltonian,
     liouvillian_matrix,
-    lme_rhs,
     maximum_entropy_state,
     memory_correction_rate,
     tdlme_rhs,

@@ -17,8 +17,10 @@ import pytest
 import scipy.linalg
 from conftest import (
     dense_reference,
+    dissipator,
     driven_systems,
     make_system,
+    matrix_log_hermitian,
     random_density,
     undriven_systems,
 )
@@ -30,7 +32,6 @@ from lmesim import (
     IntegratorConfig,
     PositivityError,
     bare_hamiltonian,
-    dissipator,
     effective_temperature_check,
     entropy,
     entropy_production_rate,
@@ -41,7 +42,6 @@ from lmesim import (
     integrate,
     interaction_hamiltonian,
     liouvillian_matrix,
-    matrix_log_hermitian,
     maximum_entropy_state,
     thermo_record,
     trajectory_observables,
