@@ -21,7 +21,19 @@ import sys
 from dataclasses import replace
 
 from .errors import NUMERICAL_ERRORS, ConfigError
-from .scenarios import KINDS, emit_csv, load_config, run_scenario
+
+# NumPy's OpenBLAS starts its worker threads as it loads, and an idle worker
+# spins on a CPU: a CLI run calls BLAS only on small matrices, so NumPy loads
+# with one thread unless OPENBLAS_NUM_THREADS is set.  The variable is
+# removed again, and no host process or child sees it.
+_BLAS_THREADS_UNSET = "OPENBLAS_NUM_THREADS" not in os.environ
+if _BLAS_THREADS_UNSET:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from .scenarios import KINDS, emit_csv, load_config, run_scenario
+finally:
+    if _BLAS_THREADS_UNSET:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,13 @@ of G with r_0 = ½.
 Recorded frames carry the smallest eigenvalue of the state and a flag that
 marks whether any jump rate went negative since the previous frame (the
 finite-memory corrections can push rates below zero transiently under a
-strong drive; that is diagnostic information, not an error).
+strong drive; that is diagnostic information, not an error).  A run that
+fails its frame checks names, beside the bad frame, the first frame at or
+before it with that flag set.
+
+One frame loop, the generator `_frames`, yields a run's frames one at a
+time: `integrate` drains it, and `thermo.find_tau0` pulls it block by block
+and stops at the block of its crossing.
 """
 
 from __future__ import annotations
@@ -175,31 +181,24 @@ def _frame_plan(t0: float, t1: float, h: float, stride: int):
     return n_full, tail, frames
 
 
-def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
-              integrator: IntegratorConfig | None = None) -> Trajectory:
-    """Propagate the 4x4 rho0 over t_span = (t0, t1) (or a bare final
-    time); an initial state or span of any other shape raises ValueError.
-
-    Undriven frames are exact (one matrix exponential per distinct frame
-    spacing); driven frames come from fixed-step RK4.  A run stops at the
-    first frame whose trace 2 r_0, before renormalization, is not within
-    DENSITY_TRACE_TOL of one or, driven, whose largest |entry| is not within
-    ENTRY_MAX, and records that frame as computed.  The recorded frames are
-    validated together, with the error naming the first bad frame: that
-    drifted or diverged frame, or for undriven configurations a smallest
-    eigenvalue below -DENSITY_EIG_TOL (driven runs only record it, since
-    the time-dependent generator is not guaranteed completely positive).
-    """
+def _step_and_stride(cfg: SystemConfig, integrator: IntegratorConfig | None):
+    """The RK4 step and frame stride a run resolves from its integrator."""
     icfg = integrator or IntegratorConfig()
-    if np.shape(rho0) != (4, 4):
-        raise ValueError(f"rho0 must be a 4x4 density matrix, got shape {np.shape(rho0)}")
-    validate_density(rho0)
-    t0, t1 = _time_span(t_span)
-
     h = icfg.step if icfg.step is not None else default_step(cfg)
     stride = icfg.record_stride
     if stride is None:
         stride = max(1, round(DEFAULT_FRAME_SPACING / h))
+    return h, stride
+
+
+def _frames(rho0: np.ndarray, t_span, cfg: SystemConfig, h: float, stride: int):
+    """The frames of a run, one (t, v, rate_negative) at a time from frame 0
+    (v the row-major vec of the state), up to t1 or to the first drifted or
+    diverged frame (see `integrate`)."""
+    if np.shape(rho0) != (4, 4):
+        raise ValueError(f"rho0 must be a 4x4 density matrix, got shape {np.shape(rho0)}")
+    validate_density(rho0)
+    t0, t1 = _time_span(t_span)
 
     driven = cfg.is_driven
     if not driven:
@@ -207,9 +206,7 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
         propagator = functools.cache(lambda span: expm(gen * span))
 
     r = coordinates(rho0)     # r = U†v
-    times = [t0]
-    states = [HERMITIAN_BASIS @ r]
-    rate_flags = [False]
+    yield t0, HERMITIAN_BASIS @ r, False
 
     n_full, tail, frames = _frame_plan(t0, t1, h, stride)
     steps = _driven_steps(t0, h, n_full, tail, cfg) if driven else None
@@ -224,24 +221,56 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
             r = propagator(span) @ r
         r, drifted = _normalize(r, t)
         v = HERMITIAN_BASIS @ r
-        times.append(t)
-        states.append(v)
-        rate_flags.append(neg_seen)
+        yield t, v, neg_seen
         # a driven run stops before its growth can overflow; undriven frames
         # are exact, and each gets the eigenvalue check
         if drifted or driven and not np.abs(v).max() <= ENTRY_MAX:
-            break    # the frame check below reports it
+            return    # the frame check reports it
 
-    times = np.array(times)
-    states = np.array(states).reshape(-1, 4, 4)
+
+def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
+              integrator: IntegratorConfig | None = None) -> Trajectory:
+    """Propagate the 4x4 rho0 over t_span = (t0, t1) (or a bare final
+    time); an initial state or span of any other shape raises ValueError.
+
+    Undriven frames are exact (one matrix exponential per distinct frame
+    spacing); driven frames come from fixed-step RK4.  A run stops at the
+    first frame whose trace 2 r_0, before renormalization, is not within
+    DENSITY_TRACE_TOL of one or, driven, whose largest |entry| is not within
+    ENTRY_MAX, and records that frame as computed.  The recorded frames are
+    validated together, with the error naming the first bad frame: that
+    drifted or diverged frame, or for undriven configurations a smallest
+    eigenvalue below -DENSITY_EIG_TOL (driven runs only record it, since
+    the time-dependent generator is not guaranteed completely positive).
+    The error also names the likely cause (`_add_rate_cause`).
+    """
+    h, stride = _step_and_stride(cfg, integrator)
+    times, states, flags = map(np.array, zip(*_frames(rho0, t_span, cfg, h, stride)))
+    states = states.reshape(-1, 4, 4)
+    try:
+        lows = _check_frame(states, times, cfg.is_driven)
+    except IntegrationError as exc:
+        _add_rate_cause(exc, times, flags)
+        raise
     return Trajectory(
         times=times,
         states=states,
-        min_eigenvalues=_check_frame(states, times, driven),
-        rate_negative=np.array(rate_flags, dtype=bool),
+        min_eigenvalues=lows,
+        rate_negative=flags,
         step=h,
         record_stride=stride,
     )
+
+
+def _add_rate_cause(exc: Exception, times: np.ndarray, flags: np.ndarray) -> None:
+    """Extend the message of ``exc``, a failure at the frame time
+    ``exc.time``, by the first frame at or before it whose negative-rate flag
+    is set: a rate below zero is what lets the equation leave the state
+    space.  A run with no such frame keeps its message."""
+    flagged = np.flatnonzero(flags & (times <= exc.time))
+    if flagged.size:
+        exc.args = (f"{exc.args[0]}; a jump rate first went negative before "
+                    f"the frame at t={times[flagged[0]]:.6g}", *exc.args[1:])
 
 
 def _check_frame(states, times, driven: bool) -> np.ndarray:

@@ -6,7 +6,12 @@ class StabilityError(ValueError):
 
 
 class PositivityError(ValueError):
-    """Matrix that must be positive semidefinite has a negative eigenvalue."""
+    """Matrix that must be positive semidefinite has a negative eigenvalue;
+    ``time`` is the frame time when the matrix is a state of a run."""
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
 
 
 class UnsupportedConfigError(ValueError):

@@ -20,9 +20,11 @@ points' 2x2 Lyapunov equations are solved as one stack, in closed form
 and elementwise (`linalg.lyapunov_solve_stack`), and the heat currents
 come from the covariance stack (for the boundary grid, whose hot bath
 changes by row, in blocks of whole T-ratio rows of at most
-``BOUNDARY_BLOCK`` points).  Relaxation runs point after point.  CSV
-formats are decided per column (a repeating column is formatted once per
-distinct value) and applied with one ``%`` format per row.  A sweep point
+``BOUNDARY_BLOCK`` points).  Relaxation runs point after point, each
+propagated only up to the frame block that holds its first downward Σ̇
+crossing (`thermo.find_tau0`), so frames after that block are not checked.
+CSV formats are decided per column (a repeating column is formatted once
+per distinct value) and applied with one ``%`` format per row.  A sweep point
 whose numerics fail (one of the three ``errors.NUMERICAL_ERRORS``:
 ``IntegrationError``, ``StabilityError`` or ``PositivityError``; for the
 steady sweeps a drift that fails the Lyapunov checks) becomes a row with
@@ -41,8 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baths import BathParams
-from .dynamics import IntegratorConfig, integrate, steady_state
-from .errors import NUMERICAL_ERRORS, ConfigError
+from .dynamics import IntegratorConfig, _add_rate_cause, integrate, steady_state
+from .errors import NUMERICAL_ERRORS, ConfigError, PositivityError
 from .gaussian import (
     ChainStack,
     chain_stack,
@@ -327,8 +329,7 @@ def _relaxation_point(zeta2: float, cfg: ScenarioConfig):
         system = replace(cfg.system, zeta2=zeta2)
         tau_r = relaxation_time(drift_diffusion(system))
         span = 8.0 * tau_r if cfg.horizon is None else cfg.horizon
-        traj = integrate(maximum_entropy_state(), span, system, cfg.integrator)
-        res = find_tau0(traj, system)
+        res = find_tau0(maximum_entropy_state(), span, system, cfg.integrator)
         if not res.found:
             return (zeta2, math.nan, tau_r, math.nan, f"error:{res.reason}")
         return (zeta2, res.tau0, tau_r, res.tau0 / tau_r, "ok")
@@ -344,7 +345,11 @@ def _trajectory_table(cfg: ScenarioConfig) -> CsvTable:
     driven = cfg.kind == "driven"
     horizon = DEFAULT_HORIZONS[cfg.kind] if cfg.horizon is None else cfg.horizon
     traj = integrate(maximum_entropy_state(), horizon, system, cfg.integrator)
-    cols = trajectory_observables(traj.times, traj.states, system)
+    try:
+        cols = trajectory_observables(traj.times, traj.states, system)
+    except PositivityError as exc:
+        _add_rate_cause(exc, traj.times, traj.rate_negative)
+        raise
     columns = [*cols[:-1], traj.min_eigenvalues, traj.rate_negative.astype(int)]
     if driven:
         columns += [effective_temperature_check(i, cols.t, system) for i in (1, 2)]

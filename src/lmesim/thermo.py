@@ -22,20 +22,31 @@ from the integrator's own table (`model.bath_dissipators`); one batched
 ``eigh`` gives the entropy, the clamped ln ρ (`linalg.clamped_log`) and the
 positivity margin.
 `thermo_record` (a one-frame `FrameColumns`), `heat_current` and
-`entropy_production_rate` are its one-frame views; `find_tau0` scans Σ̇ and
-takes the end-of-run residual of a crossing-free run from `model.tdlme_rhs`.
+`entropy_production_rate` are its one-frame views.  `find_tau0` takes a run
+(initial state, span, system, integrator), propagates it block by block with
+the integrator's own frame loop only as far as the first downward zero of Σ̇,
+and takes the end-of-run residual of a crossing-free run from
+`model.tdlme_rhs`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, Trajectory, integrate
-from .errors import PositivityError
+from .dynamics import (
+    IntegratorConfig,
+    _add_rate_cause,
+    _check_frame,
+    _frames,
+    _step_and_stride,
+    integrate,
+)
+from .errors import IntegrationError, PositivityError
 from .linalg import clamped_log, hermitian_part, require_finite
 from .model import (
     SystemConfig,
@@ -126,7 +137,8 @@ def _check_log_spectrum(times: np.ndarray, lowest: np.ndarray) -> None:
         k = bad[0]
         raise PositivityError(
             f"state at t={times[k]:.6g} has negative eigenvalue "
-            f"{lowest[k]:.3e} beyond tolerance"
+            f"{lowest[k]:.3e} beyond tolerance",
+            time=float(times[k]),
         )
 
 
@@ -231,40 +243,66 @@ def effective_temperature_check(i: int, t, cfg: SystemConfig):
         return np.where(near, abs(ratio - target) / target, far)[()]
 
 
-def find_tau0(traj: Trajectory, cfg: SystemConfig) -> CrossingResult:
-    """Locate the first downward zero of Σ̇ along a trajectory.
+def find_tau0(rho0: np.ndarray, t_span, cfg: SystemConfig,
+              integrator: IntegratorConfig | None = None) -> CrossingResult:
+    """Locate the first downward zero of Σ̇ along the run that `integrate`
+    would make from rho0 over t_span.
 
-    The coarse bracket is the first sign change of Σ̇ over the recorded
-    frames, all computed in one `trajectory_observables` pass (its checks
-    apply only to the frames up to that change, as a scan in order would);
-    the root is then bisected to 1e-6 in time, with each probe obtained by
-    a fresh short integration at the trajectory's step from the last
-    stored frame before the bracket (no interpolation of Σ̇ samples).
+    The run is propagated only as far as the scan needs.  Its frames come
+    FRAME_BLOCK at a time from frame 0 (the blocks of
+    `trajectory_observables`), and each block gets `integrate`'s frame
+    checks, in order and with the same errors, before its Σ̇ is computed.
+    The scan stops after the block that holds the first sign change from
+    Σ̇ > 0 to Σ̇ ≤ 0 and its upper frame: later frames are neither computed
+    nor checked.  A run without such a change runs to its horizon.  The
+    matrix log's checks apply to the frames up to the change (to all of
+    them without one).  The root is then bisected to 1e-6 in time, each
+    probe a fresh short `integrate` at the run's step from the last frame
+    before the change (no interpolation of Σ̇ samples).
     """
-    cols = trajectory_observables(traj.times, traj.states, cfg, check=False)
-    sigmas = cols.sigma_dot
-    down = np.flatnonzero((sigmas[:-1] > 0.0) & (sigmas[1:] <= 0.0))
-    scanned = int(down[0]) + 2 if down.size else len(sigmas)
-    _check_log_spectrum(cols.t[:scanned], cols.lowest[:scanned])
+    h, stride = _step_and_stride(cfg, integrator)
+    frames = _frames(rho0, t_span, cfg, h, stride)
+    seen, sigmas, lowest = [], [], []    # the frames; Σ̇ and ρ's margin by block
+    down = np.empty(0, dtype=int)
+    while not down.size and (block := list(islice(frames, FRAME_BLOCK))):
+        seen += block
+        t, v, _ = map(np.array, zip(*block))
+        try:
+            _check_frame(v, t, cfg.is_driven)
+        except IntegrationError as exc:
+            times, _, flags = map(np.array, zip(*seen))
+            _add_rate_cause(exc, times, flags)
+            raise
+        cols = trajectory_observables(t, v.reshape(-1, 4, 4), cfg, check=False)
+        sigmas.append(cols.sigma_dot)
+        lowest.append(cols.lowest)
+        seam = np.concatenate(sigmas[-2:])    # a change between two blocks counts
+        down = len(seen) - len(seam) + np.flatnonzero((seam[:-1] > 0.0) & (seam[1:] <= 0.0))
+
+    times, states, _ = map(np.array, zip(*seen))
+    states = states.reshape(-1, 4, 4)
+    sigmas, lowest = np.concatenate(sigmas), np.concatenate(lowest)
+    scanned = int(down[0]) + 2 if down.size else len(seen)
+    _check_log_spectrum(times[:scanned], lowest[:scanned])
     if not down.size:
         if not np.any(sigmas > 0.0):
             return CrossingResult(found=False, reason="never_positive")
-        end_rhs = tdlme_rhs(traj.final_state, float(traj.times[-1]), cfg)
+        end_rhs = tdlme_rhs(states[-1], float(times[-1]), cfg)
         if np.max(np.abs(end_rhs)) < STEADY_RESIDUAL:
             return CrossingResult(found=False, reason="always_positive")
         return CrossingResult(found=False, reason="insufficient_horizon")
 
     cross = int(down[0])
-    base_t = float(traj.times[cross])
-    base_state = traj.states[cross]
-    probe_cfg = IntegratorConfig(step=traj.step, record_stride=1_000_000_000)
+    base_t = float(times[cross])
+    base_state = states[cross]
+    probe_cfg = IntegratorConfig(step=h, record_stride=1_000_000_000)
 
     def sigma_at(t: float) -> float:
         sub = integrate(base_state, (base_t, t), cfg, probe_cfg)
         return entropy_production_rate(sub.final_state, t, cfg)
 
     t_lo = base_t
-    t_hi = float(traj.times[cross + 1])
+    t_hi = float(times[cross + 1])
     while t_hi - t_lo > TAU0_TIME_TOL:
         mid = 0.5 * (t_lo + t_hi)
         if sigma_at(mid) > 0.0:

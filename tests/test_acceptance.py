@@ -136,7 +136,7 @@ def test_criterion_3_scaling_law():
     4, "entropy production turns negative near t = 2.23 on the workhorse run"
 )
 def test_criterion_4_crossing_time(base_trajectory, base_system, base_steady):
-    res = find_tau0(base_trajectory, base_system)
+    res = find_tau0(maximum_entropy_state(), 12.0, base_system)
     assert res.found
     assert abs(res.tau0 / 2.23 - 1.0) < 0.05
     for t, state in zip(base_trajectory.times, base_trajectory.states):

@@ -269,8 +269,10 @@ def test_integrate_rejects_unstable_step(driven_system):
             with pytest.raises(IntegrationError) as err:
                 integrate(maximum_entropy_state(), horizon, driven_system, icfg)
         assert err.value.time == 1.0
+        # a rate of the drive went negative in the first step
         largest = re.fullmatch(
-            rf"state diverged: largest \|entry\| (\S+) above {ENTRY_MAX}",
+            rf"state diverged: largest \|entry\| (\S+) above {ENTRY_MAX}; a jump "
+            r"rate first went negative before the frame at t=0\.5",
             str(err.value)).group(1)
         assert 10.0 < float(largest) < 100.0
 

@@ -114,14 +114,11 @@ def _rk4_states(cfg, h, times):
 def test_negative_entropy_production_is_method_independent():
     cfg = make_system()
     h = default_step(cfg)
-    res = find_tau0(integrate(maximum_entropy_state(), 3.0, cfg), cfg)
+    res = find_tau0(maximum_entropy_state(), 3.0, cfg)
     assert res.found
     t_lo, t_hi = res.bracket
     # halving the step moves the frame grid, not the crossing
-    halved = find_tau0(
-        integrate(maximum_entropy_state(), 3.0, cfg, IntegratorConfig(step=h / 2)),
-        cfg,
-    )
+    halved = find_tau0(maximum_entropy_state(), 3.0, cfg, IntegratorConfig(step=h / 2))
     assert abs(halved.tau0 - res.tau0) < 1e-6
     # RK4 states at both step sizes put the sign change inside the bracket
     for step in (h, h / 2):
@@ -137,8 +134,8 @@ def test_driven_negative_entropy_production_is_step_and_method_independent(drive
     cfg = driven_system
     h = default_step(cfg)
     rho0 = maximum_entropy_state()
-    res = find_tau0(integrate(rho0, 3.0, cfg), cfg)
-    doubled = find_tau0(integrate(rho0, 3.0, cfg, IntegratorConfig(step=2.0 * h)), cfg)
+    res = find_tau0(rho0, 3.0, cfg)
+    doubled = find_tau0(rho0, 3.0, cfg, IntegratorConfig(step=2.0 * h))
     assert res.found and doubled.found
     basis = _basis(cfg).reshape(33, 256)
 

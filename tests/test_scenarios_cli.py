@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,13 +18,20 @@ from conftest import make_system, src_env
 from lmesim import (
     ConfigError,
     CsvTable,
+    IntegrationError,
     IntegratorConfig,
+    PositivityError,
     ScenarioConfig,
+    drift_diffusion,
     emit_csv,
+    integrate,
     load_config,
+    maximum_entropy_state,
+    relaxation_time,
     run_scenario,
+    trajectory_observables,
 )
-from lmesim import cli, scenarios
+from lmesim import cli, dynamics, scenarios, thermo
 from lmesim.cli import main
 from lmesim.scenarios import DRIVEN_HEADER, EVOLVE_HEADER, kind_violations
 
@@ -534,6 +542,35 @@ def test_run_scenario_relaxation_point(base_system):
     assert 3.0 < ratio < 4.5
 
 
+def test_relaxation_point_propagates_only_to_its_crossing_block(base_system, monkeypatch):
+    # the slowest point of the benchmark's relaxation workload at seed 0:
+    # ζ² 0.25 of the workhorse system, 8 τ_r and 1 864 frames, whose Σ̇
+    # first turns from > 0 to ≤ 0 between frames 891 and 892
+    system = replace(base_system, zeta2=0.25)
+    traj = integrate(maximum_entropy_state(),
+                     8.0 * relaxation_time(drift_diffusion(system)), system)
+    sigmas = trajectory_observables(traj.times, traj.states, system, check=False).sigma_dot
+    k = int(np.flatnonzero((sigmas[:-1] > 0.0) & (sigmas[1:] <= 0.0))[0])
+    assert (len(traj.times), k) == (1864, 891)
+
+    computed = []
+    original = dynamics._frames
+
+    def counting(*args):
+        for frame in original(*args):
+            computed.append(frame[0])
+            yield frame
+
+    monkeypatch.setattr(thermo, "_frames", counting)
+    cfg = ScenarioConfig(kind="relaxation", system=base_system,
+                         integrator=IntegratorConfig(), relaxation_grid=(0.25,))
+    (row,) = run_scenario(cfg).rows
+    assert row[-1] == "ok"
+    assert traj.times[k] < row[1] < traj.times[k + 1]
+    # seven blocks of 128 frames: up to the one that holds frames 891 and 892
+    assert computed == traj.times[:7 * thermo.FRAME_BLOCK].tolist()
+
+
 def test_run_scenario_relaxation_reports_short_horizon(base_system):
     cfg = ScenarioConfig(
         kind="relaxation", system=base_system,
@@ -982,6 +1019,57 @@ horizon = 1.0
     assert not out.exists()
 
 
+def _driven_ini(eps, coupling, zeta2, temps, kappa, cutoff, amps, freqs):
+    return "\n".join([
+        "[system]", f"epsilon1 = {eps[0]}", f"epsilon2 = {eps[1]}",
+        f"coupling = {coupling}", f"zeta2 = {zeta2}",
+        *(line for i in (1, 2) for line in (
+            f"[bath{i}]", f"temperature = {temps[i - 1]}", f"kappa = {kappa}",
+            f"cutoff = {cutoff}")),
+        "[drive]", *(f"{key}{i} = {values[i - 1]}" for i in (1, 2)
+                     for key, values in (("amplitude", amps), ("frequency", freqs))),
+        "[scenario]", "kind = driven", "horizon = 1.0", "",
+    ])
+
+
+# driven runs that leave the state space, each failure with its message: the
+# corner of the property tests' driven ranges grows past the entry bound
+# (γ_z reaches -191.5), and the system of the test above loses positivity;
+# in both, every frame from the first on has a negative rate
+LEAVING_THE_STATE_SPACE = {
+    "corner": (
+        _driven_ini((15.0, 15.0), 0.5, 1.0, (30.0, 30.0), 20.0, 5.0,
+                    (10.0, 10.0), (5.0, 5.0)),
+        IntegrationError, 0.04500445193656827,
+        r"state diverged: largest \|entry\| 1\.784e\+01 above 2\.0; a jump rate "
+        r"first went negative before the frame at t=0\.00500049"),
+    "positivity": (
+        _driven_ini((13.435, 7.441), 0.06, 0.313, (14.338, 14.036), 5.36, 0.781,
+                    (5.416, 4.422), (0.126, 0.78)),
+        PositivityError, 0.810806,
+        r"state at t=0\.810806 has negative eigenvalue -1\.220e-04 beyond tolerance; "
+        r"a jump rate first went negative before the frame at t=0\.00500497"),
+}
+
+
+@pytest.mark.parametrize("name", LEAVING_THE_STATE_SPACE)
+def test_driven_run_that_leaves_the_state_space_names_the_negative_rate(name, tmp_path,
+                                                                        capsys):
+    body, error, time, message = LEAVING_THE_STATE_SPACE[name]
+    path = write_config(tmp_path, base=body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # the clamped log's
+        with pytest.raises(error) as err:
+            run_scenario(load_config(path))
+        out = tmp_path / "unphysical.csv"
+        rc = main(["driven", "--config", path, "--out", str(out)])
+    assert re.fullmatch(message, str(err.value))
+    assert err.value.time == pytest.approx(time, abs=1e-6)
+    assert rc == 2
+    assert re.fullmatch(f"numerical failure: {message}\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_unknown_scenario_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["warp", "--config", "x.ini"])
@@ -1081,3 +1169,57 @@ def test_cli_runs_load_no_quadrature_stack(tmp_path):
     assert len(sources) == len(submodules) + 2   # plus __init__ and __main__
     assert {path.name: scipy_imports(path) for path in sources} \
         == {path.name: [] for path in sources}
+
+
+def _fresh_interpreter(script, **env):
+    """stdout of ``script`` run by a fresh interpreter on the source tree, with
+    OPENBLAS_NUM_THREADS unset unless given in ``env``."""
+    environ = src_env(**env)
+    if "OPENBLAS_NUM_THREADS" not in env:
+        environ.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300, env=environ)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_import_loads_no_numpy():
+    # each public name loads its module on first use
+    script = """
+import json, sys
+import lmesim
+before = "numpy" in sys.modules
+names = sorted(dir(lmesim))
+from lmesim import *
+print(json.dumps([before, "numpy" in sys.modules, list(lmesim.__all__), names,
+                  integrate.__module__, hasattr(lmesim, "no_such_name")]))
+"""
+    before, after, exported, names, module, missing = json.loads(_fresh_interpreter(script))
+    assert not before
+    assert after
+    assert len(exported) == len(set(exported))
+    assert set(exported) <= set(names)
+    assert module == "lmesim.dynamics"
+    assert not missing
+
+
+THREADS_SCRIPT = """
+import json, os
+import lmesim.cli
+print(json.dumps([len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_cli_loads_numpy_with_one_blas_thread():
+    # an idle OpenBLAS worker spins on a CPU; the CLI's process has no
+    # worker, and the variable that keeps it out is gone again afterwards
+    assert json.loads(_fresh_interpreter(THREADS_SCRIPT)) == [1, None]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="counts threads in /proc, on a host with two CPUs or more")
+def test_cli_keeps_an_explicit_blas_thread_count():
+    threads, setting = json.loads(_fresh_interpreter(THREADS_SCRIPT, OPENBLAS_NUM_THREADS="2"))
+    assert threads > 1
+    assert setting == "2"

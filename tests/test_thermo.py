@@ -8,7 +8,6 @@ kernel is checked against the per-frame computation it replaced, kept
 here as the oracle.
 """
 
-import dataclasses
 import math
 import warnings
 
@@ -29,6 +28,7 @@ from hypothesis import strategies as st
 
 from lmesim import (
     CrossingResult,
+    IntegrationError,
     IntegratorConfig,
     PositivityError,
     bare_hamiltonian,
@@ -46,7 +46,7 @@ from lmesim import (
     thermo_record,
     trajectory_observables,
 )
-from lmesim import thermo
+from lmesim import dynamics, thermo
 
 
 def haar_unitary(rng, dim=4):
@@ -363,7 +363,7 @@ def test_effective_temperature_check_grows_with_drive_frequency():
 
 
 def test_find_tau0_locates_the_crossing(base_trajectory, base_system):
-    res = find_tau0(base_trajectory, base_system)
+    res = find_tau0(maximum_entropy_state(), 12.0, base_system)
     assert res.found
     assert res.reason is None
     t_lo, t_hi = res.bracket
@@ -386,21 +386,47 @@ def test_find_tau0_locates_the_crossing(base_trajectory, base_system):
     assert sigma(t_lo) > 0.0 >= sigma(t_hi)
 
 
-def test_find_tau0_stops_scanning_at_the_crossing(base_trajectory, base_system,
-                                                  monkeypatch):
-    traj = base_trajectory
-    sigmas = [entropy_production_rate(state, float(t), base_system)
+def _first_down(traj, cfg) -> int:
+    """Frame k of the first Σ̇ sign change from > 0 (frame k) to ≤ 0."""
+    sigmas = [entropy_production_rate(state, float(t), cfg)
               for t, state in zip(traj.times, traj.states)]
-    k = next(j for j in range(len(sigmas) - 1)
-             if sigmas[j] > 0.0 >= sigmas[j + 1])
+    return next(j for j in range(len(sigmas) - 1) if sigmas[j] > 0.0 >= sigmas[j + 1])
+
+
+def _scan_end(k: int) -> int:
+    """Frames that the scan computes for a first sign change at frame k:
+    whole FRAME_BLOCKs up to the one holding frame k + 1."""
+    return thermo.FRAME_BLOCK * math.ceil((k + 2) / thermo.FRAME_BLOCK)
+
+
+def _recording_frames(monkeypatch, seen, replace=None):
+    """Make find_tau0's frame generator record each frame it yields in
+    ``seen``, with the frames numbered in ``replace`` swapped for its states."""
+    original = dynamics._frames
+    replace = replace or {}
+
+    def frames(*args):
+        for j, (t, v, neg) in enumerate(original(*args)):
+            if j in replace:
+                v = replace[j].reshape(16)
+            seen.append((t, v, neg))
+            yield t, v, neg
+
+    monkeypatch.setattr(thermo, "_frames", frames)
+
+
+def _check_scan(traj, cfg, icfg, monkeypatch):
+    """find_tau0 on traj's run gives the bisection from traj's first sign
+    change and computes the frames up to that change's block only."""
+    k = _first_down(traj, cfg)
     # the documented bisection from frame k, each probe a fresh integration
-    icfg = IntegratorConfig(step=traj.step, record_stride=10**9)
+    probe = IntegratorConfig(step=traj.step, record_stride=10**9)
     t_lo, t_hi = float(traj.times[k]), float(traj.times[k + 1])
     while t_hi - t_lo > thermo.TAU0_TIME_TOL:
         mid = 0.5 * (t_lo + t_hi)
         sub = integrate(traj.states[k], (float(traj.times[k]), mid),
-                        base_system, icfg)
-        if entropy_production_rate(sub.final_state, mid, base_system) > 0.0:
+                        cfg, probe)
+        if entropy_production_rate(sub.final_state, mid, cfg) > 0.0:
             t_lo = mid
         else:
             t_hi = mid
@@ -408,57 +434,96 @@ def test_find_tau0_stops_scanning_at_the_crossing(base_trajectory, base_system,
                                bracket=(t_lo, t_hi))
 
     frame_evals = []
-    original = thermo.entropy_production_rate
+    original = thermo.trajectory_observables
 
-    def counting(rho, t, cfg):
-        if np.shares_memory(rho, traj.states):
-            frame_evals.append(t)
-        return original(rho, t, cfg)
+    def counting(times, states, system, check=True):
+        if not check:    # the scan's blocks, not the probes' one-frame views
+            frame_evals.extend(times)
+        return original(times, states, system, check)
 
-    monkeypatch.setattr(thermo, "entropy_production_rate", counting)
-    assert find_tau0(traj, base_system) == full_scan
-    assert len(frame_evals) <= k + 2 < len(traj.times)
+    monkeypatch.setattr(thermo, "trajectory_observables", counting)
+    computed = []
+    _recording_frames(monkeypatch, computed)
+    assert find_tau0(maximum_entropy_state(), 12.0, cfg, icfg) == full_scan
+    assert len(frame_evals) == len(computed) == _scan_end(k) < len(traj.times)
+
+
+def test_find_tau0_stops_scanning_at_the_crossing(base_trajectory, base_system,
+                                                  monkeypatch):
+    _check_scan(base_trajectory, base_system, IntegratorConfig(), monkeypatch)
+
+
+def test_find_tau0_finds_a_crossing_across_a_block_seam(base_system, monkeypatch):
+    # frames every 352 steps: Σ̇ first changes sign between frames 127 and
+    # 128, the last frame of one block and the first of the next
+    icfg = IntegratorConfig(record_stride=352)
+    traj = integrate(maximum_entropy_state(), 12.0, base_system, icfg)
+    assert _first_down(traj, base_system) == thermo.FRAME_BLOCK - 1
+    _check_scan(traj, base_system, icfg, monkeypatch)
+
+
+def test_find_tau0_scans_the_first_frames_of_integrates_run(base_trajectory,
+                                                            base_system, monkeypatch):
+    seen = []
+    _recording_frames(monkeypatch, seen)
+    find_tau0(maximum_entropy_state(), 12.0, base_system)
+    times, states, flags = map(np.array, zip(*seen))
+    n = len(times)
+    assert n == _scan_end(_first_down(base_trajectory, base_system))
+    assert np.array_equal(times, base_trajectory.times[:n])
+    assert np.array_equal(states.reshape(-1, 4, 4), base_trajectory.states[:n])
+    assert np.array_equal(flags, base_trajectory.rate_negative[:n])
 
 
 def test_find_tau0_checks_only_the_frames_up_to_the_crossing(base_trajectory,
-                                                              base_system):
-    want = find_tau0(base_trajectory, base_system)
+                                                              base_system, monkeypatch):
+    rho0 = maximum_entropy_state()
+    want = find_tau0(rho0, 12.0, base_system)
+    k = _first_down(base_trajectory, base_system)
+    end = _scan_end(k)
+    assert k + 2 < end - 1      # the crossing's block goes on after frame k + 1
+    # a unit-trace frame within the frame checks' eigenvalue tolerance but
+    # beyond the matrix log's
     bad = np.diag([1.0 + 1e-9, 0.0, 0.0, -1e-9]).astype(complex)
-    k = int(np.searchsorted(base_trajectory.times, want.bracket[1])) + 1
-    states = base_trajectory.states.copy()
-    states[k] = bad                       # after the crossing: never looked at
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        late = dataclasses.replace(base_trajectory, states=states)
-        assert find_tau0(late, base_system) == want
-    states[1] = bad                       # before it: the scan fails there
-    early = dataclasses.replace(base_trajectory, states=states)
+    for late in (k + 2, end - 1, end):    # after the crossing: never looked at
+        _recording_frames(monkeypatch, [], {late: bad})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_tau0(rho0, 12.0, base_system) == want
+    _recording_frames(monkeypatch, [], {1: bad})   # before it: the scan fails there
     with pytest.warns(RuntimeWarning, match="clamped matrix log"):
         with pytest.raises(PositivityError):
-            find_tau0(early, base_system)
+            find_tau0(rho0, 12.0, base_system)
+
+    # a frame that fails the frame checks fails the scan in the crossing's
+    # block, and is never computed after it
+    broken = np.diag([1.0 + 1e-6, 0.0, 0.0, -1e-6]).astype(complex)
+    _recording_frames(monkeypatch, [], {end - 1: broken})
+    with pytest.raises(IntegrationError, match="eigenvalue") as err:
+        find_tau0(rho0, 12.0, base_system)
+    assert err.value.time == base_trajectory.times[end - 1]
+    _recording_frames(monkeypatch, [], {end: broken})
+    assert find_tau0(rho0, 12.0, base_system) == want
 
 
 def test_find_tau0_reports_always_positive_without_coupling():
     cfg = make_system(coupling=0.0)
     icfg = IntegratorConfig(step=5e-4, record_stride=200)
-    traj = integrate(maximum_entropy_state(), 12.0, cfg, icfg)
-    res = find_tau0(traj, cfg)
+    res = find_tau0(maximum_entropy_state(), 12.0, cfg, icfg)
     assert not res.found
     assert res.reason == "always_positive"
     assert res.tau0 is None
 
 
 def test_find_tau0_reports_insufficient_horizon(base_system):
-    traj = integrate(maximum_entropy_state(), 0.3, base_system)
-    res = find_tau0(traj, base_system)
+    res = find_tau0(maximum_entropy_state(), 0.3, base_system)
     assert not res.found
     assert res.reason == "insufficient_horizon"
 
 
 def test_find_tau0_reports_never_positive(base_system, base_steady):
     # from the steady state Σ̇ sits at its (negative) stationary value
-    traj = integrate(base_steady, 0.1, base_system)
-    res = find_tau0(traj, base_system)
+    res = find_tau0(base_steady, 0.1, base_system)
     assert not res.found
     assert res.reason == "never_positive"
 
