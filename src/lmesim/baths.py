@@ -101,7 +101,7 @@ def _split_zero_frequency(freq, bath: BathParams):
     return freq, small, np.where(small, 1.0, freq)
 
 
-def decay_rate(freq, bath: BathParams):
+def decay_rate(freq, bath: BathParams, temperature=None):
     """Closed-form decay rate γ(ω) = π J(ω) (coth(βω/2) + 1).
 
     Exact for the Lorentz-Drude spectral density at any temperature.  At
@@ -111,11 +111,13 @@ def decay_rate(freq, bath: BathParams):
     `freq` may be a float or an ndarray.  ``math.expm1`` is taken element by
     element, so every rate has the bits of the scalar formula.  Past its
     overflow (βω below about -709.78, a cold bath) the rate is its limit 0.
+    A `temperature` array, broadcast against `freq`, replaces the bath's own.
     """
     _, small, safe = _split_zero_frequency(freq, bath)
+    temp = bath.temperature if temperature is None else temperature
     rate = 2.0 * math.pi * spectral_density(safe, bath) / -_elementwise(
-        math.expm1, -bath.beta * safe)
-    rate = np.where(small, 4.0 * bath.kappa * bath.k_B * bath.temperature, rate)
+        math.expm1, -(1.0 / (bath.k_B * temp)) * safe)   # β as `BathParams.beta`
+    rate = np.where(small, 4.0 * bath.kappa * bath.k_B * temp, rate)
     return rate if isinstance(freq, np.ndarray) else float(rate)
 
 

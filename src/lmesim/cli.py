@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {out} ({len(table.rows)} rows)")
+    print(f"wrote {out} ({len(table.columns[0])} rows)")
     return 0
 
 

@@ -77,20 +77,25 @@ class ChainStack:
 def chain_stack(eps1, eps2, zeta2, coupling, bath1, bath2: BathParams) -> ChainStack:
     """Rates, W and D at every point of the broadcast (ε₁, ε₂, ζ², λ).
 
-    ``bath1`` is one `BathParams`, or a sequence of them, one per row of
-    ε₁ (the boundary sweep's T-ratio rows).  A bath rates γ_i∓ = γ_i(±2ε_i)
-    in one `decay_rate` call (one per row for a sequence) at ε_i's own
-    shape, so a scalar ε₂ is rated once.  Scalar parameters give a single
-    2x2 W and D.
+    ``bath1`` is one `BathParams`, or a sequence of them that differ only
+    in temperature, one per row of ε₁ (the boundary sweep's T-ratio rows).
+    A bath rates γ_i∓ = γ_i(±2ε_i) in one `decay_rate` call at ε_i's own
+    shape (a sequence in one call too, its temperatures as a column), so a
+    scalar ε₂ is rated once.  Scalar parameters give a single 2x2 W and D.
     """
     eps1, eps2, z, lam = (np.asarray(x, dtype=float) for x in (eps1, eps2, zeta2, coupling))
     shape = np.broadcast_shapes(eps1.shape, eps2.shape, z.shape, lam.shape) + (2,)
 
-    def rates(eps, bath):   # (γ(2ε), γ(-2ε)) along a last axis
-        return decay_rate(np.stack([2.0 * eps, -2.0 * eps], axis=-1), bath)
+    def rates(eps, bath, temperature=None):   # (γ(2ε), γ(-2ε)) along a last axis
+        return decay_rate(np.stack([2.0 * eps, -2.0 * eps], axis=-1), bath, temperature)
 
-    g1 = (rates(eps1, bath1) if isinstance(bath1, BathParams)
-          else np.stack([rates(e, b) for e, b in zip(eps1, bath1, strict=True)]))
+    if isinstance(bath1, BathParams):
+        g1 = rates(eps1, bath1)
+    elif len({(b.kappa, b.cutoff, b.k_B) for b in bath1}) > 1:
+        raise ValueError("the hot baths of a chain stack may differ only in temperature")
+    else:   # in one call, their temperatures as a column
+        g1 = rates(eps1, bath1[0],
+                   np.reshape([b.temperature for b in bath1], (-1,) + (1,) * eps1.ndim))
     g1, g2 = np.broadcast_to(g1, shape), np.broadcast_to(rates(eps2, bath2), shape)
     eps1, eps2, z, lam = np.broadcast_arrays(eps1, eps2, z, lam)
     gplus = np.stack([g1[..., 1], g2[..., 1]])

@@ -231,11 +231,9 @@ def lyapunov_solve_stack(drift: np.ndarray, diffusion: np.ndarray):
             c = tuple(np.where(bad, u + v, u) for u, v in zip(c, step))
             res_max = np.where(bad, _max_abs(residual(c)), res_max)
             bad = ~(res_max <= limit)
-    failures = [
-        None if good
-        else f"drift matrix is not Hurwitz (max Re eigenvalue = {x:.3e})"
-        for good, x in zip(ok.tolist(), worst.tolist())
-    ]
+    failures = [None] * len(ok)
+    for k, x in zip(np.flatnonzero(~ok).tolist(), worst[~ok].tolist()):
+        failures[k] = f"drift matrix is not Hurwitz (max Re eigenvalue = {x:.3e})"
     solutions = np.full(w_mat.shape, np.nan, dtype=complex)
     solutions[ok] = np.stack(c, axis=-1).reshape(-1, 2, 2)
     for k, value in zip(np.flatnonzero(ok)[bad], res_max[bad].tolist()):

@@ -13,25 +13,25 @@ Seven scenario kinds cover the package's standard numerical experiments:
 * ``sweep_scaling``  — |J₁| versus ζ² (or λ²) for power-law fits.
 * ``relaxation``     — τ₀, τ_r and their ratio versus ζ².
 
-Every scenario runs in one process.  The three steady-state sweeps build
-no per-point system: ``gaussian.chain_stack`` takes the swept parameters as
+Every scenario runs in one process.  The three steady-state sweeps build no
+per-point system: ``gaussian.chain_stack`` takes the swept parameters as
 arrays and gives the rates, drift and diffusion of every point at once, the
-points' 2x2 Lyapunov equations are solved as one stack, in closed form
-and elementwise (`linalg.lyapunov_solve_stack`), and the heat currents
-come from the covariance stack (for the boundary grid, whose hot bath
-changes by row, in blocks of whole T-ratio rows of at most
-``BOUNDARY_BLOCK`` points).  Relaxation runs point after point, each
-propagated only up to the frame block that holds its first downward Σ̇
-crossing (`thermo.find_tau0`), so frames after that block are not checked.
-CSV formats are decided per column (a repeating column is formatted once
-per distinct value) and applied with one ``%`` format per row.  A sweep point
-whose numerics fail (one of the three ``errors.NUMERICAL_ERRORS``:
-``IntegrationError``, ``StabilityError`` or ``PositivityError``; for the
-steady sweeps a drift that fails the Lyapunov checks) becomes a row with
-NaN values and an ``error:<Type>`` status instead of aborting the sweep;
-any other exception is a bug and propagates.  Steady states come from
-exact solves: the Lyapunov equation for the covariance and the
-generator's null vector for the density matrix.
+points' 2x2 Lyapunov equations are solved as one stack, in closed form and
+elementwise (`linalg.lyapunov_solve_stack`), and the heat currents come from
+the covariance stack (for the boundary grid, whose hot bath changes by row,
+in blocks of whole T-ratio rows of at most ``BOUNDARY_BLOCK`` points).
+Relaxation runs point after point, each propagated only up to the frame
+block that holds its first downward Σ̇ crossing (`thermo.find_tau0`), so
+frames after that block are not checked.  A table holds one sequence per
+column, not a tuple per row; CSV formats are decided per column (a repeating
+one is formatted once per distinct value) and applied per ``EMIT_BLOCK``
+rows.  A sweep point whose numerics fail (one of the three
+``errors.NUMERICAL_ERRORS``: ``IntegrationError``, ``StabilityError`` or
+``PositivityError``; for the steady sweeps a drift that fails the Lyapunov
+checks) becomes a row with NaN values and an ``error:<Type>`` status instead
+of aborting the sweep; any other exception is a bug and propagates.  Steady
+states come from exact solves: the Lyapunov equation for the covariance and
+the generator's null vector for the density matrix.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ from .thermo import effective_temperature_check, find_tau0, trajectory_observabl
 SCALING_AXES = ("zeta2", "lambda2")
 #: most points of one stacked solve in the boundary sweep (whole T-ratio rows)
 BOUNDARY_BLOCK = 4096
+#: rows that `emit_csv` formats with one ``%``
+EMIT_BLOCK = 256
 DEFAULT_HORIZONS = {"evolve": 12.0, "driven": 10.0}
 
 EVOLVE_HEADER = (
@@ -71,17 +73,19 @@ DRIVEN_HEADER = EVOLVE_HEADER + ("efftemp_dev1", "efftemp_dev2")
 
 @dataclass
 class CsvTable:
-    """Header plus rectangular rows of numbers (and a status string column)."""
+    """Header plus one equally long sequence of cells per header name."""
 
     header: tuple
-    rows: list
+    columns: list
 
     def __post_init__(self):
         self.header = tuple(self.header)
-        width = len(self.header)
-        if set(map(len, self.rows)) - {width}:
-            k, row = next((k, row) for k, row in enumerate(self.rows) if len(row) != width)
-            raise ValueError(f"row {k} has {len(row)} cells, header has {width}")
+        if not self.header or len(self.columns) != len(self.header):
+            raise ValueError(f"{len(self.columns)} columns, header has {len(self.header)}")
+        for name, cells in zip(self.header, self.columns):
+            if len(cells) != len(self.columns[0]):
+                raise ValueError(f"column {name} has {len(cells)} cells, "
+                                 f"column {self.header[0]} has {len(self.columns[0])}")
 
 
 @dataclass(frozen=True)
@@ -306,22 +310,19 @@ def _steady_sigma(beta1, beta2: float, j1, j2):   # β₁ may hold one value per
     return -(beta1 * j1 + beta2 * j2)
 
 
-def _steady_rows(leads, chain: ChainStack, value) -> list:
-    """Rows ``(*lead, value(J1, J2), "ok")``, one per point of `chain` (row-major).
+def _steady_columns(chain: ChainStack, value):
+    """Columns ``value(J1, J2)`` and ``"ok"``, one cell per point of `chain` (row-major).
 
     The points' Lyapunov equations are solved as one flat stack and their
     heat currents come from the covariance stack.  A point whose drift fails the
-    solve's checks gets a NaN value and the status ``error:StabilityError``,
-    as `lyapunov_solve` would have raised.
+    solve's checks gets a NaN value (from its NaN solution) and the status
+    ``error:StabilityError``, as `lyapunov_solve` would have raised.
     """
     covs, failures = lyapunov_solve_stack(chain.drift.reshape(-1, 2, 2),
                                           chain.diffusion.reshape(-1, 2, 2))
     values = value(*chain.heat_currents(hermitian_part(covs).reshape(chain.drift.shape)))
-    return [
-        (*lead, v, "ok") if failure is None
-        else (*lead, math.nan, "error:StabilityError")
-        for lead, v, failure in zip(leads, values.ravel().tolist(), failures)
-    ]
+    status = ["ok" if failure is None else "error:StabilityError" for failure in failures]
+    return values.ravel().tolist(), status
 
 
 def _relaxation_point(zeta2: float, cfg: ScenarioConfig):
@@ -353,8 +354,7 @@ def _trajectory_table(cfg: ScenarioConfig) -> CsvTable:
     columns = [*cols[:-1], traj.min_eigenvalues, traj.rate_negative.astype(int)]
     if driven:
         columns += [effective_temperature_check(i, cols.t, system) for i in (1, 2)]
-    rows = list(zip(*(c.tolist() for c in columns)))
-    return CsvTable(DRIVEN_HEADER if driven else EVOLVE_HEADER, rows)
+    return CsvTable(DRIVEN_HEADER if driven else EVOLVE_HEADER, [c.tolist() for c in columns])
 
 
 def _steady_table(cfg: ScenarioConfig) -> CsvTable:
@@ -363,28 +363,19 @@ def _steady_table(cfg: ScenarioConfig) -> CsvTable:
     rho = steady_state(system)
     j1, j2 = steady_heat_currents(cov, system)
     sigma = _steady_sigma(system.bath1.beta, system.bath2.beta, j1, j2)
-    header = []
-    row = []
-    for i in (1, 2):
-        for j in (1, 2):
-            val = complex(cov[i - 1, j - 1])
-            header += [f"C{i}{j}_re", f"C{i}{j}_im"]
-            row += [val.real, val.imag]
-    for i in range(4):
-        for j in range(4):
-            val = complex(rho[i, j])
-            header += [f"rho_{i}{j}_re", f"rho_{i}{j}_im"]
-            row += [val.real, val.imag]
-    header += ["J1", "J2", "Sigma_dot"]
-    row += [j1, j2, sigma]
-    return CsvTable(tuple(header), [tuple(row)])
+    cells = {f"C{i + 1}{j + 1}": cov[i, j] for i in range(2) for j in range(2)}
+    cells |= {f"rho_{i}{j}": rho[i, j] for i in range(4) for j in range(4)}
+    header = [f"{name}_{part}" for name in cells for part in ("re", "im")]
+    row = [x for v in map(complex, cells.values()) for x in (v.real, v.imag)]
+    return CsvTable(header + ["J1", "J2", "Sigma_dot"], [[v] for v in row + [j1, j2, sigma]])
 
 
 def _boundary_table(cfg: ScenarioConfig) -> CsvTable:
     base = cfg.system
     bath2 = base.bath2
     eps1 = np.array(cfg.eps_ratio_grid) * base.qubit2.epsilon
-    rows = []
+    columns = ([tr for tr in cfg.t_ratio_grid for _ in cfg.eps_ratio_grid],
+               cfg.eps_ratio_grid * len(cfg.t_ratio_grid), [], [])
     # blocks of whole T-ratio rows: few stacks, and a large grid's memory stays flat
     per_block = max(1, BOUNDARY_BLOCK // eps1.size)
     for start in range(0, len(cfg.t_ratio_grid), per_block):
@@ -393,13 +384,10 @@ def _boundary_table(cfg: ScenarioConfig) -> CsvTable:
         beta1 = np.array([[b.beta] for b in bath1])
         chain = chain_stack(np.broadcast_to(eps1, (len(bath1), eps1.size)),
                             base.qubit2.epsilon, base.zeta2, base.coupling, bath1, bath2)
-        leads = [(tr, er) for tr in t_ratios for er in cfg.eps_ratio_grid]
-        rows += _steady_rows(
-            leads, chain, lambda j1, j2: _steady_sigma(beta1, bath2.beta, j1, j2)
-        )
-    return CsvTable(
-        ("T1_over_T2", "eps1_over_eps2", "Sigma_dot_ss", "status"), rows
-    )
+        block = _steady_columns(chain, lambda j1, j2: _steady_sigma(beta1, bath2.beta, j1, j2))
+        for column, cells in zip(columns[2:], block):   # Σ̇ and status
+            column += cells
+    return CsvTable(("T1_over_T2", "eps1_over_eps2", "Sigma_dot_ss", "status"), columns)
 
 
 def _detuning_table(cfg: ScenarioConfig) -> CsvTable:
@@ -407,9 +395,8 @@ def _detuning_table(cfg: ScenarioConfig) -> CsvTable:
     eps1 = base.qubit2.epsilon + np.array(cfg.detuning_grid)
     chain = chain_stack(eps1, base.qubit2.epsilon, base.zeta2, base.coupling,
                         base.bath1, base.bath2)
-    leads = [(d,) for d in cfg.detuning_grid]
-    rows = _steady_rows(leads, chain, lambda j1, _: j1)
-    return CsvTable(("delta_eps", "J1_ss", "status"), rows)
+    return CsvTable(("delta_eps", "J1_ss", "status"),
+                    [cfg.detuning_grid, *_steady_columns(chain, lambda j1, _: j1)])
 
 
 def _scaling_table(cfg: ScenarioConfig) -> CsvTable:
@@ -422,14 +409,14 @@ def _scaling_table(cfg: ScenarioConfig) -> CsvTable:
         coupling = np.sqrt(grid)
     chain = chain_stack(base.qubit1.epsilon, base.qubit2.epsilon, zeta2,
                         coupling, base.bath1, base.bath2)
-    leads = [(v,) for v in cfg.scaling_grid]
-    rows = _steady_rows(leads, chain, lambda j1, _: np.abs(j1))
-    return CsvTable((cfg.scaling_axis, "J1_ss_abs", "status"), rows)
+    return CsvTable((cfg.scaling_axis, "J1_ss_abs", "status"),
+                    [cfg.scaling_grid, *_steady_columns(chain, lambda j1, _: np.abs(j1))])
 
 
 def _relaxation_table(cfg: ScenarioConfig) -> CsvTable:
+    header = ("zeta2", "tau0", "tau_r", "ratio", "status")
     rows = [_relaxation_point(z, cfg) for z in cfg.relaxation_grid]
-    return CsvTable(("zeta2", "tau0", "tau_r", "ratio", "status"), rows)
+    return CsvTable(header, list(zip(*rows)) or [()] * len(header))
 
 
 #: each scenario kind's table builder, in the CLI's subcommand order
@@ -467,11 +454,9 @@ def _spec(cls) -> str:
     return "%s"
 
 
-def _quote(value) -> str:
+def _quote(value) -> str:   # RFC 4180: quote a cell holding , " LF or CR
     text = str(value)
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n\r') else text
 
 
 def _column(cells: tuple):
@@ -495,10 +480,18 @@ def _column(cells: tuple):
 
 def emit_csv(table: CsvTable, path) -> None:
     """Write header + rows, LF line endings, floats at 17 significant digits;
-    the format is decided per column, then applied with one ``%`` per row."""
-    columns = [_column(cells) for cells in zip(*table.rows)]
-    spec = ",".join(f for f, _ in columns)
-    lines = [",".join(table.header)]
-    lines += [spec % row for row in zip(*(cells for _, cells in columns))]
+    header cells are quoted as text cells are.  The format is decided per
+    column, then applied with one ``%`` per block of ``EMIT_BLOCK`` rows to
+    the block's cells, interleaved row by row."""
+    columns = [_column(cells) for cells in table.columns]
+    width = len(columns)
+    flat = [None] * (len(table.columns[0]) * width)
+    for j, (_, cells) in enumerate(columns):
+        flat[j::width] = cells
+    row = ",".join(f for f, _ in columns) + "\n"
+    text = [",".join(map(_quote, table.header)) + "\n"]
+    for start in range(0, len(flat), EMIT_BLOCK * width):
+        block = tuple(flat[start:start + EMIT_BLOCK * width])
+        text.append(row * (len(block) // width) % block)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(text)

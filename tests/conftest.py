@@ -109,6 +109,11 @@ def src_env(**overrides):
     return env
 
 
+def table_rows(table) -> list:
+    """A `CsvTable`'s rows, as tuples of its cells."""
+    return list(zip(*table.columns))
+
+
 @pytest.fixture(scope="session")
 def base_system():
     """Detuned chain with a hot and a cold bath (the entropy-sign workhorse)."""

@@ -16,6 +16,7 @@ from conftest import (
     make_system,
     one_sided_rate,
     random_density,
+    table_rows,
 )
 
 from lmesim import (
@@ -58,11 +59,12 @@ def test_criterion_1_boundary_contour(base_system):
         t_ratio_grid=t_grid, eps_ratio_grid=e_grid,
     )
     table = run_scenario(cfg)
-    assert all(row[3] == "ok" for row in table.rows)
+    rows = table_rows(table)
+    assert all(row[3] == "ok" for row in rows)
     eps = np.array(e_grid)
     cell = eps[1] - eps[0]
     for t_ratio in t_grid:
-        sigmas = np.array([row[2] for row in table.rows if row[0] == t_ratio])
+        sigmas = np.array([row[2] for row in rows if row[0] == t_ratio])
         if t_ratio == t_grid[0]:
             # equal temperatures: Σ̇_ss = (β₂-β₁)J₁ vanishes identically, so
             # the whole row lies on the zero contour
@@ -84,8 +86,9 @@ def test_criterion_2_resonant_and_detuned_currents(resonant_system):
         integrator=IntegratorConfig(), detuning_grid=grid,
     )
     table = run_scenario(cfg)
-    assert all(row[2] == "ok" for row in table.rows)
-    j1 = {row[0]: row[1] for row in table.rows}
+    rows = table_rows(table)
+    assert all(row[2] == "ok" for row in rows)
+    j1 = {row[0]: row[1] for row in rows}
     zeta2 = resonant_system.zeta2
     assert j1[0.0] > 0.0
     assert 0.1 <= j1[0.0] / zeta2 <= 10.0
@@ -157,12 +160,13 @@ def test_criterion_5_relaxation_scaling(base_system):
         integrator=IntegratorConfig(), relaxation_grid=grid,
     )
     table = run_scenario(cfg)
-    assert all(row[4] == "ok" for row in table.rows)
-    zeta2s = [row[0] for row in table.rows]
-    tau_rs = [row[2] for row in table.rows]
+    rows = table_rows(table)
+    assert all(row[4] == "ok" for row in rows)
+    zeta2s = [row[0] for row in rows]
+    tau_rs = [row[2] for row in rows]
     fit = fit_power_law(zeta2s, tau_rs)
     assert abs(fit.slope + 1.0) <= 0.05
-    for row in table.rows:
+    for row in rows:
         assert abs(row[3] / 3.8 - 1.0) <= 0.10
 
 

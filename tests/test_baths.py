@@ -22,6 +22,7 @@ real part ``memory_correction_real``, which is all the driven rates take.
 """
 
 import math
+from dataclasses import replace
 
 import conftest
 import numpy as np
@@ -330,6 +331,23 @@ def test_rates_keep_the_bits_of_every_argument_that_does_not_overflow():
         assert real[k] == scalar_memory_correction_rate(w[k], bath).real
     assert real[3] == real[7] == -2.0 * bath.kappa * bath.k_B * bath.temperature / bath.cutoff
     assert np.allclose(real[8:], real[[1, 5]], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_decay_rate_of_a_temperature_column_keeps_each_baths_bits():
+    # baths that differ only in temperature, rated in one call with their
+    # temperatures as a column: each row has the bits of its own bath's call,
+    # at ω → 0 and where a cold bath is past the overflow of math.expm1
+    bath = BATH_UNIT_BETA
+    temps = [1.0, 0.5, 3.7, 40.0]
+    w = np.array([-3.0, -EXPM1_LAST, -1e4, 0.0, -0.0, 0.5 * ZERO_FREQ_FACTOR, 2.5, 1e5])
+    got = decay_rate(w, bath, np.array(temps)[:, None])
+    assert got.shape == (len(temps), w.size)
+    for row, t in zip(got, temps):
+        assert row.tobytes() == decay_rate(w, replace(bath, temperature=t)).tobytes()
+    # β = 2: -EXPM1_LAST overflows and takes the limit 0; β = 1 is at it
+    assert got[1, 1] == 0.0 < got[0, 1]
+    assert got[:, 3].tolist() == [4.0 * bath.kappa * bath.k_B * t for t in temps]
 
 
 # ---------------------------------------------------------------------------

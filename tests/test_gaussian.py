@@ -37,6 +37,7 @@ from lmesim import (
     steady_covariance,
     steady_heat_currents,
 )
+from lmesim.gaussian import chain_stack
 
 
 def covariance_rhs(cov, dd):
@@ -262,3 +263,23 @@ def test_steady_currents_agree_with_density_route(base_system, base_steady):
     j2_rho, _, _ = heat_current(2, base_steady, 0.0, base_system)
     assert j1_rho == pytest.approx(j1_cov, abs=1e-8)
     assert j2_rho == pytest.approx(j2_cov, abs=1e-8)
+
+
+def test_chain_stack_rates_a_row_of_hot_baths_as_each_alone(base_system):
+    # one hot bath per row of ε₁, rated in one call: every row has the bits
+    # of a stack with that bath alone
+    eps1 = np.array([[4.0, 10.0, 16.0]] * 3)
+    baths = [replace(base_system.bath1, temperature=t) for t in (0.02, 15.0, 300.0)]
+    stack = chain_stack(eps1, 5.0, 0.5, 0.5, baths, base_system.bath2)
+    for k, bath in enumerate(baths):
+        alone = chain_stack(eps1[k], 5.0, 0.5, 0.5, bath, base_system.bath2)
+        for name in ("gamma_plus", "gamma_total"):
+            assert getattr(stack, name)[:, k].tobytes() == getattr(alone, name).tobytes()
+        assert stack.drift[k].tobytes() == alone.drift.tobytes()
+        assert stack.diffusion[k].tobytes() == alone.diffusion.tobytes()
+
+
+def test_chain_stack_rejects_hot_baths_that_differ_in_more_than_temperature(base_system):
+    baths = [base_system.bath1, replace(base_system.bath1, temperature=20.0, kappa=5.0)]
+    with pytest.raises(ValueError, match="differ only in temperature"):
+        chain_stack(np.array([[10.0], [12.0]]), 5.0, 0.5, 0.5, baths, base_system.bath2)

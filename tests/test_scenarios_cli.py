@@ -1,6 +1,8 @@
 """Config parsing, scenario tables, CSV emission and the command line."""
 
 import ast
+import csv
+import gc
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_system, src_env
+from conftest import make_system, src_env, table_rows
 
 from lmesim import (
     ConfigError,
@@ -326,15 +328,16 @@ def test_run_scenario_evolve_table(base_system):
     )
     table = run_scenario(cfg)
     assert table.header == EVOLVE_HEADER
-    assert len(table.rows) == 5
-    ts = [row[0] for row in table.rows]
+    rows = table_rows(table)
+    assert len(rows) == 5
+    ts = [row[0] for row in rows]
     assert ts[0] == 0.0 and ts[-1] == pytest.approx(0.02)
     assert all(b > a for a, b in zip(ts, ts[1:]))
-    first = table.rows[0]
+    first = rows[0]
     assert first[7] == pytest.approx(math.log(4.0), rel=1e-12)      # entropy
     assert first[8] == pytest.approx(1.6551, rel=1e-3)              # Sigma_dot
     assert first[9] == pytest.approx(0.25, abs=1e-12)               # min_eig
-    assert all(row[10] == 0 for row in table.rows)                  # rate flag
+    assert all(row[10] == 0 for row in rows)                        # rate flag
 
 
 def test_run_scenario_driven_table(driven_system):
@@ -345,7 +348,7 @@ def test_run_scenario_driven_table(driven_system):
     table = run_scenario(cfg)
     assert table.header == DRIVEN_HEADER
     assert len(table.header) == 13
-    for row in table.rows:
+    for row in table_rows(table):
         assert 0.0 <= row[11] < 1.0
         assert 0.0 <= row[12] < 1.0
 
@@ -390,8 +393,9 @@ def test_run_scenario_steady_table(base_system):
     )
     table = run_scenario(cfg)
     assert len(table.header) == 43
-    assert len(table.rows) == 1
-    row = dict(zip(table.header, table.rows[0]))
+    rows = table_rows(table)
+    assert len(rows) == 1
+    row = dict(zip(table.header, rows[0]))
     trace = sum(row[f"rho_{i}{i}_re"] for i in range(4))
     assert trace == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= row["C11_re"] <= 1.0
@@ -408,14 +412,15 @@ def test_run_scenario_boundary_grid_order_and_status(base_system):
     )
     table = run_scenario(cfg)
     assert table.header == ("T1_over_T2", "eps1_over_eps2", "Sigma_dot_ss", "status")
-    assert len(table.rows) == 9
-    assert [r[:2] for r in table.rows[:4]] == [
+    rows = table_rows(table)
+    assert len(rows) == 9
+    assert [r[:2] for r in rows[:4]] == [
         (1.0, 0.5), (1.0, 1.5), (1.0, 2.5), (2.0, 0.5),
     ]
-    assert all(r[3] == "ok" for r in table.rows)
-    assert all(math.isfinite(r[2]) for r in table.rows)
+    assert all(r[3] == "ok" for r in rows)
+    assert all(math.isfinite(r[2]) for r in rows)
     # sign flips across the eps-ratio = T-ratio boundary within the row
-    by_t = {r[0]: [q for q in table.rows if q[0] == r[0]] for r in table.rows}
+    by_t = {r[0]: [q for q in rows if q[0] == r[0]] for r in rows}
     assert by_t[2.0][0][2] > 0.0 > by_t[2.0][2][2]
 
 
@@ -426,13 +431,13 @@ def test_sweep_records_numerical_failures_as_status(base_system):
         integrator=IntegratorConfig(),
         t_ratio_grid=(1.0, 2.0), eps_ratio_grid=(0.5,),
     )
-    rows = run_scenario(cfg).rows
+    rows = table_rows(run_scenario(cfg))
     assert [r[3] for r in rows] == ["error:StabilityError"] * 2
     assert all(math.isnan(r[2]) for r in rows)
     # a relaxation point's StabilityError, from its τ_r, becomes its row too
     cfg = ScenarioConfig(kind="relaxation", system=base_system,
                          integrator=IntegratorConfig(), relaxation_grid=(0.0, 1.0))
-    rows = run_scenario(cfg).rows
+    rows = table_rows(run_scenario(cfg))
     assert rows[0][0] == 0.0 and rows[0][4] == "error:StabilityError"
     assert all(math.isnan(v) for v in rows[0][1:4])
     assert rows[1][4] == "ok"
@@ -463,7 +468,7 @@ def test_steady_sweeps_match_per_point_solves(base_system):
         integrator=IntegratorConfig(),
         t_ratio_grid=(1.0, 2.5), eps_ratio_grid=(0.5, 1.5, 2.5),
     )
-    for tr, er, sigma, status in run_scenario(cfg).rows:
+    for tr, er, sigma, status in table_rows(run_scenario(cfg)):
         system = replace(
             base_system,
             bath1=replace(base_system.bath1,
@@ -477,7 +482,7 @@ def test_steady_sweeps_match_per_point_solves(base_system):
 
     cfg = replace(cfg, kind="sweep_scaling", scaling_axis="lambda2",
                   scaling_grid=(0.01, 0.25))
-    for lam2, mag, _ in run_scenario(cfg).rows:
+    for lam2, mag, _ in table_rows(run_scenario(cfg)):
         assert mag == abs(j1_alone(replace(base_system, coupling=math.sqrt(lam2)))[0])
 
 
@@ -487,10 +492,10 @@ def test_scaling_sweep_marks_only_the_failed_point(base_system):
         kind="sweep_scaling", system=base_system,
         integrator=IntegratorConfig(), scaling_grid=(0.5, 0.0, 1.0),
     )
-    rows = run_scenario(cfg).rows
+    rows = table_rows(run_scenario(cfg))
     assert [r[2] for r in rows] == ["ok", "error:StabilityError", "ok"]
     assert math.isnan(rows[1][1])
-    alone = run_scenario(replace(cfg, scaling_grid=(0.5, 1.0))).rows
+    alone = table_rows(run_scenario(replace(cfg, scaling_grid=(0.5, 1.0))))
     assert [rows[0], rows[2]] == alone
 
 
@@ -502,11 +507,12 @@ def test_run_scenario_detuning_sign_change(base_system):
     )
     table = run_scenario(cfg)
     assert table.header == ("delta_eps", "J1_ss", "status")
-    assert all(r[2] == "ok" for r in table.rows)
+    rows = table_rows(table)
+    assert all(r[2] == "ok" for r in rows)
     # resonant point takes heat from the hot bath; far-detuned reverses
-    assert table.rows[0][1] > 0.0
-    assert table.rows[2][1] < 0.0
-    assert table.rows[3][1] < 0.0
+    assert rows[0][1] > 0.0
+    assert rows[2][1] < 0.0
+    assert rows[3][1] < 0.0
 
 
 def test_run_scenario_scaling_tables(base_system):
@@ -517,14 +523,14 @@ def test_run_scenario_scaling_tables(base_system):
     )
     table = run_scenario(cfg)
     assert table.header == ("zeta2", "J1_ss_abs", "status")
-    mags = [r[1] for r in table.rows]
+    mags = table.columns[1]
     assert mags[0] < mags[1] < mags[2]
 
     # lambda2 = 0.25 restores the workhorse coupling 0.5
     cfg = replace(cfg, scaling_axis="lambda2", scaling_grid=(0.25,))
     table = run_scenario(cfg)
     assert table.header[0] == "lambda2"
-    assert table.rows[0][1] == pytest.approx(0.014070739193283721, rel=1e-9)
+    assert table.columns[1] == [pytest.approx(0.014070739193283721, rel=1e-9)]
 
 
 def test_run_scenario_relaxation_point(base_system):
@@ -534,7 +540,7 @@ def test_run_scenario_relaxation_point(base_system):
     )
     table = run_scenario(cfg)
     assert table.header == ("zeta2", "tau0", "tau_r", "ratio", "status")
-    (zeta2, tau0, tau_r, ratio, status) = table.rows[0]
+    (zeta2, tau0, tau_r, ratio, status) = table_rows(table)[0]
     assert status == "ok"
     assert zeta2 == 1.0
     assert 0.0 < tau_r < 0.5
@@ -564,7 +570,7 @@ def test_relaxation_point_propagates_only_to_its_crossing_block(base_system, mon
     monkeypatch.setattr(thermo, "_frames", counting)
     cfg = ScenarioConfig(kind="relaxation", system=base_system,
                          integrator=IntegratorConfig(), relaxation_grid=(0.25,))
-    (row,) = run_scenario(cfg).rows
+    (row,) = table_rows(run_scenario(cfg))
     assert row[-1] == "ok"
     assert traj.times[k] < row[1] < traj.times[k + 1]
     # seven blocks of 128 frames: up to the one that holds frames 891 and 892
@@ -577,7 +583,7 @@ def test_run_scenario_relaxation_reports_short_horizon(base_system):
         integrator=IntegratorConfig(), relaxation_grid=(1.0,),
         horizon=0.05,
     )
-    row = run_scenario(cfg).rows[0]
+    row = table_rows(run_scenario(cfg))[0]
     assert row[4] == "error:insufficient_horizon"
     assert math.isnan(row[1]) and math.isnan(row[3])
     assert row[2] > 0.0
@@ -602,7 +608,7 @@ def test_sweep_is_deterministic_across_runs(tmp_path, base_system):
 def test_emit_csv_layout(tmp_path):
     table = CsvTable(
         ("a", "b", "c", "d"),
-        [(1.0 / 3.0, 7, True, "ok"), (float("nan"), -2, False, 'say "hi", twice')],
+        [(1.0 / 3.0, float("nan")), (7, -2), (True, False), ("ok", 'say "hi", twice')],
     )
     path = tmp_path / "t.csv"
     emit_csv(table, path)
@@ -618,7 +624,7 @@ def test_emit_csv_layout(tmp_path):
 
 def test_emit_csv_floats_round_trip(tmp_path):
     values = (1.0 / 3.0, math.pi, 1e-300, -2.5e-17, 0.0, 123456.75)
-    table = CsvTable(("x",), [(v,) for v in values])
+    table = CsvTable(("x",), [values])
     path = tmp_path / "f.csv"
     emit_csv(table, path)
     lines = path.read_text().splitlines()[1:]
@@ -626,20 +632,33 @@ def test_emit_csv_floats_round_trip(tmp_path):
         assert float(text) == want
 
 
-@pytest.mark.parametrize("bad", [0, 3, 8])
-def test_csv_table_names_the_first_row_of_the_wrong_width(bad):
-    rows = [(float(k), 1.0) for k in range(10)]
-    rows[bad] = (1.0,)
-    rows[9] = (1.0, 2.0, 3.0)
-    with pytest.raises(ValueError, match=rf"^row {bad} has 1 cells, header has 2$"):
-        CsvTable(("x", "y"), rows)
-    CsvTable(("x", "y"), rows[:bad] + rows[bad + 1:-1])
+@pytest.mark.parametrize("bad", [1, 3, 4])
+def test_csv_table_names_the_first_column_of_the_wrong_length(bad):
+    header = ("a", "b", "c", "d", "e")
+    columns = [[float(k) for k in range(10)] for _ in header]
+    columns[bad] = columns[bad][:7]
+    for later in columns[bad + 1:]:
+        later.append(1.0)
+    with pytest.raises(ValueError,
+                       match=rf"^column {header[bad]} has 7 cells, column a has 10$"):
+        CsvTable(header, columns)
+    CsvTable(header[:bad], columns[:bad])
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_csv_table_rejects_a_column_count_other_than_the_header_width(count):
+    with pytest.raises(ValueError, match=rf"^{count} columns, header has 2$"):
+        CsvTable(("x", "y"), [[1.0]] * count)
+    with pytest.raises(ValueError, match=r"^0 columns, header has 0$"):
+        CsvTable((), [])
 
 
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "e.csv"
-    emit_csv(CsvTable(("x", "y"), []), path)
-    assert path.read_text() == "x,y\n"
+    table = CsvTable(("x", 'say "hi", y'), [[], ()])
+    emit_csv(table, path)
+    assert path.read_text() == 'x,"say ""hi"", y"\n'
+    assert path.read_bytes() == per_cell_csv(table)
 
 
 def format_cell(value) -> str:
@@ -651,14 +670,14 @@ def format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.16e}"
     text = str(value)
-    if any(ch in text for ch in (",", '"', "\n")):
+    if any(ch in text for ch in (",", '"', "\n", "\r")):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 def per_cell_csv(table) -> bytes:
-    lines = [",".join(table.header)]
-    lines += [",".join(format_cell(v) for v in row) for row in table.rows]
+    lines = [",".join(format_cell(name) for name in table.header)]
+    lines += [",".join(format_cell(v) for v in row) for row in table_rows(table)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -667,7 +686,8 @@ def awkward_row(row, k):
     awkward to format: NaN, inf, -0.0, NumPy scalars, text to quote."""
     floats = (math.nan, -0.0, math.inf, np.float64(1.0 / 3.0), -1e-300, np.float32(0.1))
     ints = (np.True_, np.int64(-7), False, 12)
-    texts = ('error:"quoted", text', 'say "hi"', "two\nlines", "error:StabilityError", "ok")
+    texts = ('error:"quoted", text', 'say "hi"', "two\nlines", "carriage\rreturn",
+             "error:StabilityError", "ok")
     swapped = []
     for j, value in enumerate(row):
         if isinstance(value, float):
@@ -691,7 +711,9 @@ def test_emit_csv_writes_the_per_cell_bytes(tmp_path, base_system, driven_system
         relaxation_grid=(0.5,),
     )
     table = run_scenario(cfg)
-    table.rows += [awkward_row(table.rows[0], k) for k in range(5)]
+    rows = table_rows(table)
+    rows += [awkward_row(rows[0], k) for k in range(5)]
+    table = CsvTable(table.header, list(zip(*rows)))
     path = tmp_path / "t.csv"
     emit_csv(table, path)
     assert path.read_bytes() == per_cell_csv(table)
@@ -708,12 +730,12 @@ def test_emit_csv_formats_repeated_cells_once_with_the_per_cell_bytes(tmp_path):
     rows = [(floats[k % 9], no_zero[k % 6], mixed[k % 6], ints[k % 5], texts[k % 5],
              np.float64(floats[k % 9]), 1.0 / (k + 1))
             for k in range(45)]
-    table = CsvTable(("a", "b", "c", "d", "e", "f", "g"), rows)
+    columns = list(zip(*rows))
+    table = CsvTable(("a", "b", "c", "d", "e", "f", "g"), columns)
     path = tmp_path / "t.csv"
     emit_csv(table, path)
     assert path.read_bytes() == per_cell_csv(table)
     # a column with a zero keeps %.16e; the zero-free one is deduplicated
-    columns = list(zip(*rows))
     assert scenarios._column(columns[0]) == ("%.16e", columns[0])
     assert scenarios._column(columns[1])[0] == "%s"
 
@@ -733,10 +755,67 @@ def test_emit_csv_decides_columns_whose_repeats_sit_in_their_second_half(tmp_pat
         assert scenarios._column(repeating)[0] == "%s"
         assert scenarios._column(distinct) == ("%.16e", distinct)
         assert scenarios._column(late) == ("%.16e", late)
-        table = CsvTable(("a", "b", "c"), list(zip(repeating, distinct, late)))
+        table = CsvTable(("a", "b", "c"), [repeating, distinct, late])
         path = tmp_path / "t.csv"
         emit_csv(table, path)
         assert path.read_bytes() == per_cell_csv(table)
+
+
+@pytest.mark.parametrize("blocks, extra", [(2, 37), (3, 0)])
+def test_emit_csv_blocks_give_the_per_cell_bytes(tmp_path, blocks, extra):
+    # whole blocks of EMIT_BLOCK rows and a remainder, with cells awkward to
+    # format in every kind of column and a header to quote
+    n = blocks * scenarios.EMIT_BLOCK + extra
+    floats = (math.nan, -0.0, math.inf, -math.inf, np.float64(1.0 / 3.0), 0.1, np.float32(0.1))
+    ints = (True, np.int64(-7), False, 12, np.bool_(True))
+    texts = ('error:"quoted", text', "two\nlines", "carriage\rreturn", "ok", "a,b")
+    columns = [
+        [1.0 / (k + 1) for k in range(n)],
+        [floats[k % 7] for k in range(n)],
+        [ints[k % 5] for k in range(n)],
+        [texts[k % 5] for k in range(n)],
+        [(floats + ints + texts)[k % 17] for k in range(n)],
+        [0.5 * (k % 3) + 1.0 for k in range(n)],
+    ]
+    table = CsvTable(("t", 'say "hi"', "a,b", "two\nlines", "cr\rname", "f"), columns)
+    path = tmp_path / "t.csv"
+    emit_csv(table, path)
+    assert path.read_bytes() == per_cell_csv(table)
+
+
+def test_emit_csv_reads_back_with_the_csv_module(tmp_path):
+    # header and text cells holding the characters that RFC 4180 quotes read
+    # back as written, one record per row
+    header = ("x", 'say "hi"', "a,b", "two\nlines", "cr\rname", "crlf\r\nname")
+    texts = ('error:"quoted", text', "two\nlines", "carriage\rreturn", "crlf\r\n", "ok", "")
+    columns = [[0.25 * k for k in range(6)]]
+    columns += [[texts[(j + k) % 6] for k in range(6)] for j in range(5)]
+    table = CsvTable(header, columns)
+    path = tmp_path / "t.csv"
+    emit_csv(table, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    assert records[0] == list(header)
+    assert [(float(x), *rest) for x, *rest in records[1:]] == table_rows(table)
+
+
+def test_boundary_sweep_keeps_no_object_per_point(base_system):
+    # a table holds one list per column: a 101 x 101 grid leaves no tuple, or
+    # any other object that the garbage collector tracks, per point
+    grid = tuple(np.linspace(1.0, 3.0, 101).tolist())
+    cfg = ScenarioConfig(kind="sweep_boundary", system=base_system,
+                         integrator=IntegratorConfig(), t_ratio_grid=grid, eps_ratio_grid=grid)
+    run_scenario(replace(cfg, t_ratio_grid=grid[:2], eps_ratio_grid=grid[:2]))
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        table = run_scenario(cfg)
+        created = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(table.columns[0]) == 101 * 101
+    assert created < 100
 
 
 def test_boundary_blocks_give_the_one_block_table(base_system, monkeypatch):
@@ -750,7 +829,7 @@ def test_boundary_blocks_give_the_one_block_table(base_system, monkeypatch):
     monkeypatch.setattr(scenarios, "chain_stack", lambda *args: calls.append(args) or stack(*args))
 
     def bits(table):
-        return [(*(x.hex() for x in row[:3]), row[3]) for row in table.rows]
+        return [(*(x.hex() for x in row[:3]), row[3]) for row in table_rows(table)]
 
     one_block = bits(run_scenario(cfg))
     assert len(calls) == 1
@@ -761,11 +840,6 @@ def test_boundary_blocks_give_the_one_block_table(base_system, monkeypatch):
         assert len(calls) == count
     assert [row[:2] for row in one_block] == [
         (tr.hex(), er.hex()) for tr in cfg.t_ratio_grid for er in cfg.eps_ratio_grid]
-
-
-def test_csv_table_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        CsvTable(("x", "y"), [(1.0,)])
 
 
 # ---------------------------------------------------------------------------
