@@ -377,7 +377,7 @@ def _boundary_table(cfg: ScenarioConfig) -> CsvTable:
     columns = ([tr for tr in cfg.t_ratio_grid for _ in cfg.eps_ratio_grid],
                cfg.eps_ratio_grid * len(cfg.t_ratio_grid), [], [])
     # blocks of whole T-ratio rows: few stacks, and a large grid's memory stays flat
-    per_block = max(1, BOUNDARY_BLOCK // eps1.size)
+    per_block = max(1, BOUNDARY_BLOCK // max(eps1.size, 1))
     for start in range(0, len(cfg.t_ratio_grid), per_block):
         t_ratios = cfg.t_ratio_grid[start:start + per_block]
         bath1 = [replace(base.bath1, temperature=tr * bath2.temperature) for tr in t_ratios]

@@ -25,7 +25,8 @@ positivity margin.
 `entropy_production_rate` are its one-frame views.  `find_tau0` takes a run
 (initial state, span, system, integrator), propagates it block by block with
 the integrator's own frame loop only as far as the first downward zero of Σ̇,
-and takes the end-of-run residual of a crossing-free run from
+refines it by safeguarded Illinois regula falsi from the two frames around
+it, and takes the end-of-run residual of a crossing-free run from
 `model.tdlme_rhs`.
 """
 
@@ -256,9 +257,11 @@ def find_tau0(rho0: np.ndarray, t_span, cfg: SystemConfig,
     Σ̇ > 0 to Σ̇ ≤ 0 and its upper frame: later frames are neither computed
     nor checked.  A run without such a change runs to its horizon.  The
     matrix log's checks apply to the frames up to the change (to all of
-    them without one).  The root is then bisected to 1e-6 in time, each
-    probe a fresh short `integrate` at the run's step from the last frame
-    before the change (no interpolation of Σ̇ samples).
+    them without one).  The crossing is then refined to TAU0_TIME_TOL (1e-6)
+    in time by `_refine_crossing`, seeded with the scan's Σ̇ at the change's
+    two frames; each probe is a fresh short `integrate` at the run's step
+    from the last frame before the change (no interpolation of Σ̇ samples).
+    τ₀ is the midpoint of the final bracket.
     """
     h, stride = _step_and_stride(cfg, integrator)
     frames = _frames(rho0, t_span, cfg, h, stride)
@@ -301,17 +304,41 @@ def find_tau0(rho0: np.ndarray, t_span, cfg: SystemConfig,
         sub = integrate(base_state, (base_t, t), cfg, probe_cfg)
         return entropy_production_rate(sub.final_state, t, cfg)
 
-    t_lo = base_t
-    t_hi = float(times[cross + 1])
-    while t_hi - t_lo > TAU0_TIME_TOL:
-        mid = 0.5 * (t_lo + t_hi)
-        if sigma_at(mid) > 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
+    t_lo, t_hi = _refine_crossing(sigma_at, base_t, float(sigmas[cross]),
+                                  float(times[cross + 1]), float(sigmas[cross + 1]))
     return CrossingResult(
         found=True, tau0=0.5 * (t_lo + t_hi), bracket=(t_lo, t_hi),
     )
+
+
+def _refine_crossing(f, t_lo: float, f_lo: float, t_hi: float, f_hi: float):
+    """Shrink the bracket of a sign change of f, f_lo = f(t_lo) > 0 >= f(t_hi)
+    = f_hi, to a width <= TAU0_TIME_TOL; returns its ends.
+
+    Safeguarded Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).  Probe
+    n (from 0) is the false-position point, kept at least TAU0_TIME_TOL/2
+    inside the bracket and within w₀·2^(1-n) - w/2 of its midpoint (w the
+    bracket's width, w₀ the first), so that it leaves a bracket no wider than
+    w₀·2^(1-n): no crossing takes more than ⌈log₂(w₀/TAU0_TIME_TOL)⌉ + 2
+    probes.  When the same end is kept twice in a row, its f is halved.
+    """
+    w0, margin = t_hi - t_lo, 0.5 * TAU0_TIME_TOL
+    n, kept = 0, 0      # kept: +1 after t_hi was kept, -1 after t_lo was
+    while t_hi - t_lo > TAU0_TIME_TOL:
+        mid, slack = 0.5 * (t_lo + t_hi), w0 * 2.0 ** (1 - n) - 0.5 * (t_hi - t_lo)
+        t = t_lo + (t_hi - t_lo) * f_lo / (f_lo - f_hi)
+        t = min(max(t, t_lo + margin, mid - slack), t_hi - margin, mid + slack)
+        f_t = f(t)
+        n += 1
+        if f_t > 0.0:
+            if kept == 1:
+                f_hi *= 0.5
+            t_lo, f_lo, kept = t, f_t, 1
+        else:
+            if kept == -1:
+                f_lo *= 0.5
+            t_hi, f_hi, kept = t, f_t, -1
+    return t_lo, t_hi
 
 
 def fit_power_law(xs, ys) -> PowerLawFit:

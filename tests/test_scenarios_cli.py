@@ -443,6 +443,25 @@ def test_sweep_records_numerical_failures_as_status(base_system):
     assert rows[1][4] == "ok"
 
 
+SWEEP_GRIDS = {
+    "sweep_boundary": {"t_ratio_grid": (1.0, 2.0), "eps_ratio_grid": (0.5, 1.5)},
+    "sweep_detuning": {"detuning_grid": (0.0, 2.0)},
+    "sweep_scaling": {"scaling_grid": (0.1, 1.0)},
+    "relaxation": {"relaxation_grid": (1.0,)},
+}
+
+
+@pytest.mark.parametrize("kind, empty", [(kind, name) for kind, grids in SWEEP_GRIDS.items()
+                                         for name in grids])
+def test_sweep_with_an_empty_grid_writes_only_the_header(base_system, kind, empty, tmp_path):
+    cfg = ScenarioConfig(kind=kind, system=base_system, integrator=IntegratorConfig(),
+                         **{**SWEEP_GRIDS[kind], empty: ()})
+    table = run_scenario(cfg)
+    assert [len(cells) for cells in table.columns] == [0] * len(table.header)
+    emit_csv(table, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text() == ",".join(table.header) + "\n"
+
+
 def test_sweep_lets_programming_errors_propagate(base_system, monkeypatch):
     def broken(*_args):
         raise TypeError("bug")

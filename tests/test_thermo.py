@@ -415,21 +415,44 @@ def _recording_frames(monkeypatch, seen, replace=None):
     monkeypatch.setattr(thermo, "_frames", frames)
 
 
-def _check_scan(traj, cfg, icfg, monkeypatch):
-    """find_tau0 on traj's run gives the bisection from traj's first sign
-    change and computes the frames up to that change's block only."""
-    k = _first_down(traj, cfg)
-    # the documented bisection from frame k, each probe a fresh integration
-    probe = IntegratorConfig(step=traj.step, record_stride=10**9)
-    t_lo, t_hi = float(traj.times[k]), float(traj.times[k + 1])
-    while t_hi - t_lo > thermo.TAU0_TIME_TOL:
-        mid = 0.5 * (t_lo + t_hi)
-        sub = integrate(traj.states[k], (float(traj.times[k]), mid),
-                        cfg, probe)
-        if entropy_production_rate(sub.final_state, mid, cfg) > 0.0:
-            t_lo = mid
+def _illinois(f, t_lo, f_lo, t_hi, f_hi):
+    """The documented refinement of `thermo._refine_crossing`, written out
+    again: each probe the false-position point, TAU0_TIME_TOL/2 inside the
+    bracket and within w0·2^(1-n) - w/2 of its midpoint; the f of an end kept
+    twice in a row halved.  Returns the final bracket and the probes made."""
+    tol, w0 = thermo.TAU0_TIME_TOL, t_hi - t_lo
+    probes, kept = [], None
+    while t_hi - t_lo > tol:
+        w = t_hi - t_lo
+        mid, slack = 0.5 * (t_lo + t_hi), w0 * 2.0 ** (1 - len(probes)) - 0.5 * w
+        t = t_lo + w * f_lo / (f_lo - f_hi)
+        t = min(max(t, t_lo + 0.5 * tol, mid - slack), t_hi - 0.5 * tol, mid + slack)
+        probes.append(t)
+        f_t = f(t)
+        if f_t > 0.0:
+            f_hi *= 0.5 if kept == "hi" else 1.0
+            t_lo, f_lo, kept = t, f_t, "hi"
         else:
-            t_hi = mid
+            f_lo *= 0.5 if kept == "lo" else 1.0
+            t_hi, f_hi, kept = t, f_t, "lo"
+    return (t_lo, t_hi), probes
+
+
+def _check_scan(traj, cfg, icfg, monkeypatch):
+    """find_tau0 on traj's run gives the documented refinement of traj's
+    first sign change and computes the frames up to that change's block only."""
+    k = _first_down(traj, cfg)
+    # the refinement from frames k and k + 1, seeded with their Σ̇ over the
+    # whole trajectory, each probe a fresh integration from frame k
+    sigmas = trajectory_observables(traj.times, traj.states, cfg, check=False).sigma_dot
+    probe = IntegratorConfig(step=traj.step, record_stride=10**9)
+
+    def sigma(t):
+        sub = integrate(traj.states[k], (float(traj.times[k]), t), cfg, probe)
+        return entropy_production_rate(sub.final_state, t, cfg)
+
+    (t_lo, t_hi), _ = _illinois(sigma, float(traj.times[k]), float(sigmas[k]),
+                                float(traj.times[k + 1]), float(sigmas[k + 1]))
     full_scan = CrossingResult(found=True, tau0=0.5 * (t_lo + t_hi),
                                bracket=(t_lo, t_hi))
 
@@ -504,6 +527,45 @@ def test_find_tau0_checks_only_the_frames_up_to_the_crossing(base_trajectory,
     assert err.value.time == base_trajectory.times[end - 1]
     _recording_frames(monkeypatch, [], {end: broken})
     assert find_tau0(rho0, 12.0, base_system) == want
+
+
+@pytest.mark.parametrize("f, root", [
+    (lambda t: 0.3 - t if t < 0.3 else 1e-6 * (0.3 - t), 0.3),    # a kink
+    (lambda t: -math.tanh(200.0 * (t - 0.37)), 0.37),            # a steep tanh
+    (lambda t: -(t - 0.2) ** 3, 0.2),                            # a triple root
+    (lambda t: 1.0 - t, 1.0),                                    # f = 0 at t_hi
+], ids=["kink", "tanh", "cubic", "zero-at-hi"])
+def test_refine_crossing_keeps_its_bracket_and_probe_budget(f, root):
+    tol, (t_lo, t_hi) = thermo.TAU0_TIME_TOL, (0.0, 1.0)
+    seen = []
+
+    def counted(t):
+        seen.append(t)
+        return f(t)
+
+    lo, hi = thermo._refine_crossing(counted, t_lo, f(t_lo), t_hi, f(t_hi))
+    (want_lo, want_hi), probes = _illinois(f, t_lo, f(t_lo), t_hi, f(t_hi))
+    assert (lo, hi) == (want_lo, want_hi) and seen == probes
+    assert f(lo) > 0.0 >= f(hi)
+    assert lo <= root <= hi
+    assert hi - lo <= tol
+    assert len(seen) <= math.ceil(math.log2((t_hi - t_lo) / tol)) + 2
+
+
+def test_find_tau0_refines_a_smooth_crossing_in_few_probes(base_system, monkeypatch):
+    # bisection from the 5e-3 frame spacing takes 13 probes; Σ̇ is smooth
+    # there, and false position with the Illinois rule needs a few
+    probes = []
+    original = thermo.integrate
+
+    def counting(*args):
+        probes.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(thermo, "integrate", counting)
+    res = find_tau0(maximum_entropy_state(), 12.0, base_system)
+    assert res.found
+    assert len(probes) <= 4
 
 
 def test_find_tau0_reports_always_positive_without_coupling():
