@@ -4,16 +4,18 @@ Both kinds of run carry the state as its real coordinates r = U†v in the
 orthonormal Hermitian basis U (`model.HERMITIAN_BASIS`; v is the row-major
 vec of ρ), on which every generator G is a real 16x16 matrix with an exactly
 zero trace row.  Undriven runs have a constant G (`model.real_liouvillian`),
-so each recorded frame is exactly expm(G·Δt) applied to the previous one;
-the step only lays out the frame grid, and `linalg.expm` is called once per
-distinct frame span.  Driven runs take fixed RK4 steps, DRIVEN_BLOCK at a
+so frame k of a stretch of equally spaced frames is exactly P^k applied to
+the frame before the stretch, P = expm(G·span): `linalg.expm` is called once per
+distinct frame span, its powers P¹…P¹²⁸ are built by repeated doubling,
+and a block of frames is one batched product; the step only lays out the
+frame grid.  Driven runs take fixed RK4 steps, DRIVEN_BLOCK at a
 time: one `model.real_generator_stack` call over the block's distinct stage
 times, then three batched real 16x16 products give each step's increment D,
-so a step is r + D r and keeps r_0 = Tr ρ / 2 to the bit.  Each recorded
-frame renormalizes the trace 2 r_0 (logging the event) when it drifted
-beyond 1e-12 and records v = U r, Hermitian by construction.  A run stops
-at a frame whose trace drifted beyond DENSITY_TRACE_TOL or, driven, whose
-largest |entry| is not within ENTRY_MAX (a driven run keeps its trace
+so a step is r + D r and keeps r_0 = Tr ρ / 2 to the bit.  From a frame
+whose trace 2 r_0 drifted beyond 1e-12 on, a block is renormalized (and the
+event logged); its states v = U r are Hermitian by construction.  A run
+stops at a frame whose trace drifted beyond DENSITY_TRACE_TOL or, driven,
+whose largest |entry| is not within ENTRY_MAX (a driven run keeps its trace
 exactly, so that bound, not rounding, stops one that leaves the state
 space).  The steady state of an undriven configuration is the null vector
 of G with r_0 = ½.
@@ -25,14 +27,19 @@ strong drive; that is diagnostic information, not an error).  A run that
 fails its frame checks names, beside the bad frame, the first frame at or
 before it with that flag set.
 
-One frame loop, the generator `_frames`, yields a run's frames one at a
-time: `integrate` drains it, and `thermo.find_tau0` pulls it block by block
-and stops at the block of its crossing.
+`_run_plan` resolves a run's step, stride and frame layout once.  One frame
+loop, the generator `_frames`, yields the run's frames in blocks
+(times, R, flags) of FRAME_BLOCK frames, R the (n, 16) real coordinates;
+`_checked` forms each block's states with one product against U and gives
+each frame one ``eigh``, which serves the frame check, the recorded
+smallest eigenvalues and the observables.  `integrate` concatenates the
+blocks, and `thermo.find_tau0` consumes them up to the block of its
+crossing.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import logging
 import math
 import numbers
@@ -66,6 +73,8 @@ DEFAULT_FRAME_SPACING = 5e-3
 STEP_SAFETY = 1e-3
 #: RK4 steps of a driven run whose stage generators are built together
 DRIVEN_BLOCK = 128
+#: frames per block of the frame loop, and of the observables
+FRAME_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,9 @@ class Trajectory:
     rate_negative: np.ndarray         # (n_frames,) bool, since previous frame
     step: float
     record_stride: int
+    #: (eigenvalues, eigenvectors) of every frame from the frame check's
+    #: ``eigh``, which `thermo.trajectory_observables` reuses; None when driven
+    spectrum: tuple | None = None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -132,19 +144,6 @@ def _max_rate(cfg: SystemConfig) -> float:
     return max(float(np.max(np.abs(dissipation_rates(i, times, cfg)))) for i in (1, 2))
 
 
-def _normalize(r: np.ndarray, t: float):
-    """(r, drifted): r renormalized to unit trace Tr ρ = 2 r_0 (and the event
-    logged) when the trace drifted beyond TRACE_RENORM_TOL; or r as it is,
-    with drifted True, when it drifted beyond DENSITY_TRACE_TOL."""
-    tr = 2.0 * r[0]
-    if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
-        return r, True
-    if abs(tr - 1.0) > TRACE_RENORM_TOL:
-        logger.debug("renormalizing trace %.16f at t=%.6f", tr, t)
-        r = r / tr
-    return r, False
-
-
 def _time_span(t_span):
     """(t0, t1) of t_span = (t0, t1), or of a bare final time t1 with t0 = 0."""
     if np.ndim(t_span) == 0:
@@ -159,73 +158,165 @@ def _time_span(t_span):
     return t0, t1
 
 
-def _frame_plan(t0: float, t1: float, h: float, stride: int):
-    """Layout of a run from t0 to t1: ``n_full`` steps of size h and, when
-    they fall short of t1, one ``tail`` step onto it; frames are recorded
-    every ``stride`` steps and at t1.
+@dataclass(frozen=True, eq=False)
+class _RunPlan:
+    """A run resolved once: ``n_full`` steps of size ``step`` from t0 and,
+    when they fall short of t1, one ``tail`` step onto it; frame 0 at t0,
+    then a frame every ``stride`` steps and one at t1.  Frame k >= 1 ends
+    at step ``ends[k - 1]`` and lies ``spans[k - 1]`` after frame k - 1;
+    ``times`` holds every frame's time, frame 0's included."""
 
-    Returns (n_full, tail, frames); each frame is (first step, end step,
-    frame time, span of its steps).
-    """
-    n_full = int(math.floor((t1 - t0) / h + 1e-9))
-    tail = t1 - t0 - n_full * h
-    if tail < 1e-12 * max(1.0, abs(t1)):
-        tail = 0.0
-    n = n_full + (1 if tail else 0)
-    ends = [*range(stride, n, stride), n] if n else []
-    frames = [
-        (first, end, t1 if end == n else t0 + end * h,
-         (min(end, n_full) - first) * h + (tail if end > n_full else 0.0))
-        for first, end in zip([0, *ends], ends)
-    ]
-    return n_full, tail, frames
+    step: float
+    stride: int
+    n_full: int
+    tail: float
+    times: np.ndarray
+    ends: np.ndarray
+    spans: np.ndarray
+
+    @classmethod
+    def of(cls, t_span, step: float, stride: int) -> _RunPlan:
+        t0, t1 = _time_span(t_span)
+        n_full = int(math.floor((t1 - t0) / step + 1e-9))
+        tail = t1 - t0 - n_full * step
+        if tail < 1e-12 * max(1.0, abs(t1)):
+            tail = 0.0
+        n = n_full + (1 if tail else 0)
+        every = min(stride, max(n, 1))       # a stride past n frames only t1
+        ends = np.minimum(np.arange(every, n + every, every), n)
+        partial = ends > n_full              # the frame that holds the tail step
+        spans = (np.diff(ends, prepend=0) - partial) * step + np.where(partial, tail, 0.0)
+        times = np.append(t0, np.where(ends == n, t1, t0 + ends * step))
+        return cls(step, stride, n_full, tail, times, ends, spans)
 
 
-def _step_and_stride(cfg: SystemConfig, integrator: IntegratorConfig | None):
-    """The RK4 step and frame stride a run resolves from its integrator."""
+def _run_plan(t_span, cfg: SystemConfig, integrator: IntegratorConfig | None = None) -> _RunPlan:
+    """The plan of a run of cfg over t_span: the integrator's step (by
+    default `default_step`) and stride (by default about
+    DEFAULT_FRAME_SPACING between frames)."""
     icfg = integrator or IntegratorConfig()
     h = icfg.step if icfg.step is not None else default_step(cfg)
-    stride = icfg.record_stride
-    if stride is None:
-        stride = max(1, round(DEFAULT_FRAME_SPACING / h))
-    return h, stride
+    return _RunPlan.of(t_span, h, icfg.record_stride or max(1, round(DEFAULT_FRAME_SPACING / h)))
 
 
-def _frames(rho0: np.ndarray, t_span, cfg: SystemConfig, h: float, stride: int):
-    """The frames of a run, one (t, v, rate_negative) at a time from frame 0
-    (v the row-major vec of the state), up to t1 or to the first drifted or
-    diverged frame (see `integrate`)."""
-    if np.shape(rho0) != (4, 4):
-        raise ValueError(f"rho0 must be a 4x4 density matrix, got shape {np.shape(rho0)}")
-    validate_density(rho0)
-    t0, t1 = _time_span(t_span)
+def _powers(p: np.ndarray, m: int) -> np.ndarray:
+    """P¹…P^m of the 16x16 P by repeated doubling (P^(k+j) = P^k P^j),
+    stacked as one (16m, 16) array."""
+    stack = p[None]
+    while len(stack) < m:
+        stack = np.concatenate([stack, stack[-1] @ stack[:m - len(stack)]])
+    return stack.reshape(-1, 16)
 
-    driven = cfg.is_driven
-    if not driven:
-        gen = real_liouvillian(cfg)
-        propagator = functools.cache(lambda span: expm(gen * span))
 
-    r = coordinates(rho0)     # r = U†v
-    yield t0, HERMITIAN_BASIS @ r, False
+def _exact_frames(cfg: SystemConfig, plan: _RunPlan):
+    """advance(r, first, stop) of an undriven run: frames first..stop-1 from
+    frame first - 1 at r.  A stretch of m frames with one span takes
+    P¹…P^m of that span's propagator P = expm(G·span) in one product; the
+    powers are built once per distinct span, up to FRAME_BLOCK of them."""
+    gen = real_liouvillian(cfg)
+    spans, counts = np.unique(plan.spans, return_counts=True)
+    powers = {span: _powers(expm(gen * span), min(count, FRAME_BLOCK))
+              for span, count in zip(spans.tolist(), counts.tolist())}
 
-    n_full, tail, frames = _frame_plan(t0, t1, h, stride)
-    steps = _driven_steps(t0, h, n_full, tail, cfg) if driven else None
-    for first, end, t, span in frames:
-        neg_seen = False
-        if driven:
-            for _ in range(first, end):
+    def advance(r, first, stop):
+        rows = np.empty((stop - first, 16))
+        k = 0
+        for span, stretch in itertools.groupby(plan.spans[first - 1:stop - 1].tolist()):
+            m = len(list(stretch))
+            rows[k:k + m] = (powers[span][:16 * m] @ r).reshape(m, 16)
+            r = rows[k + m - 1]
+            k += m
+        return rows, np.zeros(len(rows), dtype=bool), False
+
+    return advance
+
+
+def _driven_frames(cfg: SystemConfig, plan: _RunPlan):
+    """advance(r, first, stop) of a driven run: frames first..stop-1 from
+    frame first - 1 at r, each the `_driven_steps` since the frame before
+    taken one at a time as r + D r and flagged when a rate was negative in
+    one of them.  It stops after a frame with an entry beyond ENTRY_MAX
+    (diverged) and says so."""
+    steps = _driven_steps(float(plan.times[0]), plan.step, plan.n_full, plan.tail, cfg)
+    counts = np.diff(plan.ends, prepend=0).tolist()
+
+    def advance(r, first, stop):
+        rows, flags, diverged = [], [], False
+        for count in counts[first - 1:stop - 1]:
+            neg_seen = False
+            for _ in range(count):
                 inc, neg = next(steps)
                 r = r + inc @ r
                 neg_seen = neg_seen or neg
-        else:
-            r = propagator(span) @ r
-        r, drifted = _normalize(r, t)
-        v = HERMITIAN_BASIS @ r
-        yield t, v, neg_seen
-        # a driven run stops before its growth can overflow; undriven frames
-        # are exact, and each gets the eigenvalue check
-        if drifted or driven and not np.abs(v).max() <= ENTRY_MAX:
-            return    # the frame check reports it
+            rows.append(r)
+            flags.append(neg_seen)
+            # |entry| <= ‖U r‖ = ‖r‖, so a frame within ‖r‖ <= 1 needs no U r
+            diverged = not r @ r <= 1.0 and not np.abs(HERMITIAN_BASIS @ r).max() <= ENTRY_MAX
+            if diverged:
+                break
+        return np.reshape(rows, (-1, 16)), np.array(flags, dtype=bool), diverged
+
+    return advance
+
+
+def _renormalize(rows: np.ndarray, times: np.ndarray) -> int:
+    """Renormalize a block of frames in place, in order: from a frame whose
+    trace 2 r_0 drifted beyond TRACE_RENORM_TOL on, every frame is divided
+    by that trace (the later ones were propagated from it, linearly), and
+    the event is logged.  Returns the count of frames up to and including
+    the first whose trace drifted beyond DENSITY_TRACE_TOL (NaN counts), or
+    of all of them."""
+    k = 0
+    while (off := np.flatnonzero(~(np.abs(2.0 * rows[k:, 0] - 1.0) <= TRACE_RENORM_TOL))).size:
+        k += int(off[0])
+        tr = 2.0 * rows[k, 0]
+        if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
+            return k + 1
+        logger.debug("renormalizing trace %.16f at t=%.6f", tr, times[k])
+        rows[k:] /= tr
+        k += 1
+    return len(rows)
+
+
+def _frames(rho0: np.ndarray, cfg: SystemConfig, plan: _RunPlan):
+    """The frames of a run in blocks (times, R, flags) of FRAME_BLOCK frames
+    from frame 0, R the (n, 16) real coordinates and flags the
+    negative-rate flags, up to the plan's last frame or to the first
+    drifted or diverged frame (see `integrate`)."""
+    if np.shape(rho0) != (4, 4):
+        raise ValueError(f"rho0 must be a 4x4 density matrix, got shape {np.shape(rho0)}")
+    validate_density(rho0)
+    advance = (_driven_frames if cfg.is_driven else _exact_frames)(cfg, plan)
+    r = coordinates(rho0)     # r = U†v
+    for start in range(0, len(plan.times), FRAME_BLOCK):
+        first, stop = max(start, 1), min(start + FRAME_BLOCK, len(plan.times))
+        rows, flags, ended = advance(r, first, stop)
+        kept = _renormalize(rows, plan.times[first:stop])
+        rows, flags = rows[:kept], flags[:kept]
+        if not start:     # frame 0: the initial state as it is
+            rows, flags = np.vstack([r, rows]), np.append(False, flags)
+        yield plan.times[start:start + len(rows)], rows, flags
+        if ended or first + kept < stop:
+            return    # the frame check reports the drifted or diverged frame
+        r = rows[-1].copy()
+
+
+def _checked(blocks, driven: bool):
+    """The frame blocks (times, R, flags) as blocks (times, states, lowest,
+    spectrum, flags) that passed `_check_frame`.  A block's states are one
+    product U r per frame, stacked; an error names the first flagged frame
+    of the run up to the failure (`_add_rate_cause`)."""
+    times_seen, flags_seen = [], []
+    for times, rows, flags in blocks:
+        times_seen.append(times)
+        flags_seen.append(flags)
+        states = (HERMITIAN_BASIS @ rows[..., None]).reshape(-1, 4, 4)
+        try:
+            lowest, spectrum = _check_frame(states, times, driven)
+        except IntegrationError as exc:
+            _add_rate_cause(exc, np.concatenate(times_seen), np.concatenate(flags_seen))
+            raise
+        yield times, states, lowest, spectrum, flags
 
 
 def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
@@ -233,32 +324,28 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     """Propagate the 4x4 rho0 over t_span = (t0, t1) (or a bare final
     time); an initial state or span of any other shape raises ValueError.
 
-    Undriven frames are exact (one matrix exponential per distinct frame
-    spacing); driven frames come from fixed-step RK4.  A run stops at the
-    first frame whose trace 2 r_0, before renormalization, is not within
-    DENSITY_TRACE_TOL of one or, driven, whose largest |entry| is not within
-    ENTRY_MAX, and records that frame as computed.  The recorded frames are
-    validated together, with the error naming the first bad frame: that
-    drifted or diverged frame, or for undriven configurations a smallest
-    eigenvalue below -DENSITY_EIG_TOL (driven runs only record it, since
-    the time-dependent generator is not guaranteed completely positive).
-    The error also names the likely cause (`_add_rate_cause`).
+    Undriven frames are exact (powers of one matrix exponential per
+    distinct frame spacing); driven frames come from fixed-step RK4.  A run
+    stops at the first frame whose trace 2 r_0, before renormalization, is
+    not within DENSITY_TRACE_TOL of one or, driven, whose largest |entry| is
+    not within ENTRY_MAX, and records that frame as computed.  The frames
+    are checked block by block as `_frames` yields them (`_checked`), with
+    the error naming the first bad frame: that drifted or diverged frame,
+    or for undriven configurations a smallest eigenvalue below
+    -DENSITY_EIG_TOL (driven runs only record it, since the time-dependent
+    generator is not guaranteed completely positive).  The error also names
+    the likely cause (`_add_rate_cause`).  The blocks are concatenated.
     """
-    h, stride = _step_and_stride(cfg, integrator)
-    times, states, flags = map(np.array, zip(*_frames(rho0, t_span, cfg, h, stride)))
-    states = states.reshape(-1, 4, 4)
-    try:
-        lows = _check_frame(states, times, cfg.is_driven)
-    except IntegrationError as exc:
-        _add_rate_cause(exc, times, flags)
-        raise
+    plan = _run_plan(t_span, cfg, integrator)
+    times, states, lowest, spectra, flags = zip(*_checked(_frames(rho0, cfg, plan), cfg.is_driven))
     return Trajectory(
-        times=times,
-        states=states,
-        min_eigenvalues=lows,
-        rate_negative=flags,
-        step=h,
-        record_stride=stride,
+        times=np.concatenate(times),
+        states=np.concatenate(states),
+        min_eigenvalues=np.concatenate(lowest),
+        rate_negative=np.concatenate(flags),
+        step=plan.step,
+        record_stride=plan.stride,
+        spectrum=None if cfg.is_driven else tuple(map(np.concatenate, zip(*spectra))),
     )
 
 
@@ -273,8 +360,9 @@ def _add_rate_cause(exc: Exception, times: np.ndarray, flags: np.ndarray) -> Non
                     f"the frame at t={times[flagged[0]]:.6g}", *exc.args[1:])
 
 
-def _check_frame(states, times, driven: bool) -> np.ndarray:
-    """Check frames in order and return their smallest eigenvalues.
+def _check_frame(states, times, driven: bool):
+    """Check frames in order; return their smallest eigenvalues and, for an
+    undriven run, their spectrum (w, V) from `eigh`.
 
     ``states`` is one frame or a stack of them at ``times``.  Raises
     IntegrationError at the first frame whose complex trace drifted beyond
@@ -282,7 +370,9 @@ def _check_frame(states, times, driven: bool) -> np.ndarray:
     within ENTRY_MAX (diverged; a NaN entry of a unit-trace frame too) or,
     undriven, whose smallest eigenvalue is below -DENSITY_EIG_TOL.  Drift and
     divergence are checked first, and one eigenvalue solve then covers the
-    frames before the first of them.
+    frames before the first of them: `eigh`, whose spectrum the observables
+    reuse (`thermo.trajectory_observables`), or for a driven run, which only
+    records its eigenvalues, `eigvalsh` and no spectrum.
     """
     states = np.asarray(states).reshape(-1, 4, 4)
     times = np.atleast_1d(times)
@@ -291,7 +381,11 @@ def _check_frame(states, times, driven: bool) -> np.ndarray:
     traced = np.abs(traces - 1.0) <= DENSITY_TRACE_TOL
     stopped = np.flatnonzero(~traced | ~(largest <= ENTRY_MAX))
     end = stopped[0] if stopped.size else len(states)
-    lows = np.linalg.eigvalsh(states[:end])[:, 0]
+    if driven:
+        lows, spectrum = np.linalg.eigvalsh(states[:end])[:, 0], None
+    else:
+        spectrum = np.linalg.eigh(states[:end])
+        lows = spectrum[0][:, 0]
     negative = np.flatnonzero(lows < -DENSITY_EIG_TOL)
     if not driven and negative.size:
         k = negative[0]
@@ -306,7 +400,7 @@ def _check_frame(states, times, driven: bool) -> np.ndarray:
         else:
             msg = f"trace drifted to {tr.real!r}{tr.imag:+}j, largest |entry| {largest[end]:.3e}"
         raise IntegrationError(msg, time=float(times[end]))
-    return lows
+    return lows, spectrum
 
 
 def _driven_steps(t0: float, h: float, n_full: int, tail: float, cfg: SystemConfig):

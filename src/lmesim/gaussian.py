@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baths import BathParams, decay_rate
-from .dynamics import IntegratorConfig, _frame_plan, _time_span
+from .dynamics import IntegratorConfig, _RunPlan
 from .errors import StabilityError, UnsupportedConfigError
 from .linalg import HURWITZ_TOL, expm, hermitian_part, lyapunov_solve
 from .model import SM, SP, SystemConfig
@@ -162,21 +162,18 @@ def integrate_covariance(cov0: np.ndarray, dd: ChainStack, t_span,
     icfg = IntegratorConfig(step=step, record_stride=record_stride)
     if np.shape(cov0) != (2, 2):
         raise ValueError(f"cov0 must be a 2x2 covariance, got shape {np.shape(cov0)}")
-    t0, t1 = _time_span(t_span)
+    plan = _RunPlan.of(t_span, icfg.step, icfg.record_stride)
 
     gen = _augmented_generator(dd)
     propagator = functools.cache(lambda span: expm(gen * span))
 
     cov = np.array(cov0, dtype=complex)
-    times = [t0]
     covs = [cov]
-    _, _, frames = _frame_plan(t0, t1, icfg.step, icfg.record_stride)
-    for _, _, t, span in frames:
+    for span in plan.spans.tolist():
         vec = propagator(span) @ np.append(cov.reshape(4), 1.0)
         cov = hermitian_part(vec[:4].reshape(2, 2))
-        times.append(t)
         covs.append(cov)
-    return np.array(times), np.array(covs)
+    return plan.times, np.array(covs)
 
 
 def relaxation_time(dd: ChainStack) -> float:

@@ -347,7 +347,7 @@ def _trajectory_table(cfg: ScenarioConfig) -> CsvTable:
     horizon = DEFAULT_HORIZONS[cfg.kind] if cfg.horizon is None else cfg.horizon
     traj = integrate(maximum_entropy_state(), horizon, system, cfg.integrator)
     try:
-        cols = trajectory_observables(traj.times, traj.states, system)
+        cols = trajectory_observables(traj.times, traj.states, system, spectrum=traj.spectrum)
     except PositivityError as exc:
         _add_rate_cause(exc, traj.times, traj.rate_negative)
         raise
@@ -459,6 +459,18 @@ def _quote(value) -> str:   # RFC 4180: quote a cell holding , " LF or CR
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n\r') else text
 
 
+def _repeated(cells):
+    """The distinct values of a column of which at least half repeat, or
+    None: the set grows a sixteenth of the column at a time and gives up as
+    soon as more than half of the values are distinct."""
+    distinct, chunk = set(), max(1, -(-len(cells) // 16))
+    for start in range(0, len(cells), chunk):
+        distinct.update(cells[start:start + chunk])
+        if 2 * len(distinct) > len(cells):
+            return None
+    return distinct
+
+
 def _column(cells: tuple):
     """The ``%`` format of one column, and its cells (as text where it is
     made here).  Plain floats of which at least half repeat, with no zero
@@ -466,7 +478,7 @@ def _column(cells: tuple):
     distinct value; a column of mixed formats is formatted cell by cell."""
     types = set(map(type, cells))
     specs = {_spec(cls) for cls in types}
-    if types == {float} and 2 * len(distinct := set(cells)) <= len(cells) \
+    if types == {float} and (distinct := _repeated(cells)) is not None \
             and 0.0 not in distinct:
         text = {v: "%.16e" % v for v in distinct}
     elif types == {str}:

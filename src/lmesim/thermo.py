@@ -20,11 +20,13 @@ coordinates (`model.coordinates`, Tr(A B) = a · b) of the Hamiltonian's
 pieces (`model.hamiltonian_pieces`) with each bath's flow ζ²𝓛_i[ρ] = D_i r
 from the integrator's own table (`model.bath_dissipators`); one batched
 ``eigh`` gives the entropy, the clamped ln ρ (`linalg.clamped_log`) and the
-positivity margin.
+positivity margin, and for an undriven run it is the frame check's own
+(`Trajectory.spectrum`), so each frame is decomposed once.
 `thermo_record` (a one-frame `FrameColumns`), `heat_current` and
 `entropy_production_rate` are its one-frame views.  `find_tau0` takes a run
-(initial state, span, system, integrator), propagates it block by block with
-the integrator's own frame loop only as far as the first downward zero of Σ̇,
+(initial state, span, system, integrator), resolves its plan once
+(`dynamics._run_plan`), consumes the frame blocks of the integrator's own
+frame loop as they come, only as far as the first downward zero of Σ̇,
 refines it by safeguarded Illinois regula falsi from the two frames around
 it, and takes the end-of-run residual of a crossing-free run from
 `model.tdlme_rhs`.
@@ -34,20 +36,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (
-    IntegratorConfig,
-    _add_rate_cause,
-    _check_frame,
-    _frames,
-    _step_and_stride,
-    integrate,
-)
-from .errors import IntegrationError, PositivityError
+from .dynamics import FRAME_BLOCK, IntegratorConfig, _checked, _frames, _run_plan, integrate
+from .errors import PositivityError
 from .linalg import clamped_log, hermitian_part, require_finite
 from .model import (
     SystemConfig,
@@ -68,8 +62,6 @@ TAU0_TIME_TOL = 1e-6
 # residual under which a crossing-free trajectory counts as having reached
 # its steady state (so Σ̇ was genuinely positive throughout, not cut short)
 STEADY_RESIDUAL = 1e-6
-# frames per block of `trajectory_observables`
-FRAME_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,7 @@ def _check_log_spectrum(times: np.ndarray, lowest: np.ndarray) -> None:
 
 
 def trajectory_observables(times, states, cfg: SystemConfig,
-                           check: bool = True) -> FrameColumns:
+                           check: bool = True, spectrum=None) -> FrameColumns:
     """Heat currents, entropy and Σ̇ of every frame of a trajectory at once.
 
     ``states`` is the (n, 4, 4) stack of the frames at the n >= 1 ``times``;
@@ -153,9 +145,10 @@ def trajectory_observables(times, states, cfg: SystemConfig,
     bath's ζ²𝓛_i[ρ] is D_i r, with D_i from the integrator's coefficient
     table (`bath_dissipators`; a row per frame when driven, `static_table`
     when not).  One ``eigh`` over the Hermitian parts gives S, the clamped
-    ln ρ and each frame's smallest eigenvalue.  FRAME_BLOCK frames at a time
-    bound the temporaries of a long run.  ``check`` applies the matrix log's
-    `_check_log_spectrum`.
+    ln ρ and each frame's smallest eigenvalue; ``spectrum``, the frames'
+    (eigenvalues, eigenvectors) from the frame check (`Trajectory.spectrum`),
+    takes its place.  FRAME_BLOCK frames at a time bound the temporaries of
+    a long run.  ``check`` applies the matrix log's `_check_log_spectrum`.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
@@ -171,7 +164,9 @@ def trajectory_observables(times, states, cfg: SystemConfig,
     table = coefficient_table(times, cfg)[0] if driven else static_table(cfg)
     hams = coordinates(hamiltonian_pieces(cfg))
     blocks = [_block_observables(times[k:k + FRAME_BLOCK], states[k:k + FRAME_BLOCK],
-                                 table[k:k + FRAME_BLOCK] if driven else table, hams, cfg)
+                                 table[k:k + FRAME_BLOCK] if driven else table, hams, cfg,
+                                 None if spectrum is None
+                                 else [part[k:k + FRAME_BLOCK] for part in spectrum])
               for k in range(0, len(times), FRAME_BLOCK)]
     cols = FrameColumns(*map(np.concatenate, zip(*blocks)))
     if check:
@@ -180,8 +175,8 @@ def trajectory_observables(times, states, cfg: SystemConfig,
 
 
 def _block_observables(times: np.ndarray, states: np.ndarray, table: np.ndarray,
-                       hams: np.ndarray, cfg: SystemConfig) -> FrameColumns:
-    w, v = np.linalg.eigh(hermitian_part(states))
+                       hams: np.ndarray, cfg: SystemConfig, spectrum) -> FrameColumns:
+    w, v = np.linalg.eigh(hermitian_part(states)) if spectrum is None else spectrum
     log_rho = coordinates(clamped_log(w, v))
     h_bare = table[:, :3] @ hams[:3]      # (1, f_1, f_2) @ (ε_i σ_i^z, σ_1^x, σ_2^x)
     h_full = h_bare + hams[3]
@@ -250,42 +245,37 @@ def find_tau0(rho0: np.ndarray, t_span, cfg: SystemConfig,
     would make from rho0 over t_span.
 
     The run is propagated only as far as the scan needs.  Its frames come
-    FRAME_BLOCK at a time from frame 0 (the blocks of
-    `trajectory_observables`), and each block gets `integrate`'s frame
-    checks, in order and with the same errors, before its Σ̇ is computed.
-    The scan stops after the block that holds the first sign change from
-    Σ̇ > 0 to Σ̇ ≤ 0 and its upper frame: later frames are neither computed
-    nor checked.  A run without such a change runs to its horizon.  The
-    matrix log's checks apply to the frames up to the change (to all of
-    them without one).  The crossing is then refined to TAU0_TIME_TOL (1e-6)
-    in time by `_refine_crossing`, seeded with the scan's Σ̇ at the change's
-    two frames; each probe is a fresh short `integrate` at the run's step
-    from the last frame before the change (no interpolation of Σ̇ samples).
-    τ₀ is the midpoint of the final bracket.
+    in the blocks of the integrator's own frame loop (FRAME_BLOCK frames
+    from frame 0), and each block gets `integrate`'s frame checks, in order
+    and with the same errors, before its Σ̇ is computed (from the check's
+    ``eigh`` when the run is undriven).  The scan stops after the block that holds the first sign
+    change from Σ̇ > 0 to Σ̇ ≤ 0 and its upper frame: later frames are
+    neither computed nor checked.  A run without such a change runs to its
+    horizon.  The matrix log's checks apply to the frames up to the change
+    (to all of them without one).  The crossing is then refined to
+    TAU0_TIME_TOL (1e-6) in time by `_refine_crossing`, seeded with the
+    scan's Σ̇ at the change's two frames; each probe is a fresh short
+    `integrate` at the run plan's step from the last frame before the change
+    (no interpolation of Σ̇ samples).  τ₀ is the midpoint of the final
+    bracket.
     """
-    h, stride = _step_and_stride(cfg, integrator)
-    frames = _frames(rho0, t_span, cfg, h, stride)
-    seen, sigmas, lowest = [], [], []    # the frames; Σ̇ and ρ's margin by block
-    down = np.empty(0, dtype=int)
-    while not down.size and (block := list(islice(frames, FRAME_BLOCK))):
-        seen += block
-        t, v, _ = map(np.array, zip(*block))
-        try:
-            _check_frame(v, t, cfg.is_driven)
-        except IntegrationError as exc:
-            times, _, flags = map(np.array, zip(*seen))
-            _add_rate_cause(exc, times, flags)
-            raise
-        cols = trajectory_observables(t, v.reshape(-1, 4, 4), cfg, check=False)
+    plan = _run_plan(t_span, cfg, integrator)
+    times, states, sigmas, lowest = [], [], [], []    # by block
+    seen, down = 0, np.empty(0, dtype=int)
+    for t, block, _, spectrum, _ in _checked(_frames(rho0, cfg, plan), cfg.is_driven):
+        cols = trajectory_observables(t, block, cfg, check=False, spectrum=spectrum)
+        times.append(t)
+        states.append(block)
         sigmas.append(cols.sigma_dot)
         lowest.append(cols.lowest)
+        seen += len(t)
         seam = np.concatenate(sigmas[-2:])    # a change between two blocks counts
-        down = len(seen) - len(seam) + np.flatnonzero((seam[:-1] > 0.0) & (seam[1:] <= 0.0))
+        down = seen - len(seam) + np.flatnonzero((seam[:-1] > 0.0) & (seam[1:] <= 0.0))
+        if down.size:
+            break
 
-    times, states, _ = map(np.array, zip(*seen))
-    states = states.reshape(-1, 4, 4)
-    sigmas, lowest = np.concatenate(sigmas), np.concatenate(lowest)
-    scanned = int(down[0]) + 2 if down.size else len(seen)
+    times, states, sigmas, lowest = map(np.concatenate, (times, states, sigmas, lowest))
+    scanned = int(down[0]) + 2 if down.size else seen
     _check_log_spectrum(times[:scanned], lowest[:scanned])
     if not down.size:
         if not np.any(sigmas > 0.0):
@@ -298,7 +288,7 @@ def find_tau0(rho0: np.ndarray, t_span, cfg: SystemConfig,
     cross = int(down[0])
     base_t = float(times[cross])
     base_state = states[cross]
-    probe_cfg = IntegratorConfig(step=h, record_stride=1_000_000_000)
+    probe_cfg = IntegratorConfig(step=plan.step, record_stride=1_000_000_000)
 
     def sigma_at(t: float) -> float:
         sub = integrate(base_state, (base_t, t), cfg, probe_cfg)

@@ -5,7 +5,9 @@ integrals.
 The long integrations are session-scoped so the acceptance tests and the
 unit tests reuse the same runs.  ``rk4_step``, ``scalar_coefficients`` and
 the scalar rate formulas are the per-step, per-time and per-frequency paths
-that the package's array kernels replaced, and ``kronecker_lyapunov_stack``
+that the package's array kernels replaced, ``frame_recurrence`` the
+per-frame exponential that its undriven frame blocks replaced, and
+``kronecker_lyapunov_stack``
 the dense LAPACK Lyapunov solve that the closed-form 2x2 kernel replaced,
 kept here as references; ``dense_reference`` builds each bath's dissipator
 and the right-hand side with np.kron, independently of the package's basis,
@@ -22,6 +24,7 @@ The terminal-summary hook prints one [PASS]/[FAIL] line per acceptance
 criterion after the run.
 """
 
+import functools
 import math
 import os
 
@@ -48,8 +51,16 @@ from lmesim import (
 )
 from lmesim.baths import ZERO_FREQ_FACTOR, spectral_density_derivative
 from lmesim.dynamics import TRACE_RENORM_TOL
-from lmesim.linalg import HURWITZ_TOL, clamped_log, hermitian_part, kron, require_finite
-from lmesim.model import _bath_rates, _drive_fields, _row_major, bath_dissipators
+from lmesim.linalg import HURWITZ_TOL, clamped_log, expm, hermitian_part, kron, require_finite
+from lmesim.model import (
+    HERMITIAN_BASIS,
+    _bath_rates,
+    _drive_fields,
+    _row_major,
+    bath_dissipators,
+    coordinates,
+    real_liouvillian,
+)
 from lmesim.thermo import LOG_POSITIVITY_TOL
 
 
@@ -177,6 +188,24 @@ def rk4_step(rho, t, h, rhs):
     out = hermitian_part(rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
     tr = float(np.trace(out).real)
     return out / tr if abs(tr - 1.0) > TRACE_RENORM_TOL else out
+
+
+def frame_recurrence(rho0, cfg, spans):
+    """The states of an undriven run's frames one at a time, as the package
+    computed them before its frame blocks: frame k is expm(G·spans[k-1])
+    applied to frame k - 1 in the real coordinates (one `linalg.expm` per
+    distinct span), renormalized to unit trace 2 r_0 when it drifted beyond
+    TRACE_RENORM_TOL; frame 0 is rho0."""
+    gen = real_liouvillian(cfg)
+    propagator = functools.cache(lambda span: expm(gen * span))
+    r = coordinates(rho0)
+    frames = [r]
+    for span in spans:
+        r = propagator(span) @ r
+        if abs(2.0 * r[0] - 1.0) > TRACE_RENORM_TOL:
+            r = r / (2.0 * r[0])
+        frames.append(r)
+    return np.array([HERMITIAN_BASIS @ r for r in frames]).reshape(-1, 4, 4)
 
 
 def scalar_decay_rate(freq, bath):

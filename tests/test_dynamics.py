@@ -1,5 +1,7 @@
-"""Propagation: stepping plan, accuracy against RK4, recording, steady state."""
+"""Propagation: run plan, accuracy against RK4, recording, the undriven
+frame blocks against the per-frame paths they replaced, steady state."""
 
+import logging
 import math
 import re
 import warnings
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import (
     driven_systems,
+    frame_recurrence,
     lme_rhs,
     make_system,
     random_density,
@@ -32,21 +35,26 @@ from lmesim import (
     liouvillian_matrix,
     maximum_entropy_state,
     steady_state,
+    trajectory_observables,
 )
 from lmesim import dynamics
 from lmesim.dynamics import (
     DRIVEN_BLOCK,
     ENTRY_MAX,
+    FRAME_BLOCK,
+    TRACE_RENORM_TOL,
     _check_frame,
     _driven_steps,
-    _frame_plan,
+    _RunPlan,
 )
 from lmesim.model import (
     DENSITY_EIG_TOL,
     DENSITY_TRACE_TOL,
     HERMITIAN_BASIS,
     _basis,
+    coordinates,
     real_generator_stack,
+    real_liouvillian,
 )
 
 
@@ -90,7 +98,7 @@ def test_check_frame_reports_the_first_failing_frame_of_a_stack():
         _check_frame(states, times, True)
     assert err.value.time == 0.2
     assert str(err.value) == "trace drifted to 2.0+0.0j, largest |entry| 5.000e-01"
-    lows = _check_frame(states[:2], times[:2], True)
+    lows, _ = _check_frame(states[:2], times[:2], True)
     assert np.array_equal(lows, [np.linalg.eigvalsh(s)[0] for s in states[:2]])
 
 
@@ -134,13 +142,22 @@ def test_default_step_shrinks_for_hot_fast_bath():
     assert default_step(hot) < 1e-3 / (0.5 * decay_rate(-2.0 * 5.0, hot.bath2))
 
 
+def _layout(t0, t1, h, stride):
+    """(n_full, tail, frames) of a run plan, each frame (first step, end
+    step, frame time, span of its steps)."""
+    plan = _RunPlan.of((t0, t1), h, stride)
+    firsts = [0, *plan.ends[:-1].tolist()]
+    frames = list(zip(firsts, plan.ends.tolist(), plan.times[1:].tolist(), plan.spans.tolist()))
+    return plan.n_full, plan.tail, frames
+
+
 def test_plan_steps_layout():
-    n, tail = _frame_plan(0.0, 1.0, 0.25, 1)[:2]
+    n, tail = _layout(0.0, 1.0, 0.25, 1)[:2]
     assert (n, tail) == (4, 0.0)
-    n, tail = _frame_plan(0.0, 1.1, 0.25, 1)[:2]
+    n, tail = _layout(0.0, 1.1, 0.25, 1)[:2]
     assert n == 4 and tail == pytest.approx(0.1)
     # a span that is an exact multiple up to rounding must not grow a sliver
-    n, tail = _frame_plan(0.0, 0.3, 0.1, 1)[:2]
+    n, tail = _layout(0.0, 0.3, 0.1, 1)[:2]
     assert n == 3 and tail == 0.0
 
 
@@ -251,7 +268,10 @@ def test_trajectory_frames_stay_physical(cfg, steps, stride, seed):
     traces = np.trace(states, axis1=1, axis2=2)
     assert np.all(np.abs(traces.real - 1.0) <= DENSITY_TRACE_TOL)
     assert np.array_equal(states, states.conj().transpose(0, 2, 1))
-    assert np.array_equal(traj.min_eigenvalues, np.linalg.eigvalsh(states)[:, 0])
+    # the frame check's solve: eigh, whose spectrum the observables reuse,
+    # or for a driven run eigvalsh
+    lows = np.linalg.eigvalsh(states) if cfg.is_driven else np.linalg.eigh(states)[0]
+    assert np.array_equal(traj.min_eigenvalues, lows[:, 0])
     if not cfg.is_driven:
         assert np.all(traj.min_eigenvalues >= -DENSITY_EIG_TOL)
 
@@ -420,7 +440,7 @@ def test_driven_kernel_matches_scalar_generator_rk4(cfg, t0, steps, stride, seed
     def rhs(r, t):
         return (_scalar_generator(t, cfg)[0] @ r.reshape(16)).reshape(4, 4)
 
-    n_full, tail, frames = _frame_plan(t0, t0 + steps * h, h, stride)
+    n_full, tail, frames = _layout(t0, t0 + steps * h, h, stride)
     rho = rho0
     ref = [rho0]
     for first, end, _, _ in frames:
@@ -438,7 +458,7 @@ def test_rate_flags_match_a_per_stage_scalar_check(cfg, t0, steps, stride, seed)
     h = default_step(cfg)
     icfg = IntegratorConfig(step=h, record_stride=stride)
     traj = integrate(maximum_entropy_state(), (t0, t0 + steps * h), cfg, icfg)
-    n_full, tail, frames = _frame_plan(t0, t0 + steps * h, h, stride)
+    n_full, tail, frames = _layout(t0, t0 + steps * h, h, stride)
     want = [False]
     for first, end, _, _ in frames:
         flag = False
@@ -489,3 +509,135 @@ def test_steady_state_of_an_overflowing_generator_is_a_stability_error():
 def test_steady_state_rejects_driven_configuration(driven_system):
     with pytest.raises(UnsupportedConfigError):
         steady_state(driven_system)
+
+
+# ---------------------------------------------------------------------------
+# the undriven frame blocks against the per-frame paths they replaced
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(cfg=undriven_systems, frames=st.integers(FRAME_BLOCK + 1, 3 * FRAME_BLOCK),
+       stride=st.integers(1, 8), tail=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_block_frames_match_expm_and_the_frame_recurrence(cfg, frames, stride, tail, seed):
+    # more than one block of frames, the last of them a short tail span:
+    # every frame against SciPy's expm(G·t_k) r_0 and against the per-frame
+    # recurrence that the power-stack blocks replaced.  Measured over these
+    # examples: at most 7.0e-15 against expm (the recurrence's own error
+    # reached 6.5e-15) and 2.1e-15 against the recurrence; on the 12-unit
+    # workhorse run, 1.9e-15 against expm, where the recurrence errs 2.2e-15
+    h = default_step(cfg)
+    rho0 = random_density(np.random.default_rng(seed))
+    t_span = (0.0, ((frames - 1) * stride + tail) * h)
+    traj = integrate(rho0, t_span, cfg, IntegratorConfig(step=h, record_stride=stride))
+    plan = _RunPlan.of(t_span, h, stride)
+    assert len(traj.times) == frames + 1 and plan.spans[-1] < plan.spans[0]
+    gen, r0 = real_liouvillian(cfg), coordinates(rho0)
+    exact = np.array([HERMITIAN_BASIS @ expm(gen * t) @ r0 for t in traj.times])
+    assert np.max(np.abs(traj.states - exact.reshape(-1, 4, 4))) <= 2e-14
+    assert np.max(np.abs(traj.states - frame_recurrence(rho0, cfg, plan.spans))) <= 1e-14
+
+
+def test_a_block_is_renormalized_from_its_drifted_frame_on(caplog):
+    # frames 50 and 90 of a block drift past TRACE_RENORM_TOL (by 3e-12 and,
+    # after the first renormalization, 2e-12): each is divided by its trace,
+    # with the frames after it, and each event is logged once
+    rows = np.zeros((FRAME_BLOCK, 16))
+    rows[:, 0] = 0.5
+    rows[:, 1:] = np.random.default_rng(3).uniform(-0.1, 0.1, size=(FRAME_BLOCK, 15))
+    drift = np.ones(FRAME_BLOCK)
+    drift[50:] *= 1.0 + 3e-12
+    drift[90:] *= 1.0 + 2e-12
+    times = 0.1 * np.arange(FRAME_BLOCK)
+    block = rows * drift[:, None]
+    with caplog.at_level(logging.DEBUG, logger="lmesim.dynamics"):
+        assert dynamics._renormalize(block, times) == FRAME_BLOCK
+    assert np.array_equal(block[:50], rows[:50])
+    assert np.max(np.abs(block - rows)) <= 1e-15
+    assert np.all(np.abs(2.0 * block[:, 0] - 1.0) <= TRACE_RENORM_TOL)
+    assert [r.getMessage() for r in caplog.records] == [
+        "renormalizing trace 1.0000000000030000 at t=5.000000",
+        "renormalizing trace 1.0000000000020000 at t=9.000000"]
+    # a run whose initial trace is 1 + 5e-11 keeps frame 0 as it is and is
+    # renormalized from frame 1 on
+    rho0 = maximum_entropy_state() * (1.0 + 5e-11)
+    traj = integrate(rho0, 1.0, make_system())
+    assert np.array_equal(traj.states[0], rho0)
+    traces = np.trace(traj.states[1:], axis1=1, axis2=2).real
+    assert np.max(np.abs(traces - 1.0)) <= TRACE_RENORM_TOL
+
+
+def test_a_run_ends_at_its_first_frame_drifted_past_the_density_tolerance(monkeypatch):
+    # a drift past DENSITY_TRACE_TOL ends the block there, with no
+    # renormalization after it
+    rows = np.zeros((FRAME_BLOCK, 16))
+    rows[:, 0] = 0.5 * np.where(np.arange(FRAME_BLOCK) < 70, 1.0, 1.0 + 1e-9)
+    assert dynamics._renormalize(rows, np.arange(FRAME_BLOCK)) == 71
+    assert np.all(rows[70:, 0] == 0.5 * (1.0 + 1e-9))
+    # a trace row that grows the trace by 5e-9 per 5e-3 frame: the frame
+    # loop stops after frame 1, and the frame check reports it
+    cfg = make_system()
+    gen = real_liouvillian(cfg).copy()
+    gen[0, 0] = 1e-6
+    monkeypatch.setattr(dynamics, "real_liouvillian", lambda _: gen)
+    blocks = list(dynamics._frames(maximum_entropy_state(), cfg, dynamics._run_plan(1.0, cfg)))
+    assert [times.tolist() for times, _, _ in blocks] == [[0.0, 0.005]]
+    with pytest.raises(IntegrationError, match=r"trace drifted to 1\.000000005") as err:
+        integrate(maximum_entropy_state(), 1.0, cfg)
+    assert err.value.time == 0.005
+
+
+def _corrupting_frames(monkeypatch, frame, rows_of, flagged):
+    """Make the frame loop swap frame ``frame`` for the coordinates
+    ``rows_of(r)`` of its own r and set the negative-rate flag of frame
+    ``flagged``; returns the list of blocks it was asked for."""
+    original = dynamics._frames
+    pulled = []
+
+    def frames(*args):
+        start = 0
+        for times, rows, flags in original(*args):
+            rows, flags = rows.copy(), flags.copy()
+            if start <= frame < start + len(rows):
+                rows[frame - start] = rows_of(rows[frame - start])
+            if start <= flagged < start + len(rows):
+                flags[flagged - start] = True
+            pulled.append(start)
+            start += len(rows)
+            yield times, rows, flags
+
+    monkeypatch.setattr(dynamics, "_frames", frames)
+    return pulled
+
+
+@pytest.mark.parametrize("rows_of, message", [
+    # a drift past DENSITY_TRACE_TOL
+    (lambda r: r * (1.0 + 1e-9),
+     r"trace drifted to 1\.000000001\d*\+0\.0j, largest \|entry\| \S+"),
+    # a negative eigenvalue within the state space's other limits
+    (lambda r: coordinates(np.diag([1.0 + 1e-6, 0.0, 0.0, -1e-6])),
+     r"state eigenvalue -1\.000e-06 below -1\.0e-08"),
+])
+def test_a_bad_frame_mid_block_fails_at_that_frame(base_system, monkeypatch, rows_of, message):
+    # frame 200, in the middle of the second block, fails the frame check:
+    # the error names it and the flagged frame 150 before it, and no later
+    # block is computed
+    times = integrate(maximum_entropy_state(), 2.0, base_system).times
+    pulled = _corrupting_frames(monkeypatch, 200, rows_of, 150)
+    with pytest.raises(IntegrationError) as err:
+        integrate(maximum_entropy_state(), 2.0, base_system)
+    assert err.value.time == times[200]
+    assert re.fullmatch(f"{message}; a jump rate first went negative before the frame "
+                        f"at t={times[150]:.6g}", str(err.value))
+    assert pulled == [0, FRAME_BLOCK]
+
+
+def test_min_eigenvalues_are_the_observables_lowest(base_trajectory, base_system):
+    # one eigh per frame: the recorded smallest eigenvalues are the
+    # observables' `lowest` bit for bit, and handing the observables the
+    # frame check's spectrum changes no bit of any column
+    reused = trajectory_observables(base_trajectory.times, base_trajectory.states, base_system,
+                                    spectrum=base_trajectory.spectrum)
+    own = trajectory_observables(base_trajectory.times, base_trajectory.states, base_system)
+    assert np.array_equal(base_trajectory.min_eigenvalues, reused.lowest)
+    for a, b in zip(reused, own):
+        assert np.array_equal(a, b)

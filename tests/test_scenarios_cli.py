@@ -582,9 +582,9 @@ def test_relaxation_point_propagates_only_to_its_crossing_block(base_system, mon
     original = dynamics._frames
 
     def counting(*args):
-        for frame in original(*args):
-            computed.append(frame[0])
-            yield frame
+        for block in original(*args):
+            computed.extend(block[0].tolist())
+            yield block
 
     monkeypatch.setattr(thermo, "_frames", counting)
     cfg = ScenarioConfig(kind="relaxation", system=base_system,

@@ -47,6 +47,7 @@ from lmesim import (
     trajectory_observables,
 )
 from lmesim import dynamics, thermo
+from lmesim.model import HERMITIAN_BASIS, coordinates
 
 
 def haar_unitary(rng, dim=4):
@@ -400,17 +401,22 @@ def _scan_end(k: int) -> int:
 
 
 def _recording_frames(monkeypatch, seen, replace=None):
-    """Make find_tau0's frame generator record each frame it yields in
-    ``seen``, with the frames numbered in ``replace`` swapped for its states."""
+    """Make find_tau0's frame loop record each frame of the blocks it yields
+    in ``seen`` as (t, v, rate_negative), v = U r the state's row-major vec,
+    with the frames numbered in ``replace`` swapped for its states (by their
+    real coordinates)."""
     original = dynamics._frames
     replace = replace or {}
 
     def frames(*args):
-        for j, (t, v, neg) in enumerate(original(*args)):
-            if j in replace:
-                v = replace[j].reshape(16)
-            seen.append((t, v, neg))
-            yield t, v, neg
+        start = 0
+        for times, rows, flags in original(*args):
+            rows = rows.copy()
+            for j in replace.keys() & range(start, start + len(rows)):
+                rows[j - start] = coordinates(replace[j])
+            seen.extend(zip(times, (HERMITIAN_BASIS @ r for r in rows), flags))
+            start += len(rows)
+            yield times, rows, flags
 
     monkeypatch.setattr(thermo, "_frames", frames)
 
@@ -459,10 +465,10 @@ def _check_scan(traj, cfg, icfg, monkeypatch):
     frame_evals = []
     original = thermo.trajectory_observables
 
-    def counting(times, states, system, check=True):
+    def counting(times, states, system, check=True, spectrum=None):
         if not check:    # the scan's blocks, not the probes' one-frame views
             frame_evals.extend(times)
-        return original(times, states, system, check)
+        return original(times, states, system, check, spectrum)
 
     monkeypatch.setattr(thermo, "trajectory_observables", counting)
     computed = []
