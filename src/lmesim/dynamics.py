@@ -31,7 +31,7 @@ before it with that flag set.
 loop, the generator `_frames`, yields the run's frames in blocks
 (times, R, flags) of FRAME_BLOCK frames, R the (n, 16) real coordinates;
 `_checked` forms each block's states with one product against U and gives
-each frame one ``eigh``, which serves the frame check, the recorded
+every frame, driven or not, one ``eigh`` for the frame check, the recorded
 smallest eigenvalues and the observables.  `integrate` concatenates the
 blocks, and `thermo.find_tau0` consumes them up to the block of its
 crossing.
@@ -108,13 +108,14 @@ class Trajectory:
 
     times: np.ndarray                 # (n_frames,)
     states: np.ndarray                # (n_frames, 4, 4) complex
-    min_eigenvalues: np.ndarray       # (n_frames,)
+    spectrum: tuple                   # eigh (w, V): (n_frames, 4), (n_frames, 4, 4)
     rate_negative: np.ndarray         # (n_frames,) bool, since previous frame
     step: float
     record_stride: int
-    #: (eigenvalues, eigenvectors) of every frame from the frame check's
-    #: ``eigh``, which `thermo.trajectory_observables` reuses; None when driven
-    spectrum: tuple | None = None
+
+    @property
+    def min_eigenvalues(self) -> np.ndarray:    # (n_frames,)
+        return self.spectrum[0][:, 0]
 
     @property
     def final_state(self) -> np.ndarray:
@@ -302,21 +303,21 @@ def _frames(rho0: np.ndarray, cfg: SystemConfig, plan: _RunPlan):
 
 
 def _checked(blocks, driven: bool):
-    """The frame blocks (times, R, flags) as blocks (times, states, lowest,
-    spectrum, flags) that passed `_check_frame`.  A block's states are one
-    product U r per frame, stacked; an error names the first flagged frame
-    of the run up to the failure (`_add_rate_cause`)."""
+    """The frame blocks (times, R, flags) as blocks (times, states, spectrum,
+    flags) that passed `_check_frame`, with its spectrum (w, V).  A block's
+    states are one product U r per frame, stacked; an error names the first
+    flagged frame of the run up to the failure (`_add_rate_cause`)."""
     times_seen, flags_seen = [], []
     for times, rows, flags in blocks:
         times_seen.append(times)
         flags_seen.append(flags)
         states = (HERMITIAN_BASIS @ rows[..., None]).reshape(-1, 4, 4)
         try:
-            lowest, spectrum = _check_frame(states, times, driven)
+            spectrum = _check_frame(states, times, driven)
         except IntegrationError as exc:
             _add_rate_cause(exc, np.concatenate(times_seen), np.concatenate(flags_seen))
             raise
-        yield times, states, lowest, spectrum, flags
+        yield times, states, spectrum, flags
 
 
 def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
@@ -337,15 +338,14 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     the likely cause (`_add_rate_cause`).  The blocks are concatenated.
     """
     plan = _run_plan(t_span, cfg, integrator)
-    times, states, lowest, spectra, flags = zip(*_checked(_frames(rho0, cfg, plan), cfg.is_driven))
+    times, states, spectra, flags = zip(*_checked(_frames(rho0, cfg, plan), cfg.is_driven))
     return Trajectory(
         times=np.concatenate(times),
         states=np.concatenate(states),
-        min_eigenvalues=np.concatenate(lowest),
+        spectrum=tuple(map(np.concatenate, zip(*spectra))),
         rate_negative=np.concatenate(flags),
         step=plan.step,
         record_stride=plan.stride,
-        spectrum=None if cfg.is_driven else tuple(map(np.concatenate, zip(*spectra))),
     )
 
 
@@ -361,18 +361,16 @@ def _add_rate_cause(exc: Exception, times: np.ndarray, flags: np.ndarray) -> Non
 
 
 def _check_frame(states, times, driven: bool):
-    """Check frames in order; return their smallest eigenvalues and, for an
-    undriven run, their spectrum (w, V) from `eigh`.
+    """Check frames in order; return their spectrum (w, V) from `eigh`.
 
     ``states`` is one frame or a stack of them at ``times``.  Raises
     IntegrationError at the first frame whose complex trace drifted beyond
     DENSITY_TRACE_TOL (NaN counts as drift), whose largest |entry| is not
     within ENTRY_MAX (diverged; a NaN entry of a unit-trace frame too) or,
-    undriven, whose smallest eigenvalue is below -DENSITY_EIG_TOL.  Drift and
-    divergence are checked first, and one eigenvalue solve then covers the
-    frames before the first of them: `eigh`, whose spectrum the observables
-    reuse (`thermo.trajectory_observables`), or for a driven run, which only
-    records its eigenvalues, `eigvalsh` and no spectrum.
+    undriven, whose smallest eigenvalue is below -DENSITY_EIG_TOL (a driven
+    run only records it).  Drift and divergence are checked first, and one
+    `eigh` then covers the frames before the first of them; the observables
+    reuse its spectrum (`thermo.trajectory_observables`).
     """
     states = np.asarray(states).reshape(-1, 4, 4)
     times = np.atleast_1d(times)
@@ -381,13 +379,9 @@ def _check_frame(states, times, driven: bool):
     traced = np.abs(traces - 1.0) <= DENSITY_TRACE_TOL
     stopped = np.flatnonzero(~traced | ~(largest <= ENTRY_MAX))
     end = stopped[0] if stopped.size else len(states)
-    if driven:
-        lows, spectrum = np.linalg.eigvalsh(states[:end])[:, 0], None
-    else:
-        spectrum = np.linalg.eigh(states[:end])
-        lows = spectrum[0][:, 0]
-    negative = np.flatnonzero(lows < -DENSITY_EIG_TOL)
-    if not driven and negative.size:
+    spectrum = np.linalg.eigh(states[:end])
+    lows = spectrum[0][:, 0]
+    if not driven and (negative := np.flatnonzero(lows < -DENSITY_EIG_TOL)).size:
         k = negative[0]
         raise IntegrationError(
             f"state eigenvalue {lows[k]:.3e} below -{DENSITY_EIG_TOL:.1e}",
@@ -400,7 +394,7 @@ def _check_frame(states, times, driven: bool):
         else:
             msg = f"trace drifted to {tr.real!r}{tr.imag:+}j, largest |entry| {largest[end]:.3e}"
         raise IntegrationError(msg, time=float(times[end]))
-    return lows, spectrum
+    return spectrum
 
 
 def _driven_steps(t0: float, h: float, n_full: int, tail: float, cfg: SystemConfig):

@@ -37,7 +37,7 @@ import numpy as np
 from .baths import BathParams, decay_rate
 from .dynamics import IntegratorConfig, _RunPlan
 from .errors import StabilityError, UnsupportedConfigError
-from .linalg import HURWITZ_TOL, expm, hermitian_part, lyapunov_solve
+from .linalg import HURWITZ_TOL, expm, hermitian_part, lyapunov_solve, require_finite
 from .model import SM, SP, SystemConfig
 
 # C_ij = tr(σ_i^+ σ_j^- ρ); correlator operators in the fixed product basis
@@ -162,6 +162,7 @@ def integrate_covariance(cov0: np.ndarray, dd: ChainStack, t_span,
     icfg = IntegratorConfig(step=step, record_stride=record_stride)
     if np.shape(cov0) != (2, 2):
         raise ValueError(f"cov0 must be a 2x2 covariance, got shape {np.shape(cov0)}")
+    require_finite("cov0", cov0)
     plan = _RunPlan.of(t_span, icfg.step, icfg.record_stride)
 
     gen = _augmented_generator(dd)

@@ -351,7 +351,7 @@ def _trajectory_table(cfg: ScenarioConfig) -> CsvTable:
     except PositivityError as exc:
         _add_rate_cause(exc, traj.times, traj.rate_negative)
         raise
-    columns = [*cols[:-1], traj.min_eigenvalues, traj.rate_negative.astype(int)]
+    columns = [*cols, traj.rate_negative.astype(int)]
     if driven:
         columns += [effective_temperature_check(i, cols.t, system) for i in (1, 2)]
     return CsvTable(DRIVEN_HEADER if driven else EVOLVE_HEADER, [c.tolist() for c in columns])

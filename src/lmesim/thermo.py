@@ -20,7 +20,7 @@ coordinates (`model.coordinates`, Tr(A B) = a · b) of the Hamiltonian's
 pieces (`model.hamiltonian_pieces`) with each bath's flow ζ²𝓛_i[ρ] = D_i r
 from the integrator's own table (`model.bath_dissipators`); one batched
 ``eigh`` gives the entropy, the clamped ln ρ (`linalg.clamped_log`) and the
-positivity margin, and for an undriven run it is the frame check's own
+positivity margin, and for a trajectory it is the frame check's own
 (`Trajectory.spectrum`), so each frame is decomposed once.
 `thermo_record` (a one-frame `FrameColumns`), `heat_current` and
 `entropy_production_rate` are its one-frame views.  `find_tau0` takes a run
@@ -147,7 +147,8 @@ def trajectory_observables(times, states, cfg: SystemConfig,
     when not).  One ``eigh`` over the Hermitian parts gives S, the clamped
     ln ρ and each frame's smallest eigenvalue; ``spectrum``, the frames'
     (eigenvalues, eigenvectors) from the frame check (`Trajectory.spectrum`),
-    takes its place.  FRAME_BLOCK frames at a time bound the temporaries of
+    takes its place; one of any other shape, or with a non-finite entry,
+    raises ValueError.  FRAME_BLOCK frames at a time bound the temporaries of
     a long run.  ``check`` applies the matrix log's `_check_log_spectrum`.
     """
     times = np.asarray(times, dtype=float)
@@ -160,13 +161,19 @@ def trajectory_observables(times, states, cfg: SystemConfig,
         raise ValueError("trajectory_observables needs at least one frame")
     require_finite("times", times)
     require_finite("states", states)
+    if spectrum is not None and [np.shape(p) for p in spectrum] != [(len(times), 4),
+                                                                    (len(times), 4, 4)]:
+        raise ValueError(f"spectrum must be (w, V) of shapes (n, 4) and (n, 4, 4) for "
+                         f"n = len(times); got {[np.shape(p) for p in spectrum]}")
+    for part in spectrum or ():
+        require_finite("spectrum", part)
     driven = cfg.is_driven
     table = coefficient_table(times, cfg)[0] if driven else static_table(cfg)
     hams = coordinates(hamiltonian_pieces(cfg))
+    w, v = np.linalg.eigh(hermitian_part(states)) if spectrum is None else spectrum
     blocks = [_block_observables(times[k:k + FRAME_BLOCK], states[k:k + FRAME_BLOCK],
                                  table[k:k + FRAME_BLOCK] if driven else table, hams, cfg,
-                                 None if spectrum is None
-                                 else [part[k:k + FRAME_BLOCK] for part in spectrum])
+                                 w[k:k + FRAME_BLOCK], v[k:k + FRAME_BLOCK])
               for k in range(0, len(times), FRAME_BLOCK)]
     cols = FrameColumns(*map(np.concatenate, zip(*blocks)))
     if check:
@@ -175,8 +182,7 @@ def trajectory_observables(times, states, cfg: SystemConfig,
 
 
 def _block_observables(times: np.ndarray, states: np.ndarray, table: np.ndarray,
-                       hams: np.ndarray, cfg: SystemConfig, spectrum) -> FrameColumns:
-    w, v = np.linalg.eigh(hermitian_part(states)) if spectrum is None else spectrum
+                       hams: np.ndarray, cfg: SystemConfig, w, v) -> FrameColumns:
     log_rho = coordinates(clamped_log(w, v))
     h_bare = table[:, :3] @ hams[:3]      # (1, f_1, f_2) @ (ε_i σ_i^z, σ_1^x, σ_2^x)
     h_full = h_bare + hams[3]
@@ -247,8 +253,8 @@ def find_tau0(rho0: np.ndarray, t_span, cfg: SystemConfig,
     The run is propagated only as far as the scan needs.  Its frames come
     in the blocks of the integrator's own frame loop (FRAME_BLOCK frames
     from frame 0), and each block gets `integrate`'s frame checks, in order
-    and with the same errors, before its Σ̇ is computed (from the check's
-    ``eigh`` when the run is undriven).  The scan stops after the block that holds the first sign
+    and with the same errors, before its Σ̇ is computed from the check's
+    ``eigh``.  The scan stops after the block that holds the first sign
     change from Σ̇ > 0 to Σ̇ ≤ 0 and its upper frame: later frames are
     neither computed nor checked.  A run without such a change runs to its
     horizon.  The matrix log's checks apply to the frames up to the change
@@ -262,7 +268,7 @@ def find_tau0(rho0: np.ndarray, t_span, cfg: SystemConfig,
     plan = _run_plan(t_span, cfg, integrator)
     times, states, sigmas, lowest = [], [], [], []    # by block
     seen, down = 0, np.empty(0, dtype=int)
-    for t, block, _, spectrum, _ in _checked(_frames(rho0, cfg, plan), cfg.is_driven):
+    for t, block, spectrum, _ in _checked(_frames(rho0, cfg, plan), cfg.is_driven):
         cols = trajectory_observables(t, block, cfg, check=False, spectrum=spectrum)
         times.append(t)
         states.append(block)

@@ -98,8 +98,10 @@ def test_check_frame_reports_the_first_failing_frame_of_a_stack():
         _check_frame(states, times, True)
     assert err.value.time == 0.2
     assert str(err.value) == "trace drifted to 2.0+0.0j, largest |entry| 5.000e-01"
-    lows, _ = _check_frame(states[:2], times[:2], True)
-    assert np.array_equal(lows, [np.linalg.eigvalsh(s)[0] for s in states[:2]])
+    # and returns the frames' spectrum from eigh, as an undriven run does
+    w, v = _check_frame(states[:2], times[:2], True)
+    assert np.array_equal(w[:, 0], [np.linalg.eigh(s)[0][0] for s in states[:2]])
+    assert np.array_equal(v, np.linalg.eigh(states[:2])[1])
 
 
 def test_check_frame_stops_at_a_diverged_frame():
@@ -268,10 +270,9 @@ def test_trajectory_frames_stay_physical(cfg, steps, stride, seed):
     traces = np.trace(states, axis1=1, axis2=2)
     assert np.all(np.abs(traces.real - 1.0) <= DENSITY_TRACE_TOL)
     assert np.array_equal(states, states.conj().transpose(0, 2, 1))
-    # the frame check's solve: eigh, whose spectrum the observables reuse,
-    # or for a driven run eigvalsh
-    lows = np.linalg.eigvalsh(states) if cfg.is_driven else np.linalg.eigh(states)[0]
-    assert np.array_equal(traj.min_eigenvalues, lows[:, 0])
+    # the frame check's solve for either kind of run: eigh, whose spectrum
+    # the observables reuse
+    assert np.array_equal(traj.min_eigenvalues, np.linalg.eigh(states)[0][:, 0])
     if not cfg.is_driven:
         assert np.all(traj.min_eigenvalues >= -DENSITY_EIG_TOL)
 
@@ -631,13 +632,18 @@ def test_a_bad_frame_mid_block_fails_at_that_frame(base_system, monkeypatch, row
     assert pulled == [0, FRAME_BLOCK]
 
 
-def test_min_eigenvalues_are_the_observables_lowest(base_trajectory, base_system):
-    # one eigh per frame: the recorded smallest eigenvalues are the
-    # observables' `lowest` bit for bit, and handing the observables the
-    # frame check's spectrum changes no bit of any column
-    reused = trajectory_observables(base_trajectory.times, base_trajectory.states, base_system,
-                                    spectrum=base_trajectory.spectrum)
-    own = trajectory_observables(base_trajectory.times, base_trajectory.states, base_system)
-    assert np.array_equal(base_trajectory.min_eigenvalues, reused.lowest)
-    for a, b in zip(reused, own):
-        assert np.array_equal(a, b)
+def test_min_eigenvalues_are_the_observables_lowest(base_trajectory, base_system,
+                                                    driven_system):
+    # one eigh per frame for either kind of run: the recorded smallest
+    # eigenvalues are the observables' `lowest` bit for bit, and handing the
+    # observables the frame check's spectrum changes no bit of any column
+    driven = integrate(maximum_entropy_state(), 0.25, driven_system,
+                       IntegratorConfig(step=5e-4))
+    for traj, cfg in ((base_trajectory, base_system), (driven, driven_system)):
+        n = len(traj.times)
+        assert [part.shape for part in traj.spectrum] == [(n, 4), (n, 4, 4)]
+        reused = trajectory_observables(traj.times, traj.states, cfg, spectrum=traj.spectrum)
+        own = trajectory_observables(traj.times, traj.states, cfg)
+        assert np.array_equal(traj.min_eigenvalues, reused.lowest)
+        for a, b in zip(reused, own):
+            assert np.array_equal(a, b)

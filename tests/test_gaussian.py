@@ -186,6 +186,19 @@ def test_integrate_covariance_accepts_nested_lists():
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
+def test_integrate_covariance_rejects_a_non_finite_cov0():
+    # a NaN or infinite entry would only propagate into every frame
+    dd = drift_diffusion(make_system())
+    for value, where in ((math.nan, 1), (math.inf, 0)):
+        cov0 = 0.5 * np.eye(2, dtype=complex)
+        cov0[where, where] = value
+        message = rf"cov0 has non-finite entries at \({where}, {where}\)$"
+        with pytest.raises(ValueError, match=message):
+            integrate_covariance(cov0, dd, 0.01, step=1e-3)
+    with pytest.raises(ValueError, match="cov0 has non-finite entries"):
+        integrate_covariance(np.full((2, 2), np.nan), dd, 0.01, step=1e-3)
+
+
 @pytest.mark.parametrize("t_span", [math.nan, math.inf, (-math.inf, 1.0)])
 def test_integrate_covariance_rejects_non_finite_time_span(t_span):
     dd = drift_diffusion(make_system())

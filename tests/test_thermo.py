@@ -289,6 +289,26 @@ def test_trajectory_observables_reject_mismatched_shapes(base_trajectory, base_s
         assert str(np.shape(times)) in str(err.value)
 
 
+def test_trajectory_observables_reject_a_mismatched_spectrum(base_trajectory, base_system):
+    # one frame's spectrum beside many frames would give every frame that
+    # frame's entropy and Σ̇ terms; past FRAME_BLOCK frames it would fail
+    # inside the block arithmetic instead
+    w, v = base_trajectory.spectrum
+    for n in (101, thermo.FRAME_BLOCK + 1):
+        times, states = base_trajectory.times[:n], base_trajectory.states[:n]
+        with pytest.raises(ValueError, match=r"spectrum must be \(w, V\) of shapes") as err:
+            trajectory_observables(times, states, base_system, spectrum=(w[n - 1:n], v[n - 1:n]))
+        assert "[(1, 4), (1, 4, 4)]" in str(err.value)
+        own = trajectory_observables(times, states, base_system)
+        reused = trajectory_observables(times, states, base_system, spectrum=(w[:n], v[:n]))
+        assert all(np.array_equal(a, b) for a, b in zip(reused, own))
+    bad = w[:101].copy()
+    bad[3, 2] = np.nan
+    with pytest.raises(ValueError, match=r"spectrum has non-finite entries at \(3, 2\)$"):
+        trajectory_observables(base_trajectory.times[:101], base_trajectory.states[:101],
+                               base_system, spectrum=(bad, v[:101]))
+
+
 def test_trajectory_observables_reject_a_non_finite_frame(base_system, driven_system):
     # no column may come from a NaN frame or time; the one-frame views
     # share the check
