@@ -5,20 +5,20 @@ orthonormal Hermitian basis U (`model.HERMITIAN_BASIS`; v is the row-major
 vec of ρ), on which every generator G is a real 16x16 matrix with an exactly
 zero trace row.  Undriven runs have a constant G (`model.real_liouvillian`),
 so frame k of a stretch of equally spaced frames is exactly P^k applied to
-the frame before the stretch, P = expm(G·span): `linalg.expm` is called once per
-distinct frame span, its powers P¹…P¹²⁸ are built by repeated doubling,
-and a block of frames is one batched product; the step only lays out the
-frame grid.  Driven runs take fixed RK4 steps, DRIVEN_BLOCK at a
-time: one `model.real_generator_stack` call over the block's distinct stage
-times, then three batched real 16x16 products give each step's increment D,
-so a step is r + D r and keeps r_0 = Tr ρ / 2 to the bit.  From a frame
-whose trace 2 r_0 drifted beyond 1e-12 on, a block is renormalized (and the
-event logged); its states v = U r are Hermitian by construction.  A run
-stops at a frame whose trace drifted beyond DENSITY_TRACE_TOL or, driven,
-whose largest |entry| is not within ENTRY_MAX (a driven run keeps its trace
-exactly, so that bound, not rounding, stops one that leaves the state
-space).  The steady state of an undriven configuration is the null vector
-of G with r_0 = ½.
+the frame before the stretch, P = expm(G·span): `linalg.expm` is called
+once for the grid's span (and once for a last frame off it), its powers
+P¹…P¹²⁸ are built by repeated doubling, and a block of frames is one
+batched product; the step only lays out the frame grid.  Driven runs take
+fixed RK4 steps, DRIVEN_BLOCK at a time: one `model.real_generator_stack`
+call over the block's distinct stage times, then three batched real 16x16
+products give each step's increment D, so a step is r + D r and keeps
+r_0 = Tr ρ / 2 to the bit.  From a frame whose trace 2 r_0 drifted beyond
+1e-12 on, a block is renormalized (and the event logged); its states
+v = U r are Hermitian by construction.  A run stops at a frame whose trace
+drifted beyond DENSITY_TRACE_TOL or, driven, whose largest |entry| is not
+within ENTRY_MAX (a driven run keeps its trace exactly, so that bound, not
+rounding, stops one that leaves the state space).  The steady state of an
+undriven configuration is the null vector of G with r_0 = ½.
 
 Recorded frames carry the smallest eigenvalue of the state and a flag that
 marks whether any jump rate went negative since the previous frame (the
@@ -39,7 +39,6 @@ crossing.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import numbers
@@ -162,42 +161,51 @@ def _time_span(t_span):
 @dataclass(frozen=True, eq=False)
 class _RunPlan:
     """A run resolved once: ``n_full`` steps of size ``step`` from t0 and,
-    when they fall short of t1, one ``tail`` step onto it; frame 0 at t0,
-    then a frame every ``stride`` steps and one at t1.  Frame k >= 1 ends
-    at step ``ends[k - 1]`` and lies ``spans[k - 1]`` after frame k - 1;
-    ``times`` holds every frame's time, frame 0's included."""
+    when they fall short of t1, one ``tail`` step onto it.  Frame 0 is at
+    t0, each later one ``every`` steps (``stride``, by default about
+    DEFAULT_FRAME_SPACING/step, at most the step count) or ``span`` after
+    the one before, but the last: it holds the rest, spans ``last`` and
+    lies at t1.  ``times`` holds every frame's time."""
 
     step: float
     stride: int
     n_full: int
     tail: float
+    every: int
+    span: float
+    last: float
     times: np.ndarray
-    ends: np.ndarray
-    spans: np.ndarray
 
     @classmethod
-    def of(cls, t_span, step: float, stride: int) -> _RunPlan:
+    def of(cls, t_span, step: float, stride: int | None) -> _RunPlan:
         t0, t1 = _time_span(t_span)
-        n_full = int(math.floor((t1 - t0) / step + 1e-9))
+        count, spacing = (t1 - t0) / step + 1e-9, DEFAULT_FRAME_SPACING / step
+        if not (math.isfinite(count) and (stride or math.isfinite(spacing))):
+            raise ConfigError(f"step {step!r} is too small for the span ({t0!r}, {t1!r})")
+        stride = stride or max(1, round(spacing))
+        n_full = int(math.floor(count))
         tail = t1 - t0 - n_full * step
         if tail < 1e-12 * max(1.0, abs(t1)):
             tail = 0.0
         n = n_full + (1 if tail else 0)
         every = min(stride, max(n, 1))       # a stride past n frames only t1
-        ends = np.minimum(np.arange(every, n + every, every), n)
-        partial = ends > n_full              # the frame that holds the tail step
-        spans = (np.diff(ends, prepend=0) - partial) * step + np.where(partial, tail, 0.0)
-        times = np.append(t0, np.where(ends == n, t1, t0 + ends * step))
-        return cls(step, stride, n_full, tail, times, ends, spans)
+        rest = (n - 1) % every + 1 - (1 if tail else 0)   # the last frame's full steps
+        times = np.append(t0, t0 + np.arange(every, n, every) * step)
+        return cls(step, stride, n_full, tail, every, every * step, rest * step + tail,
+                   np.append(times, t1) if n else times)
+
+    @property
+    def on_grid(self) -> int:
+        """Frames 1..on_grid span ``span``: all but a last one off the grid."""
+        return len(self.times) - 1 - (self.last != self.span)
 
 
 def _run_plan(t_span, cfg: SystemConfig, integrator: IntegratorConfig | None = None) -> _RunPlan:
     """The plan of a run of cfg over t_span: the integrator's step (by
-    default `default_step`) and stride (by default about
-    DEFAULT_FRAME_SPACING between frames)."""
+    default `default_step`) and stride."""
     icfg = integrator or IntegratorConfig()
     h = icfg.step if icfg.step is not None else default_step(cfg)
-    return _RunPlan.of(t_span, h, icfg.record_stride or max(1, round(DEFAULT_FRAME_SPACING / h)))
+    return _RunPlan.of(t_span, h, icfg.record_stride)
 
 
 def _powers(p: np.ndarray, m: int) -> np.ndarray:
@@ -211,22 +219,18 @@ def _powers(p: np.ndarray, m: int) -> np.ndarray:
 
 def _exact_frames(cfg: SystemConfig, plan: _RunPlan):
     """advance(r, first, stop) of an undriven run: frames first..stop-1 from
-    frame first - 1 at r.  A stretch of m frames with one span takes
-    P¹…P^m of that span's propagator P = expm(G·span) in one product; the
-    powers are built once per distinct span, up to FRAME_BLOCK of them."""
-    gen = real_liouvillian(cfg)
-    spans, counts = np.unique(plan.spans, return_counts=True)
-    powers = {span: _powers(expm(gen * span), min(count, FRAME_BLOCK))
-              for span, count in zip(spans.tolist(), counts.tolist())}
+    frame first - 1 at r.  The frames on the grid take P¹…P^m of P =
+    expm(G·span) in one product, up to FRAME_BLOCK powers built once, and a
+    last frame off it takes expm(G·last); each is built only when used."""
+    gen, on_grid = real_liouvillian(cfg), plan.on_grid
+    powers = _powers(expm(gen * plan.span), min(on_grid, FRAME_BLOCK)) if on_grid else None
+    last = expm(gen * plan.last) if on_grid < len(plan.times) - 1 else None
 
     def advance(r, first, stop):
-        rows = np.empty((stop - first, 16))
-        k = 0
-        for span, stretch in itertools.groupby(plan.spans[first - 1:stop - 1].tolist()):
-            m = len(list(stretch))
-            rows[k:k + m] = (powers[span][:16 * m] @ r).reshape(m, 16)
-            r = rows[k + m - 1]
-            k += m
+        m = min(stop - 1, on_grid) - first + 1
+        rows = (powers[:16 * m] @ r).reshape(m, 16) if m else np.empty((0, 16))
+        if stop - first > m:    # the last frame, off the grid
+            rows = np.vstack([rows, last @ (rows[-1] if m else r)])
         return rows, np.zeros(len(rows), dtype=bool), False
 
     return advance
@@ -234,19 +238,17 @@ def _exact_frames(cfg: SystemConfig, plan: _RunPlan):
 
 def _driven_frames(cfg: SystemConfig, plan: _RunPlan):
     """advance(r, first, stop) of a driven run: frames first..stop-1 from
-    frame first - 1 at r, each the `_driven_steps` since the frame before
-    taken one at a time as r + D r and flagged when a rate was negative in
-    one of them.  It stops after a frame with an entry beyond ENTRY_MAX
-    (diverged) and says so."""
+    frame first - 1 at r, each the ``every`` `_driven_steps` since the frame
+    before (the last the rest) taken one at a time as r + D r and flagged
+    when a rate was negative in one of them.  It stops after a frame with an
+    entry beyond ENTRY_MAX (diverged) and says so."""
     steps = _driven_steps(float(plan.times[0]), plan.step, plan.n_full, plan.tail, cfg)
-    counts = np.diff(plan.ends, prepend=0).tolist()
 
     def advance(r, first, stop):
         rows, flags, diverged = [], [], False
-        for count in counts[first - 1:stop - 1]:
+        for _ in range(first, stop):
             neg_seen = False
-            for _ in range(count):
-                inc, neg = next(steps)
+            for _, (inc, neg) in zip(range(plan.every), steps):   # range first: no step lost
                 r = r + inc @ r
                 neg_seen = neg_seen or neg
             rows.append(r)
@@ -325,17 +327,17 @@ def integrate(rho0: np.ndarray, t_span, cfg: SystemConfig,
     """Propagate the 4x4 rho0 over t_span = (t0, t1) (or a bare final
     time); an initial state or span of any other shape raises ValueError.
 
-    Undriven frames are exact (powers of one matrix exponential per
-    distinct frame spacing); driven frames come from fixed-step RK4.  A run
-    stops at the first frame whose trace 2 r_0, before renormalization, is
-    not within DENSITY_TRACE_TOL of one or, driven, whose largest |entry| is
-    not within ENTRY_MAX, and records that frame as computed.  The frames
-    are checked block by block as `_frames` yields them (`_checked`), with
-    the error naming the first bad frame: that drifted or diverged frame,
-    or for undriven configurations a smallest eigenvalue below
-    -DENSITY_EIG_TOL (driven runs only record it, since the time-dependent
-    generator is not guaranteed completely positive).  The error also names
-    the likely cause (`_add_rate_cause`).  The blocks are concatenated.
+    Undriven frames are exact (powers of one matrix exponential, and one
+    more for a last frame off the grid); driven frames come from fixed-step
+    RK4.  A run stops at the first frame whose trace 2 r_0, before
+    renormalization, is not within DENSITY_TRACE_TOL of one or, driven,
+    whose largest |entry| is not within ENTRY_MAX, and records that frame
+    as computed.  The frames are checked block by block as `_frames` yields
+    them (`_checked`); an error names the first bad frame (that drifted or
+    diverged frame or, undriven, a smallest eigenvalue below
+    -DENSITY_EIG_TOL, which a driven run only records since its generator
+    is not guaranteed completely positive) and its likely cause
+    (`_add_rate_cause`).  The blocks are concatenated.
     """
     plan = _run_plan(t_span, cfg, integrator)
     times, states, spectra, flags = zip(*_checked(_frames(rho0, cfg, plan), cfg.is_driven))

@@ -29,7 +29,6 @@ point and its own scalar solve give the same bits.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,13 +164,14 @@ def integrate_covariance(cov0: np.ndarray, dd: ChainStack, t_span,
     require_finite("cov0", cov0)
     plan = _RunPlan.of(t_span, icfg.step, icfg.record_stride)
 
-    gen = _augmented_generator(dd)
-    propagator = functools.cache(lambda span: expm(gen * span))
+    gen, on_grid = _augmented_generator(dd), plan.on_grid
+    grid = expm(gen * plan.span) if on_grid else None
+    last = expm(gen * plan.last) if on_grid < len(plan.times) - 1 else grid
 
     cov = np.array(cov0, dtype=complex)
     covs = [cov]
-    for span in plan.spans.tolist():
-        vec = propagator(span) @ np.append(cov.reshape(4), 1.0)
+    for k in range(1, len(plan.times)):
+        vec = (grid if k <= on_grid else last) @ np.append(cov.reshape(4), 1.0)
         cov = hermitian_part(vec[:4].reshape(2, 2))
         covs.append(cov)
     return plan.times, np.array(covs)

@@ -5,6 +5,7 @@ import logging
 import math
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,11 +20,12 @@ from conftest import (
     scalar_coefficients,
     undriven_systems,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lmesim import (
+    ConfigError,
     IntegrationError,
     IntegratorConfig,
     StabilityError,
@@ -31,13 +33,16 @@ from lmesim import (
     decay_rate,
     default_step,
     dissipation_rates,
+    drift_diffusion,
     integrate,
+    integrate_covariance,
     liouvillian_matrix,
     maximum_entropy_state,
     steady_state,
     trajectory_observables,
 )
-from lmesim import dynamics
+from lmesim import dynamics, gaussian
+from lmesim.cli import main
 from lmesim.dynamics import (
     DRIVEN_BLOCK,
     ENTRY_MAX,
@@ -144,13 +149,56 @@ def test_default_step_shrinks_for_hot_fast_bath():
     assert default_step(hot) < 1e-3 / (0.5 * decay_rate(-2.0 * 5.0, hot.bath2))
 
 
+def _spans(plan):
+    """The span of each frame after frame 0: ``span``, the last ``last``."""
+    frames = len(plan.times) - 1
+    return [plan.span] * (frames - 1) + [plan.last] * min(frames, 1)
+
+
 def _layout(t0, t1, h, stride):
     """(n_full, tail, frames) of a run plan, each frame (first step, end
     step, frame time, span of its steps)."""
     plan = _RunPlan.of((t0, t1), h, stride)
-    firsts = [0, *plan.ends[:-1].tolist()]
-    frames = list(zip(firsts, plan.ends.tolist(), plan.times[1:].tolist(), plan.spans.tolist()))
+    n = plan.n_full + (1 if plan.tail else 0)
+    ends = [min(k * plan.every, n) for k in range(1, len(plan.times))]
+    frames = list(zip([0, *ends[:-1]], ends, plan.times[1:].tolist(), _spans(plan)))
     return plan.n_full, plan.tail, frames
+
+
+def _parent_layout(t0, t1, h, stride):
+    """(times, ends, spans) of a run as the frame grid was laid out when
+    the plan held per-frame arrays: the reference for `_RunPlan.of`."""
+    n_full = int(math.floor((t1 - t0) / h + 1e-9))
+    tail = t1 - t0 - n_full * h
+    if tail < 1e-12 * max(1.0, abs(t1)):
+        tail = 0.0
+    n = n_full + (1 if tail else 0)
+    every = min(stride, max(n, 1))
+    ends = np.minimum(np.arange(every, n + every, every), n)
+    partial = ends > n_full
+    spans = (np.diff(ends, prepend=0) - partial) * h + np.where(partial, tail, 0.0)
+    times = np.append(t0, np.where(ends == n, t1, t0 + ends * h))
+    return times, ends, spans
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(t0=st.sampled_from([0.0, -2.5, 0.75]) | st.floats(-50.0, 50.0),
+       h=st.floats(1e-6, 0.1), steps=st.integers(0, 3000),
+       frac=st.sampled_from([0.0, 0.5, 1e-13, 1.0 - 1e-10]) | st.floats(0.0, 1.0),
+       stride=st.integers(1, 400) | st.sampled_from([10**9, 10**18]))
+@example(t0=0.0, h=1e-3, steps=7, frac=0.5, stride=10**9)      # a stride past n
+@example(t0=0.3, h=1e-3, steps=0, frac=0.0, stride=5)         # a zero span
+@example(t0=2.0, h=1e-3, steps=40, frac=1e-10, stride=6)      # tail under 1e-12·|t1|
+def test_plan_keeps_the_parent_frame_grid_to_the_bit(t0, h, steps, frac, stride):
+    # every frame but the last spans `every` steps: the plan's scalars give
+    # the parent's per-frame times, end steps and spans bit for bit
+    t1 = t0 + (steps + frac) * h
+    times, ends, spans = _parent_layout(t0, t1, h, stride)
+    plan = _RunPlan.of((t0, t1), h, stride)
+    assert plan.times.tobytes() == times.tobytes()
+    assert [end for _, end, _, _ in _layout(t0, t1, h, stride)[2]] == ends.tolist()
+    assert np.array(_spans(plan)).tobytes() == spans.tobytes()
+    assert plan.on_grid == np.count_nonzero(spans == plan.span)
 
 
 def test_plan_steps_layout():
@@ -161,6 +209,50 @@ def test_plan_steps_layout():
     # a span that is an exact multiple up to rounding must not grow a sliver
     n, tail = _layout(0.0, 0.3, 0.1, 1)[:2]
     assert n == 3 and tail == 0.0
+
+
+@pytest.mark.parametrize("run, calls", [
+    (((0.0, 100e-3), 10), 1),          # every frame on the grid
+    (((0.0, 100.5e-3), 10), 2),        # a last frame that holds a tail step
+    (((0.2, 0.2075), 10**9), 1),       # a τ₀ probe: one frame, with a tail
+    (((0.3, 0.3), 10), 0),             # a zero span: frame 0 only
+])
+@pytest.mark.parametrize("path", ["density", "covariance"])
+def test_a_run_builds_one_exponential_per_frame_span_it_uses(monkeypatch, run, calls, path):
+    (t_span, stride), cfg = run, make_system()
+    module = dynamics if path == "density" else gaussian
+    built = []
+    monkeypatch.setattr(module, "expm", lambda m: built.append(m) or expm(m))
+    if path == "density":
+        integrate(maximum_entropy_state(), t_span, cfg,
+                  IntegratorConfig(step=1e-3, record_stride=stride))
+    else:
+        integrate_covariance(0.5 * np.eye(2, dtype=complex), drift_diffusion(cfg), t_span,
+                             1e-3, stride)
+    assert len(built) == calls
+
+
+@pytest.mark.parametrize("run", ["integrate", "integrate_default_stride", "integrate_covariance",
+                                 "evolve", "relaxation"])
+def test_a_subnormal_step_is_a_config_error(tmp_path, capsys, run):
+    # (t1 - t0)/step, or the default stride DEFAULT_FRAME_SPACING/step,
+    # overflows to inf: the step is rejected by name, not by OverflowError
+    message = "step 5e-324 is too small for the span"
+    if run in ("evolve", "relaxation"):
+        config = str(Path(__file__).parent / "golden" / f"{run}.ini")
+        argv = [run, "--config", config, "--step", "5e-324", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        assert f"config error: {message} (0.0, " in capsys.readouterr().err
+        return
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        if run == "integrate_covariance":
+            integrate_covariance(0.5 * np.eye(2, dtype=complex), drift_diffusion(make_system()),
+                                 0.3, 5e-324)
+        elif run == "integrate":
+            integrate(maximum_entropy_state(), 0.3, make_system(),
+                      IntegratorConfig(step=5e-324, record_stride=10**18))
+        else:     # a zero span has a finite step count, but no default stride
+            integrate(maximum_entropy_state(), 0.0, make_system(), IntegratorConfig(step=5e-324))
 
 
 def test_rk4_step_against_matrix_exponential(base_system, rng):
@@ -531,11 +623,11 @@ def test_block_frames_match_expm_and_the_frame_recurrence(cfg, frames, stride, t
     t_span = (0.0, ((frames - 1) * stride + tail) * h)
     traj = integrate(rho0, t_span, cfg, IntegratorConfig(step=h, record_stride=stride))
     plan = _RunPlan.of(t_span, h, stride)
-    assert len(traj.times) == frames + 1 and plan.spans[-1] < plan.spans[0]
+    assert len(traj.times) == frames + 1 and plan.last < plan.span
     gen, r0 = real_liouvillian(cfg), coordinates(rho0)
     exact = np.array([HERMITIAN_BASIS @ expm(gen * t) @ r0 for t in traj.times])
     assert np.max(np.abs(traj.states - exact.reshape(-1, 4, 4))) <= 2e-14
-    assert np.max(np.abs(traj.states - frame_recurrence(rho0, cfg, plan.spans))) <= 1e-14
+    assert np.max(np.abs(traj.states - frame_recurrence(rho0, cfg, _spans(plan)))) <= 1e-14
 
 
 def test_a_block_is_renormalized_from_its_drifted_frame_on(caplog):
