@@ -189,6 +189,9 @@ class _RunPlan:
             tail = 0.0
         n = n_full + (1 if tail else 0)
         every = min(stride, max(n, 1))       # a stride past n frames only t1
+        if (frames := (n - 1) // every + 2 if n else 1) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"step {step!r} over the span ({t0!r}, {t1!r}) makes "
+                              f"{frames:.3g} frames, more than an array of times holds")
         rest = (n - 1) % every + 1 - (1 if tail else 0)   # the last frame's full steps
         times = np.append(t0, t0 + np.arange(every, n, every) * step)
         return cls(step, stride, n_full, tail, every, every * step, rest * step + tail,

@@ -23,8 +23,8 @@ in blocks of whole T-ratio rows of at most ``BOUNDARY_BLOCK`` points).
 Relaxation runs point after point, each propagated only up to the frame
 block that holds its first downward Σ̇ crossing (`thermo.find_tau0`), so
 frames after that block are not checked.  A table holds one sequence per
-column, not a tuple per row; CSV formats are decided per column (a repeating
-one is formatted once per distinct value) and applied per ``EMIT_BLOCK``
+column, not a tuple per row; CSV formats are decided per column (a `Tiled`
+grid column is formatted once per grid value) and applied per ``EMIT_BLOCK``
 rows.  A sweep point whose numerics fail (one of the three
 ``errors.NUMERICAL_ERRORS``: ``IntegrationError``, ``StabilityError`` or
 ``PositivityError``; for the steady sweeps a drift that fails the Lyapunov
@@ -73,7 +73,7 @@ DRIVEN_HEADER = EVOLVE_HEADER + ("efftemp_dev1", "efftemp_dev2")
 
 @dataclass
 class CsvTable:
-    """Header plus one equally long sequence of cells per header name."""
+    """Header plus one equally long sequence (or `Tiled`) of cells per header name."""
 
     header: tuple
     columns: list
@@ -86,6 +86,26 @@ class CsvTable:
             if len(cells) != len(self.columns[0]):
                 raise ValueError(f"column {name} has {len(cells)} cells, "
                                  f"column {self.header[0]} has {len(self.columns[0])}")
+
+
+@dataclass(frozen=True)
+class Tiled:
+    """A grid column: each of `values` `each` times in a row, that run `times`
+    over.  Its cells are the objects that `values` holds."""
+
+    values: tuple
+    each: int = 1
+    times: int = 1
+
+    def __len__(self):
+        return len(self.values) * self.each * self.times
+
+    def __iter__(self):
+        return iter(self.tile(self.values))
+
+    def tile(self, cells) -> list:
+        """`cells`, one per value, laid out as this column's cells."""
+        return [cell for cell in cells for _ in range(self.each)] * self.times
 
 
 @dataclass(frozen=True)
@@ -374,8 +394,8 @@ def _boundary_table(cfg: ScenarioConfig) -> CsvTable:
     base = cfg.system
     bath2 = base.bath2
     eps1 = np.array(cfg.eps_ratio_grid) * base.qubit2.epsilon
-    columns = ([tr for tr in cfg.t_ratio_grid for _ in cfg.eps_ratio_grid],
-               cfg.eps_ratio_grid * len(cfg.t_ratio_grid), [], [])
+    columns = (Tiled(cfg.t_ratio_grid, each=len(cfg.eps_ratio_grid)),
+               Tiled(cfg.eps_ratio_grid, times=len(cfg.t_ratio_grid)), [], [])
     # blocks of whole T-ratio rows: few stacks, and a large grid's memory stays flat
     per_block = max(1, BOUNDARY_BLOCK // max(eps1.size, 1))
     for start in range(0, len(cfg.t_ratio_grid), per_block):
@@ -459,42 +479,29 @@ def _quote(value) -> str:   # RFC 4180: quote a cell holding , " LF or CR
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n\r') else text
 
 
-def _repeated(cells):
-    """The distinct values of a column of which at least half repeat, or
-    None: the set grows a sixteenth of the column at a time and gives up as
-    soon as more than half of the values are distinct."""
-    distinct, chunk = set(), max(1, -(-len(cells) // 16))
-    for start in range(0, len(cells), chunk):
-        distinct.update(cells[start:start + chunk])
-        if 2 * len(distinct) > len(cells):
-            return None
-    return distinct
-
-
-def _column(cells: tuple):
+def _column(cells):
     """The ``%`` format of one column, and its cells (as text where it is
-    made here).  Plain floats of which at least half repeat, with no zero
-    (0.0 == -0.0 prints two ways), and strings are formatted once per
-    distinct value; a column of mixed formats is formatted cell by cell."""
+    made here).  A `Tiled` column is formatted once per grid value, strings
+    once per distinct value, ints and floats by the row format and a column
+    of mixed formats cell by cell."""
+    if isinstance(cells, Tiled):
+        spec, values = _column(cells.values)
+        return "%s", cells.tile([spec % v for v in values])
     types = set(map(type, cells))
     specs = {_spec(cls) for cls in types}
-    if types == {float} and (distinct := _repeated(cells)) is not None \
-            and 0.0 not in distinct:
-        text = {v: "%.16e" % v for v in distinct}
-    elif types == {str}:
+    if types == {str}:
         text = {v: _quote(v) for v in set(cells)}
-    elif specs in ({"%d"}, {"%.16e"}):
+        return "%s", list(map(text.__getitem__, cells))
+    if specs in ({"%d"}, {"%.16e"}):
         return specs.pop(), cells
-    else:
-        return "%s", [_quote(v) if (f := _spec(type(v))) == "%s" else f % v for v in cells]
-    return "%s", list(map(text.__getitem__, cells))
+    return "%s", [_quote(v) if (f := _spec(type(v))) == "%s" else f % v for v in cells]
 
 
 def emit_csv(table: CsvTable, path) -> None:
     """Write header + rows, LF line endings, floats at 17 significant digits;
     header cells are quoted as text cells are.  The format is decided per
-    column, then applied with one ``%`` per block of ``EMIT_BLOCK`` rows to
-    the block's cells, interleaved row by row."""
+    column (`_column`), then applied with one ``%`` per block of
+    ``EMIT_BLOCK`` rows to the block's cells, interleaved row by row."""
     columns = [_column(cells) for cells in table.columns]
     width = len(columns)
     flat = [None] * (len(table.columns[0]) * width)

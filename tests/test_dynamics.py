@@ -255,6 +255,30 @@ def test_a_subnormal_step_is_a_config_error(tmp_path, capsys, run):
             integrate(maximum_entropy_state(), 0.0, make_system(), IntegratorConfig(step=5e-324))
 
 
+@pytest.mark.parametrize("run", ["integrate", "integrate_covariance", "evolve"])
+def test_a_plan_with_more_frames_than_an_array_holds_is_a_config_error(tmp_path, capsys, run):
+    # 3e299 steps at a stride of 1e18 are 3e281 frame times: the plan is
+    # rejected with the step, span and frame count, not by NumPy's arange
+    if run == "evolve":
+        config = tmp_path / "huge.ini"
+        config.write_text((Path(__file__).parent / "golden" / "evolve.ini").read_text()
+                          + "\n[integrator]\nstep = 1e-300\nrecord_stride = 1000000000000000000\n")
+        assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: step 1e-300 over the span (0.0, 0.5) makes 5e+281 frames" in err
+        assert "Traceback" not in err and not (tmp_path / "x.csv").exists()
+        return
+    message = ("step 1e-300 over the span (0.0, 0.3) makes 3e+281 frames, "
+               "more than an array of times holds")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        if run == "integrate":
+            integrate(maximum_entropy_state(), 0.3, make_system(),
+                      IntegratorConfig(step=1e-300, record_stride=10**18))
+        else:
+            integrate_covariance(0.5 * np.eye(2, dtype=complex), drift_diffusion(make_system()),
+                                 0.3, 1e-300, 10**18)
+
+
 def test_rk4_step_against_matrix_exponential(base_system, rng):
     from conftest import random_density
 

@@ -730,17 +730,20 @@ def test_emit_csv_writes_the_per_cell_bytes(tmp_path, base_system, driven_system
         relaxation_grid=(0.5,),
     )
     table = run_scenario(cfg)
+    path = tmp_path / "t.csv"
+    emit_csv(table, path)     # as returned: the boundary sweep's grid columns tiled
+    assert path.read_bytes() == per_cell_csv(table)
     rows = table_rows(table)
     rows += [awkward_row(rows[0], k) for k in range(5)]
     table = CsvTable(table.header, list(zip(*rows)))
-    path = tmp_path / "t.csv"
     emit_csv(table, path)
     assert path.read_bytes() == per_cell_csv(table)
 
 
 def test_emit_csv_formats_repeated_cells_once_with_the_per_cell_bytes(tmp_path):
-    # columns that repeat are formatted once per distinct value; 0.0 == -0.0
-    # and NaN != NaN must not merge or split their texts
+    # a text column is formatted once per distinct value; a float column that
+    # repeats is left to the row format, so 0.0 == -0.0 and NaN != NaN cannot
+    # merge or split its texts
     floats = (0.0, -0.0, math.nan, float("nan"), math.inf, -math.inf, 0.1, 0.1, 1e-300)
     no_zero = (math.nan, float("nan"), math.inf, -math.inf, 1.0 / 3.0, 2.5)
     mixed = (np.float64(0.5), np.float32(0.1), True, np.int64(-7), 0.5, -0.0)
@@ -754,30 +757,75 @@ def test_emit_csv_formats_repeated_cells_once_with_the_per_cell_bytes(tmp_path):
     path = tmp_path / "t.csv"
     emit_csv(table, path)
     assert path.read_bytes() == per_cell_csv(table)
-    # a column with a zero keeps %.16e; the zero-free one is deduplicated
     assert scenarios._column(columns[0]) == ("%.16e", columns[0])
-    assert scenarios._column(columns[1])[0] == "%s"
+    assert scenarios._column(columns[1]) == ("%.16e", columns[1])
+    spec, cells = scenarios._column(columns[4])
+    assert spec == "%s" and len({id(cell) for cell in cells}) == len(set(texts))
 
 
-def test_emit_csv_decides_columns_whose_repeats_sit_in_their_second_half(tmp_path):
-    # a column is formatted once per distinct value when at least half of its
-    # cells repeat: repeats that all sit in the second half count, and a first
-    # half that repeats does not qualify a column whose rest is distinct
+def test_emit_csv_leaves_float_columns_that_repeat_to_the_row_format(tmp_path):
+    # however its cells repeat, a column of plain floats goes straight to %.16e
     for n in (9, 10):
         values = [1.0 / (k + 3) for k in range(n)]
         half = n // 2
         repeating = tuple(values[:half] + (values[:half] * 2)[:n - half])
         distinct = tuple(values[:half + 1] + values[:1] * (n - half - 1))
         late = tuple(values[:1] + values[:n - 1])
-        assert len(set(repeating)) == half and len(set(distinct)) == half + 1
-        assert len(set(late[:half + 1])) == half and len(set(late)) > half
-        assert scenarios._column(repeating)[0] == "%s"
-        assert scenarios._column(distinct) == ("%.16e", distinct)
-        assert scenarios._column(late) == ("%.16e", late)
+        for column in (repeating, distinct, late):
+            assert scenarios._column(column) == ("%.16e", column)
         table = CsvTable(("a", "b", "c"), [repeating, distinct, late])
         path = tmp_path / "t.csv"
         emit_csv(table, path)
         assert path.read_bytes() == per_cell_csv(table)
+
+
+#: grid values awkward to format, six of each kind
+TILED_VALUES = (
+    (0.0, -0.0, math.nan, float("nan"), math.inf, -math.inf),
+    (np.float32(0.1), np.float64(1.0 / 3.0), -1e-300, 0.1, 0.1, -0.0),
+    (True, np.int64(-7), 0, 12, np.bool_(False), 12),
+    ('error:"quoted", text', "two\nlines", "carriage\rreturn", "ok", 'say "hi"', "ok"),
+    (0.5, np.float32(0.1), -0.0, np.int64(3), "a,b", math.nan),
+)
+
+
+@pytest.mark.parametrize("each, times", [(1, 1), (3, 1), (1, 4), (3, 4), (0, 4), (3, 0)])
+def test_emit_csv_formats_a_tiled_column_once_per_value(tmp_path, each, times):
+    # every cell gets the per-cell bytes, and a value's cells share the one
+    # text it was formatted to: 0.0 and -0.0, or two NaNs, are not merged
+    columns = [scenarios.Tiled(values, each, times) for values in TILED_VALUES]
+    plain = [1.0 / (k + 1) for k in range(6 * each * times)]
+    table = CsvTable(("f", 'say "hi"', "i", "two\nlines", "m", "row"), [*columns, plain])
+    path = tmp_path / "t.csv"
+    emit_csv(table, path)
+    assert path.read_bytes() == per_cell_csv(table)
+    for column in columns:
+        spec, cells = scenarios._column(column)
+        assert spec == "%s" and cells == [format_cell(v) for v in column]
+        assert len({id(cell) for cell in cells}) <= len(column.values)
+    # an empty grid, as an empty eps_ratio_grid leaves the boundary sweep
+    table = CsvTable(("t", "e"), [scenarios.Tiled((1.0, 2.0), each=0),
+                                  scenarios.Tiled((), times=2)])
+    emit_csv(table, path)
+    assert path.read_bytes() == per_cell_csv(table) == b"t,e\n"
+
+
+@pytest.mark.parametrize("t_grid, eps_grid", [
+    ((1.0, 2.5, 3.0), (0.5, 1.5)), ((1.0,), (0.5,)), ((1.0, 2.0), ()), ((), (0.5, 1.5)),
+])
+def test_tiled_grid_columns_hold_the_cells_of_the_old_lists(base_system, t_grid, eps_grid):
+    # fresh float objects, so that `is` tells them apart
+    t_grid, eps_grid = (tuple(np.array(g, dtype=float).tolist()) for g in (t_grid, eps_grid))
+    t_col = scenarios.Tiled(t_grid, each=len(eps_grid))
+    eps_col = scenarios.Tiled(eps_grid, times=len(t_grid))
+    for column, old in ((t_col, [tr for tr in t_grid for _ in eps_grid]),
+                        (eps_col, eps_grid * len(t_grid))):
+        assert len(column) == len(old) and list(column) == list(old)
+        assert all(cell is want for cell, want in zip(column, old))
+    cfg = ScenarioConfig(kind="sweep_boundary", system=base_system,
+                         integrator=IntegratorConfig(), t_ratio_grid=t_grid,
+                         eps_ratio_grid=eps_grid)
+    assert tuple(run_scenario(cfg).columns[:2]) == (t_col, eps_col)
 
 
 @pytest.mark.parametrize("blocks, extra", [(2, 37), (3, 0)])
