@@ -10,27 +10,24 @@ import importlib
 
 #: each public name and the module that defines it; its keys are __all__
 _SOURCES = {
-    "BathParams": "baths", "decay_rate": "baths", "memory_correction_rate": "baths",
-    "spectral_density": "baths",
+    "BathParams": "baths", "decay_rate": "baths", "spectral_density": "baths",
     "IntegratorConfig": "dynamics", "Trajectory": "dynamics", "default_step": "dynamics",
     "integrate": "dynamics", "steady_state": "dynamics",
     "ConfigError": "errors", "IntegrationError": "errors", "PositivityError": "errors",
     "StabilityError": "errors", "UnsupportedConfigError": "errors",
     "covariance_from_density": "gaussian", "drift_diffusion": "gaussian",
-    "integrate_covariance": "gaussian", "relaxation_time": "gaussian",
-    "steady_covariance": "gaussian", "steady_heat_currents": "gaussian",
+    "relaxation_time": "gaussian", "steady_covariance": "gaussian",
+    "steady_heat_currents": "gaussian",
     "embed_qubit_op": "linalg", "lyapunov_solve": "linalg",
     "QubitParams": "model", "SystemConfig": "model", "bare_hamiltonian": "model",
-    "dissipation_rates": "model", "drive": "model", "gibbs_product_state": "model",
-    "instantaneous_gap": "model", "interaction_hamiltonian": "model",
-    "liouvillian_matrix": "model", "maximum_entropy_state": "model", "tdlme_rhs": "model",
-    "validate_density": "model",
+    "dissipation_rates": "model", "drive": "model", "instantaneous_gap": "model",
+    "interaction_hamiltonian": "model", "liouvillian_matrix": "model",
+    "maximum_entropy_state": "model", "tdlme_rhs": "model", "validate_density": "model",
     "CsvTable": "scenarios", "ScenarioConfig": "scenarios", "emit_csv": "scenarios",
     "load_config": "scenarios", "run_scenario": "scenarios",
-    "CrossingResult": "thermo", "PowerLawFit": "thermo",
-    "effective_temperature_check": "thermo", "entropy": "thermo",
-    "entropy_production_rate": "thermo", "find_tau0": "thermo", "fit_power_law": "thermo",
-    "heat_current": "thermo", "thermo_record": "thermo", "trajectory_observables": "thermo",
+    "CrossingResult": "thermo", "effective_temperature_check": "thermo", "entropy": "thermo",
+    "entropy_production_rate": "thermo", "find_tau0": "thermo", "heat_current": "thermo",
+    "thermo_record": "thermo", "trajectory_observables": "thermo",
 }
 __all__ = tuple(_SOURCES)
 __version__ = "0.1.0"

@@ -5,17 +5,18 @@ The bath is Ohmic with a Lorentz-Drude cutoff,
     J(ω) = (2κ/π) ω Ω² / (Ω² + ω²),
 
 and couples to a qubit through jump operators evaluated in the instantaneous
-eigenbasis.  The rates are closed forms: the decay rate γ(ω) and the
-first-order memory-correction rate Γ¹(ω).  The test suite cross-checks them
-against quadrature of the defining time/frequency double integrals.
+eigenbasis.  The rates are closed forms: the decay rate γ(ω) and the real
+part of the first-order memory-correction rate Γ¹(ω), the only part the
+driven generator takes.  The test suite holds the complex Γ¹ and
+cross-checks the rates against quadrature of the defining time/frequency
+double integrals.
 
 The closed-form decay rate γ(ω) = π J(ω)(coth(βω/2)+1) is exact for this
 spectral density; the memory-correction form assumes k_B T ≳ Ω.
 
-`spectral_density`, `decay_rate`, `memory_correction_real` and
-`memory_correction_rate` also take an ndarray of frequencies, which the steady
-sweeps and the driven generator use to compute many rates in one call.  The
-driven generator calls only `decay_rate` and `memory_correction_real` (Re Γ¹).
+`spectral_density`, `decay_rate` and `memory_correction_real` also take an
+ndarray of frequencies, which the steady sweeps and the driven generator use
+to compute many rates in one call.
 """
 
 from __future__ import annotations
@@ -64,13 +65,6 @@ def spectral_density(omega, bath: BathParams):
     a float or an array."""
     cut2 = bath.cutoff * bath.cutoff
     return (2.0 * bath.kappa / math.pi) * omega * cut2 / (cut2 + omega * omega)
-
-
-def spectral_density_derivative(omega, bath: BathParams):
-    """dJ/dω for the Lorentz-Drude form."""
-    cut2 = bath.cutoff * bath.cutoff
-    den = cut2 + omega * omega
-    return (2.0 * bath.kappa / math.pi) * cut2 * (cut2 - omega * omega) / (den * den)
 
 
 def _elementwise(fn, x: np.ndarray) -> np.ndarray:
@@ -130,31 +124,3 @@ def memory_correction_real(freq, bath: BathParams):
     den = w * w + cut * cut
     real = -2.0 * bath.kappa * cut * (kT * (cut * cut - w * w) + cut * cut * w) / (den * den)
     return real if isinstance(freq, np.ndarray) else float(real)
-
-
-def memory_correction_rate(freq, bath: BathParams):
-    """First-order finite-memory correction Γ¹(ω) = i dΓ(ω)/dω.
-
-    Re Γ¹ = `memory_correction_real` (all that the driven generator calls)
-    Im Γ¹ = (π/2) [J'(ω)(coth(βω/2)+1) - β J(ω) / (2 sinh²(βω/2))]
-
-    The imaginary part is evaluated by series near ω = 0, where its limit
-    is κ.  `freq` may be a float or an ndarray; ``math.expm1`` and
-    ``math.sinh`` are taken element by element, so every value has the bits
-    of the scalar formula; past their overflow (a cold bath) the terms they
-    enter take their limits and the value stays finite.
-    """
-    w, small, safe = _split_zero_frequency(freq, bath)
-    cut = bath.cutoff
-    beta = bath.beta
-    out = np.empty(w.shape, dtype=complex)
-    out.real = memory_correction_real(w, bath)
-    coth_plus_one = 2.0 / -_elementwise(math.expm1, -beta * safe)
-    sh = _elementwise(math.sinh, 0.5 * beta * safe)
-    with np.errstate(over="ignore"):
-        # sinh² overflows from β|ω| ≈ 710 on, where its term is zero
-        thermal = beta * spectral_density(safe, bath) / (2.0 * sh * sh)
-    out.imag = np.where(small, bath.kappa * (1.0 + w * (beta / 3.0 - 4.0 / (beta * cut * cut))),
-                        0.5 * math.pi * (spectral_density_derivative(safe, bath) * coth_plus_one
-                                         - thermal))
-    return out if isinstance(freq, np.ndarray) else complex(out)

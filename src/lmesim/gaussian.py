@@ -11,13 +11,12 @@ the excited-state population):
 
 This is exact for the undriven generator (the nonlinear terms cancel in
 the equations of motion), so it doubles as an independent oracle for the
-density-matrix route.  The equation is linear and inhomogeneous, so the
-trajectory is exact: the augmented state [vec C; 1] evolves under a
-constant 5x5 generator, propagated with `linalg.expm`.  The steady state
-solves the Lyapunov equation W C + C W† + D = 0 with the closed-form 2x2
-kernel of `linalg` (its Hurwitz check uses the same closed-form
-eigenvalues), and the steady heat currents are linear in C.
-`relaxation_time` takes the drift eigenvalues from LAPACK.
+density-matrix route; the test suite propagates it exactly and checks the
+density route's trajectories against it.  The steady state solves the
+Lyapunov equation W C + C W† + D = 0 with the closed-form 2x2 kernel of
+`linalg` (its Hurwitz check uses the same closed-form eigenvalues), and
+the steady heat currents are linear in C.  `relaxation_time` takes the
+drift eigenvalues from LAPACK, after checking that W is finite.
 
 `chain_stack` is the one place the rates, W, D and the currents are
 computed: over arrays of (ε₁, ε₂, ζ², λ) for chains that share the cold
@@ -34,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baths import BathParams, decay_rate
-from .dynamics import IntegratorConfig, _RunPlan
 from .errors import StabilityError, UnsupportedConfigError
-from .linalg import HURWITZ_TOL, expm, hermitian_part, lyapunov_solve, require_finite
+from .linalg import HURWITZ_TOL, hermitian_part, lyapunov_solve, require_finite
 from .model import SM, SP, SystemConfig
 
 # C_ij = tr(σ_i^+ σ_j^- ρ); correlator operators in the fixed product basis
@@ -137,49 +135,11 @@ def covariance_from_density(rho: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,lk->ij", _CORR_OPS, rho)
 
 
-def _augmented_generator(dd: ChainStack) -> np.ndarray:
-    """The constant 5x5 generator M = [[W⊗I + I⊗W̄, vec D], [0, 0]] of
-    [vec C; 1] (row-major vec)."""
-    eye = np.eye(2)
-    gen = np.zeros((5, 5), dtype=complex)
-    gen[:4, :4] = np.kron(dd.drift, eye) + np.kron(eye, dd.drift.conj())
-    gen[:4, 4] = dd.diffusion.reshape(4)
-    return gen
-
-
-def integrate_covariance(cov0: np.ndarray, dd: ChainStack, t_span,
-                         step: float, record_stride: int = 1):
-    """Exact covariance trajectory from the 2x2 cov0 under the W and D of
-    ``dd``; t_span, step and record_stride are checked as for `integrate`.
-
-    Records frames on the density-matrix integrator's grid (same step
-    layout and final partial step) so times line up frame for frame.  Each
-    frame applies expm(M·Δt) to [vec C; 1], with M the
-    `_augmented_generator`, which needs no stability of W.  Returns (times,
-    covariances).
-    """
-    icfg = IntegratorConfig(step=step, record_stride=record_stride)
-    if np.shape(cov0) != (2, 2):
-        raise ValueError(f"cov0 must be a 2x2 covariance, got shape {np.shape(cov0)}")
-    require_finite("cov0", cov0)
-    plan = _RunPlan.of(t_span, icfg.step, icfg.record_stride)
-
-    gen, on_grid = _augmented_generator(dd), plan.on_grid
-    grid = expm(gen * plan.span) if on_grid else None
-    last = expm(gen * plan.last) if on_grid < len(plan.times) - 1 else grid
-
-    cov = np.array(cov0, dtype=complex)
-    covs = [cov]
-    for k in range(1, len(plan.times)):
-        vec = (grid if k <= on_grid else last) @ np.append(cov.reshape(4), 1.0)
-        cov = hermitian_part(vec[:4].reshape(2, 2))
-        covs.append(cov)
-    return plan.times, np.array(covs)
-
-
 def relaxation_time(dd: ChainStack) -> float:
     """τ_r = 1/|2 max Re w| over drift eigenvalues w (slowest decay of C); a
-    drift with max Re w >= HURWITZ_TOL, the Lyapunov solve's rule, fails."""
+    drift with a non-finite entry, or with max Re w >= HURWITZ_TOL (the
+    Lyapunov solve's rule), fails with StabilityError."""
+    require_finite("drift", dd.drift, StabilityError)
     ws = np.linalg.eigvals(dd.drift)
     top = float(np.max(ws.real))
     if not top < HURWITZ_TOL:

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels for small complex matrices.
 
 All matrices are plain numpy arrays of complex dtype, sized for the 2x2
-covariance, 4x4 density, 5x5 covariance-generator and 16x16 Liouvillian
-matrices used elsewhere in the package.  The matrix exponential is Higham's
+covariance, 4x4 density and 16x16 Liouvillian matrices used elsewhere in
+the package.  The matrix exponential is Higham's
 scaling-and-squaring Padé method in NumPy alone.  The Lyapunov solve takes
 2x2 equations only (every drift the package builds is 2x2) and solves a
 stack of them in closed form, elementwise over the stack, with no LAPACK

@@ -364,18 +364,6 @@ def liouvillian_matrix(cfg: SystemConfig) -> np.ndarray:
     return _row_major(real_liouvillian(cfg))
 
 
-def gibbs_product_state(cfg: SystemConfig) -> np.ndarray:
-    """Product of single-qubit thermal states exp(-β_i ε_i σ_z)/Z_i; the
-    populations e^{∓x}/Z are formed in log space, ln Z = x + ln(1 + e^{-2x})
-    for x = β_i ε_i > 0, so that a cold bath gives its qubit's ground state."""
-    factors = []
-    for i in (1, 2):
-        x = cfg.bath(i).beta * cfg.qubit(i).epsilon
-        log_z = x + math.log1p(math.exp(-2.0 * x))
-        factors.append(np.diag([math.exp(-x - log_z), math.exp(x - log_z)]).astype(complex))
-    return np.kron(factors[0], factors[1])
-
-
 def maximum_entropy_state() -> np.ndarray:
     return IDENTITY4 / 4.0
 

@@ -137,30 +137,36 @@ def kind_violations(kind: str, system: SystemConfig) -> list:
     return []
 
 
-def _value_violations(fields: dict, eps2: float | None) -> list:
+def _value_violations(fields: dict, eps2: float | None, t2: float | None) -> list:
     """The rules on a scenario's own fields (`ScenarioConfig` names to values):
     a known scaling axis; a positive, finite horizon, T-ratio, ε-ratio and
-    ε₁ = ε₂ + Δε (skipped for ε₂ None); a non-negative, finite ζ² or λ² grid
-    (0 is valid, though the loader's log grids skip it).  A message names
-    the first bad value and how many more there are."""
+    ε₁ = ε₂ + Δε (skipped for ε₂ None); a positive, finite T₁ = t·T₂ for
+    each T-ratio t (skipped for T₂ None); a non-negative, finite ζ² or λ²
+    grid (0 is valid, though the loader's log grids skip it).  A message
+    names the first bad value and how many more there are."""
     problems = [] if fields["scaling_axis"] in SCALING_AXES else [
         f"scenario.scaling_axis must be one of {', '.join(SCALING_AXES)}; "
         f"got {fields['scaling_axis']!r}"]
     horizon = fields["horizon"]
     eps1 = [] if eps2 is None else [eps2 + d for d in fields["detuning_grid"]]
-    for name, values, positive in (
-        ("horizon", [] if horizon is None else [horizon], True),
-        ("t_ratio_grid", fields["t_ratio_grid"], True),
-        ("eps_ratio_grid", fields["eps_ratio_grid"], True),
-        ("epsilon2 + detuning_grid", eps1, True),
-        ("scaling_grid", fields["scaling_grid"], False),
-        ("relaxation_grid", fields["relaxation_grid"], False),
+    # each rule: what a value must do, and the test of one value
+    positive = ("be positive and finite", lambda x: 0 < x < math.inf)
+    non_negative = ("be non-negative and finite", lambda x: 0 <= x < math.inf)
+    hot_bath = (f"give a positive, finite T₁ = t·T₂ at bath2.temperature {t2}",
+                lambda t: not 0 < t < math.inf or 0 < t * t2 < math.inf)
+    for name, values, (rule, ok) in (
+        ("horizon", [] if horizon is None else [horizon], positive),
+        ("t_ratio_grid", fields["t_ratio_grid"], positive),
+        ("t_ratio_grid", [] if t2 is None else fields["t_ratio_grid"], hot_bath),
+        ("eps_ratio_grid", fields["eps_ratio_grid"], positive),
+        ("epsilon2 + detuning_grid", eps1, positive),
+        ("scaling_grid", fields["scaling_grid"], non_negative),
+        ("relaxation_grid", fields["relaxation_grid"], non_negative),
     ):
-        bad = [x for x in values if not ((0 < x if positive else 0 <= x) and x < math.inf)]
+        bad = [x for x in values if not ok(x)]
         if bad:
-            want = "positive" if positive else "non-negative"
             more = f" and {len(bad) - 1} more" if len(bad) > 1 else ""
-            problems.append(f"scenario.{name} must be {want} and finite, got {bad[0]}{more}")
+            problems.append(f"scenario.{name} must {rule}, got {bad[0]}{more}")
     return problems
 
 
@@ -309,7 +315,8 @@ def load_config(path) -> ScenarioConfig:
         relaxation_grid=_grid(reader, "relax_zeta2", 0.1, 1.0, 7, log=True),
     )
     reader.check_unknown_keys()
-    problems += _value_violations(fields, None if qubits[1] is None else qubits[1].epsilon)
+    problems += _value_violations(fields, None if qubits[1] is None else qubits[1].epsilon,
+                                  None if baths[1] is None else baths[1].temperature)
 
     parts = (*qubits, *baths, coupling, zeta2)
     system = None
@@ -455,7 +462,8 @@ KINDS = tuple(_TABLES)
 def run_scenario(cfg: ScenarioConfig) -> CsvTable:
     """Execute the scenario and return its table (nothing is written here)."""
     bad = (kind_violations(cfg.kind, cfg.system)
-           + _value_violations(vars(cfg), cfg.system.qubit2.epsilon))
+           + _value_violations(vars(cfg), cfg.system.qubit2.epsilon,
+                               cfg.system.bath2.temperature))
     if bad:
         raise ConfigError(bad)
     return _TABLES[cfg.kind](cfg)

@@ -79,12 +79,6 @@ class CrossingResult:
     reason: str | None = None
 
 
-class PowerLawFit(NamedTuple):
-    slope: float
-    intercept: float      # in ln y = slope·ln x + intercept
-    r_squared: float
-
-
 class FrameColumns(NamedTuple):
     """Observables of every frame of a trajectory, one array per field;
     ``lowest`` is the smallest eigenvalue of each frame's Hermitian part
@@ -335,25 +329,3 @@ def _refine_crossing(f, t_lo: float, f_lo: float, t_hi: float, f_hi: float):
                 f_lo *= 0.5
             t_hi, f_hi, kept = t, f_t, -1
     return t_lo, t_hi
-
-
-def fit_power_law(xs, ys) -> PowerLawFit:
-    """Least-squares line through (ln x, ln y); r² of the log-log fit."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("xs and ys must be 1-d arrays of equal length")
-    if xs.size < 3:
-        raise ValueError(f"need at least 3 points, got {xs.size}")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("power-law fit requires finite data")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise ValueError("power-law fit requires strictly positive data")
-    lx = np.log(xs)
-    ly = np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return PowerLawFit(float(slope), float(intercept), r2)

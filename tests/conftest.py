@@ -14,6 +14,12 @@ and the right-hand side with np.kron, independently of the package's basis,
 while ``lme_rhs`` and ``dissipator`` are row-major views of the package's
 own generator and per-bath dissipators, and ``matrix_log_hermitian`` a
 checked `linalg.clamped_log`, for the tests that use them as oracles.
+``memory_correction_rate`` (the complex Γ¹, whose real part
+`baths.memory_correction_real` is all the package takes) with
+``spectral_density_derivative``, ``integrate_covariance`` (the exact
+covariance trajectory, propagated under the 5x5 ``_augmented_generator``:
+the covariance oracle of the density route), ``gibbs_product_state`` and
+``fit_power_law`` are the physics that only the tests run.
 ``correlation_function``, ``decay_rate_quadrature`` and
 ``lamb_shift_quadrature`` evaluate the bath integrals by SciPy quadrature,
 with a fixed tolerance, subdivision cap and
@@ -27,6 +33,7 @@ criterion after the run.
 import functools
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -49,8 +56,14 @@ from lmesim import (
     spectral_density,
     steady_state,
 )
-from lmesim.baths import ZERO_FREQ_FACTOR, spectral_density_derivative
-from lmesim.dynamics import TRACE_RENORM_TOL
+from lmesim.baths import (
+    ZERO_FREQ_FACTOR,
+    _elementwise,
+    _split_zero_frequency,
+    memory_correction_real,
+)
+from lmesim.dynamics import TRACE_RENORM_TOL, _RunPlan
+from lmesim.gaussian import ChainStack
 from lmesim.linalg import HURWITZ_TOL, clamped_log, expm, hermitian_part, kron, require_finite
 from lmesim.model import (
     HERMITIAN_BASIS,
@@ -381,6 +394,126 @@ def kronecker_lyapunov_stack(drift, diffusion):
     solutions[ok] = c_ok
     solutions[~passed] = np.nan
     return solutions, passed
+
+
+# ---------------------------------------------------------------------------
+# physics that only the tests run: the complex memory-correction rate, the
+# exact covariance trajectory, the product Gibbs state and the log-log fit
+
+
+def spectral_density_derivative(omega, bath: BathParams):
+    """dJ/dω for the Lorentz-Drude form."""
+    cut2 = bath.cutoff * bath.cutoff
+    den = cut2 + omega * omega
+    return (2.0 * bath.kappa / math.pi) * cut2 * (cut2 - omega * omega) / (den * den)
+
+
+def memory_correction_rate(freq, bath: BathParams):
+    """First-order finite-memory correction Γ¹(ω) = i dΓ(ω)/dω.
+
+    Re Γ¹ = `memory_correction_real` (all that the driven generator calls)
+    Im Γ¹ = (π/2) [J'(ω)(coth(βω/2)+1) - β J(ω) / (2 sinh²(βω/2))]
+
+    The imaginary part is evaluated by series near ω = 0, where its limit
+    is κ.  `freq` may be a float or an ndarray; ``math.expm1`` and
+    ``math.sinh`` are taken element by element, so every value has the bits
+    of the scalar formula; past their overflow (a cold bath) the terms they
+    enter take their limits and the value stays finite.
+    """
+    w, small, safe = _split_zero_frequency(freq, bath)
+    cut = bath.cutoff
+    beta = bath.beta
+    out = np.empty(w.shape, dtype=complex)
+    out.real = memory_correction_real(w, bath)
+    coth_plus_one = 2.0 / -_elementwise(math.expm1, -beta * safe)
+    sh = _elementwise(math.sinh, 0.5 * beta * safe)
+    with np.errstate(over="ignore"):
+        # sinh² overflows from β|ω| ≈ 710 on, where its term is zero
+        thermal = beta * spectral_density(safe, bath) / (2.0 * sh * sh)
+    out.imag = np.where(small, bath.kappa * (1.0 + w * (beta / 3.0 - 4.0 / (beta * cut * cut))),
+                        0.5 * math.pi * (spectral_density_derivative(safe, bath) * coth_plus_one
+                                         - thermal))
+    return out if isinstance(freq, np.ndarray) else complex(out)
+
+
+def _augmented_generator(dd: ChainStack) -> np.ndarray:
+    """The constant 5x5 generator M = [[W⊗I + I⊗W̄, vec D], [0, 0]] of
+    [vec C; 1] (row-major vec)."""
+    eye = np.eye(2)
+    gen = np.zeros((5, 5), dtype=complex)
+    gen[:4, :4] = np.kron(dd.drift, eye) + np.kron(eye, dd.drift.conj())
+    gen[:4, 4] = dd.diffusion.reshape(4)
+    return gen
+
+
+def integrate_covariance(cov0: np.ndarray, dd: ChainStack, t_span,
+                         step: float, record_stride: int = 1):
+    """Exact covariance trajectory from the 2x2 cov0 under the W and D of
+    ``dd``; t_span, step and record_stride are checked as for `integrate`.
+
+    Records frames on the density-matrix integrator's grid (same step
+    layout and final partial step) so times line up frame for frame.  Each
+    frame applies expm(M·Δt) to [vec C; 1], with M the
+    `_augmented_generator`, which needs no stability of W.  Returns (times,
+    covariances).
+    """
+    icfg = IntegratorConfig(step=step, record_stride=record_stride)
+    if np.shape(cov0) != (2, 2):
+        raise ValueError(f"cov0 must be a 2x2 covariance, got shape {np.shape(cov0)}")
+    require_finite("cov0", cov0)
+    plan = _RunPlan.of(t_span, icfg.step, icfg.record_stride)
+
+    gen, on_grid = _augmented_generator(dd), plan.on_grid
+    grid = expm(gen * plan.span) if on_grid else None
+    last = expm(gen * plan.last) if on_grid < len(plan.times) - 1 else grid
+
+    cov = np.array(cov0, dtype=complex)
+    covs = [cov]
+    for k in range(1, len(plan.times)):
+        vec = (grid if k <= on_grid else last) @ np.append(cov.reshape(4), 1.0)
+        cov = hermitian_part(vec[:4].reshape(2, 2))
+        covs.append(cov)
+    return plan.times, np.array(covs)
+
+
+def gibbs_product_state(cfg: SystemConfig) -> np.ndarray:
+    """Product of single-qubit thermal states exp(-β_i ε_i σ_z)/Z_i; the
+    populations e^{∓x}/Z are formed in log space, ln Z = x + ln(1 + e^{-2x})
+    for x = β_i ε_i > 0, so that a cold bath gives its qubit's ground state."""
+    factors = []
+    for i in (1, 2):
+        x = cfg.bath(i).beta * cfg.qubit(i).epsilon
+        log_z = x + math.log1p(math.exp(-2.0 * x))
+        factors.append(np.diag([math.exp(-x - log_z), math.exp(x - log_z)]).astype(complex))
+    return np.kron(factors[0], factors[1])
+
+
+class PowerLawFit(NamedTuple):
+    slope: float
+    intercept: float      # in ln y = slope·ln x + intercept
+    r_squared: float
+
+
+def fit_power_law(xs, ys) -> PowerLawFit:
+    """Least-squares line through (ln x, ln y); r² of the log-log fit."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise ValueError("xs and ys must be 1-d arrays of equal length")
+    if xs.size < 3:
+        raise ValueError(f"need at least 3 points, got {xs.size}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("power-law fit requires finite data")
+    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
+        raise ValueError("power-law fit requires strictly positive data")
+    lx = np.log(xs)
+    ly = np.log(ys)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    ss_res = float(np.sum(resid ** 2))
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return PowerLawFit(float(slope), float(intercept), r2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from conftest import (
     decay_rate_quadrature,
+    fit_power_law,
+    integrate_covariance,
     lamb_shift,
     lamb_shift_quadrature,
     lme_rhs,
     make_system,
+    memory_correction_rate,
     one_sided_rate,
     random_density,
     table_rows,
@@ -29,12 +32,9 @@ from lmesim import (
     effective_temperature_check,
     entropy_production_rate,
     find_tau0,
-    fit_power_law,
     heat_current,
     integrate,
-    integrate_covariance,
     maximum_entropy_state,
-    memory_correction_rate,
     run_scenario,
     steady_covariance,
     steady_heat_currents,

@@ -16,9 +16,10 @@ quadrature oracles and the high-temperature closed forms are both tested
 against a third, independent route.  The quadrature oracles
 (``correlation_function``, ``decay_rate_quadrature``,
 ``lamb_shift_quadrature``) and the closed forms that only they use
-(``lamb_shift``, ``one_sided_rate``) live in ``tests/conftest.py``; the
-package's own rates are ``decay_rate``, ``memory_correction_rate`` and its
-real part ``memory_correction_real``, which is all the driven rates take.
+(``lamb_shift``, ``one_sided_rate``) live in ``tests/conftest.py``, as
+does the complex ``memory_correction_rate``; the package's own rates are
+``decay_rate`` and ``memory_correction_real``, the real part of Γ¹, which
+is all the driven rates take.
 """
 
 import math
@@ -36,15 +37,17 @@ from conftest import (
     driven_systems,
     lamb_shift,
     lamb_shift_quadrature,
+    memory_correction_rate,
     one_sided_rate,
     scalar_decay_rate,
     scalar_memory_correction_rate,
+    spectral_density_derivative,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmesim import BathParams, decay_rate, memory_correction_rate, spectral_density
-from lmesim.baths import ZERO_FREQ_FACTOR, memory_correction_real, spectral_density_derivative
+from lmesim import BathParams, decay_rate, spectral_density
+from lmesim.baths import ZERO_FREQ_FACTOR, memory_correction_real
 
 BATH_HOT = BathParams(temperature=10.0, kappa=10.0, cutoff=1.0)
 BATH_WARM = BathParams(temperature=2.0, kappa=10.0, cutoff=1.0)

@@ -8,11 +8,13 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import conftest
 import numpy as np
 import pytest
 from conftest import (
     driven_systems,
     frame_recurrence,
+    integrate_covariance,
     lme_rhs,
     make_system,
     random_density,
@@ -35,13 +37,12 @@ from lmesim import (
     dissipation_rates,
     drift_diffusion,
     integrate,
-    integrate_covariance,
     liouvillian_matrix,
     maximum_entropy_state,
     steady_state,
     trajectory_observables,
 )
-from lmesim import dynamics, gaussian
+from lmesim import dynamics
 from lmesim.cli import main
 from lmesim.dynamics import (
     DRIVEN_BLOCK,
@@ -220,7 +221,7 @@ def test_plan_steps_layout():
 @pytest.mark.parametrize("path", ["density", "covariance"])
 def test_a_run_builds_one_exponential_per_frame_span_it_uses(monkeypatch, run, calls, path):
     (t_span, stride), cfg = run, make_system()
-    module = dynamics if path == "density" else gaussian
+    module = dynamics if path == "density" else conftest
     built = []
     monkeypatch.setattr(module, "expm", lambda m: built.append(m) or expm(m))
     if path == "density":

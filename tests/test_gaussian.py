@@ -17,11 +17,12 @@ solver, so it is an independent oracle here.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_system
+from conftest import gibbs_product_state, integrate_covariance, make_system
 
 from lmesim import (
     StabilityError,
@@ -29,9 +30,7 @@ from lmesim import (
     covariance_from_density,
     decay_rate,
     drift_diffusion,
-    gibbs_product_state,
     heat_current,
-    integrate_covariance,
     maximum_entropy_state,
     relaxation_time,
     steady_covariance,
@@ -249,6 +248,18 @@ def test_relaxation_time_rejects_non_decaying_drift(base_system):
         dd = replace(drift_diffusion(base_system), drift=drift)
         with pytest.raises(StabilityError):
             relaxation_time(dd)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_relaxation_time_rejects_a_non_finite_drift():
+    # ε₂ = 1e306 and a hot-bath κ of 1e15 overflow qubit 1's total rate to
+    # NaN; LAPACK's eigenvalues would raise an untyped LinAlgError on it
+    cfg = make_system(eps1=1e300, eps2=1e306)
+    dd = drift_diffusion(replace(cfg, bath1=replace(cfg.bath1, kappa=1e15)))
+    assert np.isnan(dd.drift[0, 0])
+    with pytest.raises(StabilityError, match=re.escape("drift has non-finite entries at (0, 0)")):
+        relaxation_time(dd)
 
 
 def test_steady_heat_currents_vanish_without_coupling():

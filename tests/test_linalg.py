@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import (
+    _augmented_generator,
     kronecker_lyapunov_stack,
     make_system,
     matrix_log_hermitian,
@@ -18,7 +19,7 @@ from lmesim import (
     drift_diffusion,
     liouvillian_matrix,
 )
-from lmesim.gaussian import _augmented_generator, chain_stack
+from lmesim.gaussian import chain_stack
 from lmesim.linalg import (
     PADE_THETA_13,
     _entries,

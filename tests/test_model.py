@@ -11,8 +11,10 @@ from conftest import (
     dense_reference,
     dissipator,
     driven_systems,
+    gibbs_product_state,
     lme_rhs,
     make_system,
+    memory_correction_rate,
     random_density,
     scalar_coefficients,
     undriven_systems,
@@ -30,12 +32,10 @@ from lmesim import (
     decay_rate,
     dissipation_rates,
     drive,
-    gibbs_product_state,
     instantaneous_gap,
     interaction_hamiltonian,
     liouvillian_matrix,
     maximum_entropy_state,
-    memory_correction_rate,
     tdlme_rhs,
     validate_density,
 )

@@ -1044,6 +1044,49 @@ def test_loader_and_cli_reject_a_drive_period_that_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_loader_run_scenario_and_cli_name_an_overflowing_hot_bath(tmp_path, capsys):
+    # T₁ = t·T₂ overflows for the last five of the seven T-ratios; the rule
+    # names the grid and its first bad value, not the BathParams built from it
+    golden = (Path(__file__).parent / "golden" / "sweep_boundary.ini").read_text()
+    path = tmp_path / "hot.ini"
+    path.write_text(re.sub(r"(?m)^t_ratio_max = .*$", "t_ratio_max = 1e308", golden))
+    want = ("scenario.t_ratio_grid must give a positive, finite T₁ = t·T₂ at "
+            "bath2.temperature 10.0, got 3.333333333333333e+307 and 4 more")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.violations == [want]
+    out = tmp_path / "a.csv"
+    assert main(["sweep-boundary", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {want}\n"
+    assert not out.exists()
+    cfg = ScenarioConfig(kind="sweep_boundary", system=make_system(),
+                         integrator=IntegratorConfig(), t_ratio_grid=(1.0, 1e308, 5e307),
+                         eps_ratio_grid=(2.0,))
+    with pytest.raises(ConfigError) as err:
+        run_scenario(cfg)
+    assert err.value.violations == [
+        "scenario.t_ratio_grid must give a positive, finite T₁ = t·T₂ at "
+        "bath2.temperature 10.0, got 1e+308 and 1 more"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_cli_relaxation_with_a_non_finite_drift_writes_error_rows(tmp_path, capsys):
+    # the drift's NaN rate is a StabilityError per point, not a LinAlgError
+    # from LAPACK that aborted the whole table
+    golden = (Path(__file__).parent / "golden" / "relaxation.ini").read_text()
+    body = golden.replace("epsilon1 = 10.0", "epsilon1 = 1e300").replace(
+        "epsilon2 = 5.0", "epsilon2 = 1e306").replace("kappa = 10.0", "kappa = 1e15", 1)
+    assert body.count("1e15") == 1 and "[bath1]\ntemperature = 15.0\nkappa = 1e15" in body
+    path = tmp_path / "nan.ini"
+    path.write_text(body)
+    out = tmp_path / "r.csv"
+    assert main(["relaxation", "--config", str(path), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_text().splitlines()[1:] == [
+        f"{z:.16e},nan,nan,nan,error:StabilityError" for z in (0.5, 1.0)]
+
+
 def test_cli_rejects_a_default_section(tmp_path, capsys):
     # configparser copies [DEFAULT]'s keys into every section by default, and
     # the loader then named keys that the file never wrote (system.kappa)
@@ -1342,6 +1385,18 @@ print(json.dumps([before, "numpy" in sys.modules, list(lmesim.__all__), names,
     assert set(exported) <= set(names)
     assert module == "lmesim.dynamics"
     assert not missing
+
+
+def test_gaussian_import_loads_no_integrator():
+    # the covariance route solves its steady state and relaxation time
+    # without the density-matrix propagator; only its oracle in the tests
+    # integrates covariances
+    script = """
+import json, sys
+import lmesim.gaussian
+print(json.dumps(["lmesim.dynamics" in sys.modules, "lmesim.model" in sys.modules]))
+"""
+    assert json.loads(_fresh_interpreter(script)) == [False, True]
 
 
 THREADS_SCRIPT = """

@@ -18,6 +18,8 @@ from conftest import (
     dense_reference,
     dissipator,
     driven_systems,
+    fit_power_law,
+    gibbs_product_state,
     make_system,
     matrix_log_hermitian,
     random_density,
@@ -36,8 +38,6 @@ from lmesim import (
     entropy,
     entropy_production_rate,
     find_tau0,
-    fit_power_law,
-    gibbs_product_state,
     heat_current,
     integrate,
     interaction_hamiltonian,
